@@ -7,8 +7,8 @@ and its reduced form.  The dense accumulator is the default; a step-list
 variant trades speed for memory and can materialize on demand.
 """
 
-from .errors import NotACocycle, NotInvertible
-from .matrix import Matrix, mat_mul, matvec, try_invert
+from .errors import NotACocycle
+from .matrix import Matrix, mat_mul, matvec
 from .parametrization import Layout
 
 
@@ -96,11 +96,11 @@ class StepMaps:
         return Matrix(field, dst.total, src.total, out)
 
 
-def step_maps(param, x, y):
-    """Equivalence data for removing (x, y) from param, read before mutation."""
-    inv = try_invert(param.map_of(x, y))
-    if inv is None:
-        raise NotInvertible("map of (%s, %s) has no inverse" % (x, y))
+def step_maps(param, x, y, inv):
+    """Equivalence data for removing (x, y) from param, read before mutation.
+
+    inv is the inverse of the pair's map, as found when the pair was matched.
+    """
     poset = param.poset
     psi_blocks = {}
     for z in sorted(poset.x_plus(x) - {y}):

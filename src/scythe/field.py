@@ -42,6 +42,9 @@ class FieldSpec:
             raise ParseError("unknown field kind %r" % (kind,))
         self.kind = kind
         self.p = p
+        # built once and shared: both element types are immutable
+        self.zero = Fraction(0) if kind == "rational" else 0
+        self.one = Fraction(1) if kind == "rational" else 1
 
     def __eq__(self, other):
         return (
@@ -59,18 +62,6 @@ class FieldSpec:
         return "FieldSpec('fp', %d)" % self.p
 
     # -- element arithmetic ------------------------------------------------
-
-    @property
-    def zero(self):
-        if self.kind == "rational":
-            return Fraction(0)
-        return 0
-
-    @property
-    def one(self):
-        if self.kind == "rational":
-            return Fraction(1)
-        return 1
 
     def add(self, a, b):
         if self.kind == "rational":

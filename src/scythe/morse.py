@@ -71,14 +71,20 @@ def reduce_pair(param, x, y):
 
     For every z above x and w below y, the map from w to z picks up the
     correction -F_xz . F_xy^{-1} . F_wy, creating the cover (w, z) when it
-    was absent; covers whose maps cancel to zero are deleted outright.
+    was absent; covers whose maps cancel to zero are deleted outright.  The
+    removed cells leave the poset, the maps and the stalk ranks.
     """
-    poset = param.poset
-    if not poset.has_cover(x, y):
+    if not param.poset.has_cover(x, y):
         raise NotACover("(%s, %s) is not a covering pair" % (x, y))
     inv = try_invert(param.map_of(x, y))
     if inv is None:
         raise NotInvertible("map of (%s, %s) has no inverse" % (x, y))
+    _reduce_pair(param, x, y, inv)
+
+
+def _reduce_pair(param, x, y, inv):
+    """reduce_pair for a checked cover whose map has the inverse inv."""
+    poset = param.poset
     zs = sorted(poset.x_plus(x) - {y})
     ws = sorted(poset.x_minus(y) - {x})
     corrections = []
@@ -107,10 +113,12 @@ def reduce_pair(param, x, y):
         for s in poset.x_minus(dead):
             param.maps.pop((s, dead), None)
         poset.remove_element(dead)
+        del param.stalk_rank[dead]
 
 
 def _pairing_candidate(param, critical, y, policy, upward):
-    """The unique partner cell for y under the given policy, or None.
+    """The unique partner cell for y under the given policy, with the
+    inverse of the pair's map, as (partner, inverse); or None.
 
     upward=True reads the standard sweep (y above, partner below); the dual
     sweep passes upward=False and searches above y instead.
@@ -123,15 +131,17 @@ def _pairing_candidate(param, critical, y, policy, upward):
             return None
         partner = nc[0]
         pair = (partner, y) if upward else (y, partner)
-        if try_invert(param.map_of(*pair)) is None:
+        inv = try_invert(param.map_of(*pair))
+        if inv is None:
             return None
-        return partner
+        return partner, inv
     if policy == "relaxed":
         hits = []
         for e in nc:
             pair = (e, y) if upward else (y, e)
-            if try_invert(param.map_of(*pair)) is not None:
-                hits.append(e)
+            inv = try_invert(param.map_of(*pair))
+            if inv is not None:
+                hits.append((e, inv))
         if len(hits) == 1:
             return hits[0]
         return None
@@ -172,17 +182,18 @@ def _sweep(param, upward, policy, tracker, observer):
                 continue
             if observer is not None:
                 observer.dequeue(y)
-            partner = _pairing_candidate(param, critical, y, policy, upward)
-            if partner is not None:
+            hit = _pairing_candidate(param, critical, y, policy, upward)
+            if hit is not None:
+                partner, inv = hit
                 x, top = (partner, y) if upward else (y, partner)
                 enqueue(poset.x_plus(x) - {top} if upward
                         else poset.x_minus(top) - {x})
                 comeback = sorted(poset.x_plus(y) if upward else poset.x_minus(y))
                 if tracker is not None:
-                    tracker.apply_step(_equiv.step_maps(param, x, top))
+                    tracker.apply_step(_equiv.step_maps(param, x, top, inv))
                 if observer is not None:
                     observer.pair(x, top)
-                reduce_pair(param, x, top)
+                _reduce_pair(param, x, top, inv)
                 matching.pairs.append((x, top))
                 enqueue(comeback)
             else:

@@ -2,11 +2,12 @@
 
 A Parametrization attaches a free module of some rank to each poset element
 and a matrix to each covering pair; missing pairs are zero maps.  assemble
-stacks the blocks into one matrix per dimension, ordering cells by id.
+stacks the blocks into one matrix per dimension, ordering cells by id, and
+keeps the blocks so d-squared can be checked one interval at a time.
 """
 
 from .errors import ValidationError
-from .matrix import Matrix, mat_mul
+from .matrix import Matrix
 
 
 class Layout:
@@ -89,12 +90,14 @@ class Parametrization:
         top = self.max_dim()
         layouts = {n: self.layout(n) for n in range(top + 1)}
         deltas = {}
+        blocks = {}
         z = self.field.zero
         for n in range(top):
             src, dst = layouts[n], layouts[n + 1]
             data = [[z] * src.total for _ in range(dst.total)]
             for (x, y), m in self.maps.items():
                 if x in src and y in dst:
+                    blocks[(x, y)] = m
                     r0, _ = dst.slot(y)
                     c0, _ = src.slot(x)
                     for i in range(m.rows):
@@ -103,16 +106,21 @@ class Parametrization:
                         for j in range(m.cols):
                             row[c0 + j] = mrow[j]
             deltas[n] = Matrix(self.field, dst.total, src.total, data)
-        return CochainComplex(self.field, layouts, deltas)
+        return CochainComplex(self.field, layouts, deltas, blocks)
 
 
 class CochainComplex:
-    """Assembled coboundary matrices d^n with the layouts indexing their blocks."""
+    """Assembled coboundary matrices d^n with the layouts indexing their blocks.
 
-    def __init__(self, field, layouts, deltas):
+    blocks holds the covering-pair matrices the coboundaries were stacked
+    from, keyed (lower cell, upper cell); absent pairs are zero blocks.
+    """
+
+    def __init__(self, field, layouts, deltas, blocks):
         self.field = field
         self.layouts = layouts
         self.deltas = deltas
+        self.blocks = blocks
         self.top = max(layouts, default=-1)
         self._cache = {}
 
@@ -146,28 +154,67 @@ class SquareReport:
         return "SquareReport(ok)"
 
 
-def verify_d_squared(cx):
-    """Check d^{n+1} . d^n = 0 for all n, reporting nonzero blocks.
+def d_squared_witnesses(field, maps, dims):
+    """The intervals sigma < tau over which the two-step map sums are nonzero.
 
-    Witnesses are (n, target cell, source cell) naming the offending block
-    of the composite from C^n into C^{n+2}.
+    maps holds the blocks F_xy keyed (x, y), absent pairs being zero, and
+    dims gives each cell's dimension.  d^{n+1} d^n vanishes exactly when
+    sum over lambda of F_lambda,tau . F_sigma,lambda is zero for every sigma
+    of dimension n and every tau of dimension n + 2, so only those sums are
+    formed: one walk over the two-step paths, linear in the covers.  Returns
+    (n, tau, sigma) for each nonzero sum, sorted.
+
+    Sums run in exact integer arithmetic wherever the entries are integers
+    (rationals with denominator 1, and F_p residues, reduced only when a
+    sum is tested), since a Fraction product costs many integer ones.  When
+    every block is 1x1, as for rank-1 stalks, blocks are walked as scalars.
     """
+    scalar = all(m.rows == 1 and m.cols == 1 for m in maps.values())
+    up = {}
+    for (x, y), m in maps.items():
+        if scalar:
+            v = m.data[0][0]
+            block = v.numerator if v.denominator == 1 else v
+        else:
+            block = [[v.numerator if v.denominator == 1 else v for v in row]
+                     for row in m.data]
+        up.setdefault(x, []).append((y, m.cols, block))
+    z = field.zero
+
+    def nonzero(v):
+        return v and field.add(v, z) != z
+
     witnesses = []
-    z = cx.field.zero
-    for n in range(cx.top):
-        prod = mat_mul(cx.d(n + 1), cx.d(n))
-        if prod.is_zero():
-            continue
-        src = cx.layout(n)
-        dst = cx.layout(n + 2)
-        for t in dst.cells:
-            r0, r1 = dst.slot(t)
-            for s in src.cells:
-                c0, c1 = src.slot(s)
-                if any(
-                    prod.data[i][j] != z
-                    for i in range(r0, r1)
-                    for j in range(c0, c1)
-                ):
-                    witnesses.append((n, t, s))
-    return SquareReport(witnesses)
+    for sigma, steps in up.items():
+        sums = {}
+        for lam, cols, first in steps:
+            for tau, _, second in up.get(lam, ()):
+                if scalar:
+                    sums[tau] = sums.get(tau, 0) + second * first
+                    continue
+                acc = sums.get(tau)
+                if acc is None:
+                    acc = sums[tau] = [[0] * cols for _ in second]
+                for arow, srow in zip(acc, second):
+                    for k, s in enumerate(srow):
+                        if s:
+                            for j, f in enumerate(first[k]):
+                                arow[j] += s * f
+        for tau, acc in sums.items():
+            if (nonzero(acc) if scalar
+                    else any(nonzero(v) for row in acc for v in row)):
+                witnesses.append((dims[sigma], tau, sigma))
+    witnesses.sort()
+    return witnesses
+
+
+def verify_d_squared(cx):
+    """Check d^{n+1} . d^n = 0 for all n, one codimension-two interval at a time.
+
+    Walks the complex's covering-pair blocks (see d_squared_witnesses); no
+    coboundary matrices are multiplied.  Witnesses are (n, target cell,
+    source cell) naming the offending block of the composite from C^n into
+    C^{n+2}, sorted.
+    """
+    dims = {c: n for n, layout in cx.layouts.items() for c in layout.cells}
+    return SquareReport(d_squared_witnesses(cx.field, cx.blocks, dims))

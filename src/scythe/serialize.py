@@ -15,7 +15,7 @@ from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .matrix import Matrix
 from .nerve import Cover
-from .sheaf import CellularSheaf, compile_sheaf
+from .sheaf import CellularSheaf, check_sheaf, compile_sheaf
 
 
 def dumps(obj):
@@ -241,7 +241,7 @@ def _parse_complex_family(data, kind, path="$"):
     base = build_cw(elements, incidence)
     sheaf = CellularSheaf(base, field, ranks, maps)
     if kind == "sheaf":
-        compile_sheaf(sheaf)
+        check_sheaf(sheaf)
         return sheaf
     if kind in ("parametrization", "reduced"):
         for pair, sign in incidence.items():
@@ -258,10 +258,12 @@ def parse(data):
     """Build the object a JSON document describes.
 
     Complex documents come back as CWComplex, sheaf documents as
-    CellularSheaf, parametrization/reduced documents as Parametrization
-    (validated and with d-squared checked), fiber documents as a
-    (graph, fibers) pair.  Cover documents need a base complex; use
-    parse_cover.
+    CellularSheaf, parametrization/reduced documents as Parametrization,
+    fiber documents as a (graph, fibers) pair.  Sheaf, parametrization and
+    reduced documents are checked to square to zero per codimension-two
+    interval of their signed maps (check_sheaf) and raise InvalidSheafData
+    when they do not; a sheaf document is not compiled here.  Cover
+    documents need a base complex; use parse_cover.
     """
     _expect(isinstance(data, dict), "top level: expected an object")
     kind = data.get("kind")

@@ -8,7 +8,7 @@ signed map is zero, so absence always means the zero map downstream.
 from .errors import InvalidSheafData, NotASubcomplex, UnknownCell, ValidationError
 from .field import RATIONAL
 from .matrix import Matrix
-from .parametrization import Parametrization, verify_d_squared
+from .parametrization import Parametrization, d_squared_witnesses
 
 
 class CellularSheaf:
@@ -81,30 +81,41 @@ def pushforward_constant(base, subcomplex, field=RATIONAL):
     return CellularSheaf(base, field, stalks, maps)
 
 
+def check_sheaf(sheaf):
+    """Fold incidence signs into the restrictions and check d-squared.
+
+    Returns the signed maps, keyed by covering pair, with the maps that
+    vanish dropped.  Raises InvalidSheafData unless, over every sigma < tau
+    two dimensions apart, the signed maps along the paths through the
+    cells between them sum to zero; the cost is linear in the covers.
+    """
+    base = sheaf.base
+    maps = {}
+    for pair, raw in sheaf.restriction.items():
+        signed = raw if base.incidence[pair] == 1 else raw.neg()
+        if not signed.is_zero():
+            maps[pair] = signed
+    witnesses = d_squared_witnesses(sheaf.field, maps, base.poset.dims)
+    if witnesses:
+        raise InvalidSheafData(
+            "compiled coboundary does not square to zero; blocks: %r"
+            % (witnesses,)
+        )
+    return maps
+
+
 def compile_sheaf(sheaf):
     """Fold incidence signs into the restrictions and build a Parametrization.
 
     Signed maps that vanish are dropped with their covering pair, so the
     resulting poset records only the pairs that actually carry a map.  The
-    assembled complex is checked to square to zero before returning.
+    signed maps are checked to square to zero per codimension-two interval
+    (see check_sheaf) before anything is built; nothing is assembled.
     """
     base = sheaf.base
-    maps = {}
-    covers = []
-    for pair, raw in sheaf.restriction.items():
-        signed = raw if base.incidence[pair] == 1 else raw.neg()
-        if not signed.is_zero():
-            maps[pair] = signed
-            covers.append(pair)
+    maps = check_sheaf(sheaf)
     poset = base.poset.copy()
     for pair in base.incidence:
         if pair not in maps:
             poset.remove_cover(*pair)
-    param = Parametrization(sheaf.field, poset, dict(sheaf.stalk_rank), maps)
-    check = verify_d_squared(param.assemble())
-    if not check:
-        raise InvalidSheafData(
-            "compiled coboundary does not square to zero; blocks: %r"
-            % (check.witnesses,)
-        )
-    return param
+    return Parametrization(sheaf.field, poset, dict(sheaf.stalk_rank), maps)

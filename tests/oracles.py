@@ -78,3 +78,33 @@ def ref_betti(cx, p=None):
     """Betti numbers of an assembled complex, via the reference elimination."""
     deltas, dims = complex_to_grids(cx)
     return betti_from_deltas(deltas, dims, p)
+
+
+def ref_d_squared_witnesses(cx, p=None):
+    """(n, target cell, source cell) for every nonzero block of d^{n+1} d^n.
+
+    Multiplies the assembled coboundaries as plain grids and scans the
+    product block by block, target cells then source cells in layout
+    order: the dense check the library made before it checked d-squared
+    one interval at a time.
+    """
+    deltas, dims = complex_to_grids(cx)
+    witnesses = []
+    for n in range(len(dims) - 2):
+        first, second = deltas[n], deltas[n + 1]
+        prod = []
+        for row in second:
+            out = []
+            for j in range(dims[n]):
+                v = sum(row[k] * first[k][j] for k in range(dims[n + 1]))
+                out.append(v if p is None else v % p)
+            prod.append(out)
+        src, dst = cx.layout(n), cx.layout(n + 2)
+        for t in dst.cells:
+            r0, r1 = dst.slot(t)
+            for s in src.cells:
+                c0, c1 = src.slot(s)
+                if any(prod[i][j] != 0
+                       for i in range(r0, r1) for j in range(c0, c1)):
+                    witnesses.append((n, t, s))
+    return witnesses

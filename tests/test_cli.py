@@ -1,14 +1,19 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import scythe
 from scythe.cli import main
+from scythe.complexes import filled_triangle
 from scythe.field import RATIONAL
-from scythe.matrix import matvec
-from scythe.serialize import dumps, loads, parse
-from scythe.sheaf import compile_sheaf, constant_sheaf
+from scythe.matrix import Matrix, matvec
+from scythe.serialize import dumps, loads, parse, sheaf_to_json
+from scythe.sheaf import CellularSheaf, compile_sheaf, constant_sheaf
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +180,27 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     code, _, err = run_cli(capsys, "compute", str(data_dir / "torus.json"),
                            "--field", "fp:4")
     assert code == 2 and "prime" in err
+
+
+def test_compute_rejects_sheaf_that_does_not_square_to_zero(capsys, tmp_path):
+    tri = filled_triangle()
+    maps = {pair: Matrix.identity(RATIONAL, 1) for pair in tri.incidence}
+    maps[("u", "uv")] = Matrix.from_rows(RATIONAL, [[2]])
+    sheaf = CellularSheaf(tri, RATIONAL, {c: 1 for c in tri.cells()}, maps)
+    doc = tmp_path / "broken.json"
+    doc.write_text(dumps(sheaf_to_json(sheaf)))
+    want = ("error: compiled coboundary does not square to zero; "
+            "blocks: [(0, 'f', 'u')]\n")
+    for command in ("compute", "reduce", "validate"):
+        assert run_cli(capsys, command, str(doc)) == (2, "", want)
+    # and as its own process: exit code 2, the message, no traceback
+    src = str(pathlib.Path(scythe.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "scythe.cli", "compute", str(doc)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
 
 def test_bench_emits_growing_sizes(capsys):

@@ -22,9 +22,10 @@ from scythe.complexes import (
     torus_grid,
 )
 from scythe.cw import subcomplex
-from scythe.errors import SolveFailed
+from scythe.errors import NotAComplex, SolveFailed
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix, mat_mul, matvec, rank
+from scythe.parametrization import Parametrization
 from scythe.sheaf import (
     compile_sheaf,
     constant_sheaf,
@@ -32,7 +33,7 @@ from scythe.sheaf import (
     skyscraper_sheaf,
 )
 
-from oracles import ref_betti
+from oracles import ref_betti, ref_d_squared_witnesses
 from randgen import random_parametrization, random_simplicial
 
 CASES = [
@@ -95,6 +96,23 @@ def test_generators_are_independent_cocycles():
         for j in range(m.cols):
             coords = class_coordinates(cx, m.column(j), n)
             assert coords[j] == cx.field.one
+
+
+def test_betti_rejects_maps_that_do_not_square_to_zero():
+    # identity on every cover with no incidence signs: each vertex reaches
+    # the face along two edges, and the two paths add up to 2
+    tri = filled_triangle()
+    one = Matrix.identity(RATIONAL, 1)
+    param = Parametrization(RATIONAL, tri.poset.copy(),
+                            {c: 1 for c in tri.cells()},
+                            {pair: one for pair in tri.incidence})
+    cx = param.assemble()
+    want = [(0, "f", "u"), (0, "f", "v"), (0, "f", "w")]
+    assert ref_d_squared_witnesses(cx) == want
+    with pytest.raises(NotAComplex) as info:
+        betti(cx)
+    assert info.value.degree == 0
+    assert info.value.witness == want
 
 
 def test_class_coordinates_rejects_non_cocycles():

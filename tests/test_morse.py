@@ -43,11 +43,56 @@ def fixture_params(field=RATIONAL):
         yield compile_sheaf(constant_sheaf(make(), 1, field))
 
 
+def assert_consistent(param):
+    """Stalk ranks, maps and poset describe the same live cells and covers."""
+    poset = param.poset
+    assert set(param.stalk_rank) == set(poset.dims)
+    for (x, y), m in param.maps.items():
+        assert poset.has_cover(x, y)
+        assert (m.rows, m.cols) == (param.stalk_rank[y], param.stalk_rank[x])
+
+
+class _ConsistencyCheck:
+    """Observer asserting consistency between reductions of a sweep."""
+
+    def __init__(self, param):
+        self.param = param
+
+    def select(self, c):
+        pass
+
+    def enqueue(self, e):
+        pass
+
+    def dequeue(self, y):
+        pass
+
+    def pair(self, x, y):
+        # called just before (x, y) is removed, so after the previous removal
+        assert_consistent(self.param)
+
+
 def test_reduce_pair_interval():
     param = compile_sheaf(constant_sheaf(interval()))
     reduce_pair(param, "u", "e")
     assert sorted(param.poset.dims) == ["v"]
     assert param.maps == {}
+    assert param.stalk_rank == {"v": 1}
+
+
+def test_reduction_drops_ranks_of_removed_cells():
+    param = compile_sheaf(constant_sheaf(torus_grid(3, 3), rank=2))
+    scythe(param)
+    assert_consistent(param)
+    # the removed pair carries the largest stalks; d reads survivors only
+    poset = build_poset([("a", 0), ("x", 0), ("e", 1)], [("a", "e"), ("x", "e")])
+    maps = {("a", "e"): Matrix.from_rows(RATIONAL, [[1], [0], [0]]),
+            ("x", "e"): Matrix.identity(RATIONAL, 3)}
+    param = Parametrization(RATIONAL, poset, {"a": 1, "x": 3, "e": 3}, maps)
+    data = scythe(param)
+    assert data.matching.pairs == [("x", "e")]
+    assert param.stalk_rank == {"a": 1}
+    assert param.max_stalk_rank() == 1
 
 
 def test_reduce_pair_circle_cancels_to_zero():
@@ -180,8 +225,9 @@ def test_policies_agree_on_betti():
         a = random_parametrization(rng, base, RATIONAL)
         b = a.copy()
         want = ref_betti(a.copy().assemble())
-        scythe(a, policy="strict")
-        scythe(b, policy="relaxed")
+        for param, policy in ((a, "strict"), (b, "relaxed")):
+            scythe(param, policy=policy, observer=_ConsistencyCheck(param))
+            assert_consistent(param)
         got_a = betti(a.assemble()).betti
         got_b = betti(b.assemble()).betti
         for got in (got_a, got_b):
@@ -234,9 +280,11 @@ def test_oracle_equals_replay_on_random_instances():
         if not data.matching.pairs:
             continue
         done += 1
+        assert_consistent(param)
         replay = pristine.copy()
         for x, y in data.matching.pairs:
             reduce_pair(replay, x, y)
+            assert_consistent(replay)
         blocks = morse_coboundary_oracle(pristine, data.matching)
         assert set(blocks) == set(replay.maps)
         for key, blk in blocks.items():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from scythe.complexes import circle, filled_triangle, interval, torus_grid
 from scythe.errors import InvalidSheafData, NotASubcomplex, UnknownCell
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix
+from scythe.parametrization import Parametrization, verify_d_squared
 from scythe.sheaf import (
     CellularSheaf,
     compile_sheaf,
@@ -14,6 +16,7 @@ from scythe.sheaf import (
     skyscraper_sheaf,
 )
 
+from oracles import ref_d_squared_witnesses
 from randgen import random_sheaf, random_simplicial
 
 
@@ -77,7 +80,9 @@ def test_compile_rejects_broken_d_squared():
     two = Matrix.from_rows(RATIONAL, [[2]])
     maps = {pair: one for pair in tri.incidence}
     maps[("u", "uv")] = two
-    with pytest.raises(InvalidSheafData):
+    # over u < f: [u:uv]*2*[uv:f] + [u:uw]*1*[uw:f] = -2 + 1
+    want = "blocks: [(0, 'f', 'u')]"
+    with pytest.raises(InvalidSheafData, match=re.escape(want)):
         compile_sheaf(CellularSheaf(tri, RATIONAL, stalks, maps))
 
 
@@ -92,11 +97,63 @@ def test_missing_restriction_means_zero():
     assert cx.d(0).data == [[RATIONAL.one, RATIONAL.zero]]
 
 
+def _unchecked_param(sheaf):
+    """The Parametrization compile_sheaf builds, minus its d-squared check."""
+    base = sheaf.base
+    maps = {}
+    for pair, raw in sheaf.restriction.items():
+        signed = raw if base.incidence[pair] == 1 else raw.neg()
+        if not signed.is_zero():
+            maps[pair] = signed
+    poset = base.poset.copy()
+    for pair in base.incidence:
+        if pair not in maps:
+            poset.remove_cover(*pair)
+    return Parametrization(sheaf.field, poset, dict(sheaf.stalk_rank), maps)
+
+
+def _perturbed(rng, sheaf):
+    """A copy of sheaf with one nonempty restriction changed, or None."""
+    pairs = sorted(p for p, m in sheaf.restriction.items() if m.rows and m.cols)
+    if not pairs:
+        return None
+    pair = rng.choice(pairs)
+    old = sheaf.restriction[pair]
+    f = sheaf.field
+    new = old
+    while new == old:
+        new = Matrix(f, old.rows, old.cols,
+                     [[f.from_int(rng.randint(-2, 2)) for _ in range(old.cols)]
+                      for _ in range(old.rows)])
+    maps = dict(sheaf.restriction)
+    maps[pair] = new
+    return CellularSheaf(sheaf.base, f, sheaf.stalk_rank, maps)
+
+
 def test_random_sheaves_compile():
     rng = random.Random(7)
+    twist = random.Random(11)
+    broken = 0
     for _ in range(25):
         base = random_simplicial(rng)
         field = RATIONAL if rng.random() < 0.5 else fp(5)
         sheaf, _ = random_sheaf(rng, base, field)
         param = compile_sheaf(sheaf)
         assert param.field == field
+        # the interval walk names the same blocks, in the same order, as
+        # the dense product, with and without a broken restriction
+        p = field.p
+        for candidate in (sheaf, _perturbed(twist, sheaf)):
+            if candidate is None:
+                continue
+            cx = _unchecked_param(candidate).assemble()
+            want = ref_d_squared_witnesses(cx, p)
+            assert verify_d_squared(cx).witnesses == want
+            if want:
+                broken += 1
+                with pytest.raises(InvalidSheafData,
+                                   match=re.escape("blocks: %r" % (want,))):
+                    compile_sheaf(candidate)
+            else:
+                assert compile_sheaf(candidate).maps == cx.blocks
+    assert broken >= 5
