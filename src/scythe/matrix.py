@@ -64,8 +64,7 @@ class Matrix:
         return "Matrix(%dx%d [%s])" % (self.rows, self.cols, body)
 
     def is_zero(self):
-        z = self.field.zero
-        return all(v == z for row in self.data for v in row)
+        return not any(any(row) for row in self.data)
 
     def copy_data(self):
         return [row[:] for row in self.data]
@@ -118,20 +117,19 @@ def mat_mul(a, b):
     if a.cols != b.rows:
         raise ValueError("inner dimensions %d vs %d" % (a.cols, b.rows))
     f = a.field
-    z = f.zero
-    out = [[z] * b.cols for _ in range(a.rows)]
+    out = [[f.zero] * b.cols for _ in range(a.rows)]
     bd = b.data
     for i in range(a.rows):
         arow = a.data[i]
         orow = out[i]
         for k in range(a.cols):
             aik = arow[k]
-            if aik == z:
+            if not aik:
                 continue
             brow = bd[k]
             for j in range(b.cols):
                 bkj = brow[j]
-                if bkj != z:
+                if bkj:
                     orow[j] = f.add(orow[j], f.mul(aik, bkj))
     return Matrix(f, a.rows, b.cols, out)
 
@@ -141,13 +139,12 @@ def matvec(a, vec):
     if len(vec) != a.cols:
         raise ValueError("vector length %d, matrix wants %d" % (len(vec), a.cols))
     f = a.field
-    z = f.zero
     out = []
     for row in a.data:
-        acc = z
-        for j, rv in enumerate(row):
-            if rv != z and vec[j] != z:
-                acc = f.add(acc, f.mul(rv, vec[j]))
+        acc = f.zero
+        for rv, v in zip(row, vec):
+            if rv and v:
+                acc = f.add(acc, f.mul(rv, v))
         out.append(acc)
     return out
 
@@ -162,13 +159,12 @@ def try_invert(a):
         return None
     n = a.rows
     f = a.field
-    z = f.zero
     work = a.copy_data()
     inv = Matrix.identity(f, n).copy_data()
     for col in range(n):
         pivot = None
         for i in range(col, n):
-            if work[i][col] != z:
+            if work[i][col]:
                 pivot = i
                 break
         if pivot is None:
@@ -186,13 +182,13 @@ def try_invert(a):
             if i == col:
                 continue
             factor = work[i][col]
-            if factor == z:
+            if not factor:
                 continue
             wi, ii = work[i], inv[i]
             for j in range(n):
-                if wc[j] != z:
+                if wc[j]:
                     wi[j] = f.sub(wi[j], f.mul(factor, wc[j]))
-                if ic[j] != z:
+                if ic[j]:
                     ii[j] = f.sub(ii[j], f.mul(factor, ic[j]))
     return Matrix(f, n, n, inv)
 
@@ -200,13 +196,12 @@ def try_invert(a):
 def rank(a):
     """Exact rank via forward elimination."""
     f = a.field
-    z = f.zero
     work = a.copy_data()
     r = 0
     for col in range(a.cols):
         pivot = None
         for i in range(r, a.rows):
-            if work[i][col] != z:
+            if work[i][col]:
                 pivot = i
                 break
         if pivot is None:
@@ -216,12 +211,12 @@ def rank(a):
         pinv = f.inv(prow[col])
         for i in range(r + 1, a.rows):
             factor = work[i][col]
-            if factor == z:
+            if not factor:
                 continue
             scale = f.mul(factor, pinv)
             wi = work[i]
             for j in range(col, a.cols):
-                if prow[j] != z:
+                if prow[j]:
                     wi[j] = f.sub(wi[j], f.mul(scale, prow[j]))
         r += 1
         if r == a.rows:
@@ -238,7 +233,6 @@ class EchelonSolver:
 
     def __init__(self, a):
         f = a.field
-        z = f.zero
         work = a.copy_data()
         trans = Matrix.identity(f, a.rows).copy_data()
         pivots = []
@@ -246,7 +240,7 @@ class EchelonSolver:
         for col in range(a.cols):
             pivot = None
             for i in range(r, a.rows):
-                if work[i][col] != z:
+                if work[i][col]:
                     pivot = i
                     break
             if pivot is None:
@@ -263,14 +257,14 @@ class EchelonSolver:
                 if i == r:
                     continue
                 factor = work[i][col]
-                if factor == z:
+                if not factor:
                     continue
                 wi, ti = work[i], trans[i]
                 for j in range(a.cols):
-                    if wr[j] != z:
+                    if wr[j]:
                         wi[j] = f.sub(wi[j], f.mul(factor, wr[j]))
                 for j in range(a.rows):
-                    if tr[j] != z:
+                    if tr[j]:
                         ti[j] = f.sub(ti[j], f.mul(factor, tr[j]))
             pivots.append(col)
             r += 1
@@ -314,11 +308,11 @@ class EchelonSolver:
             acc = z
             for j in range(self.rows):
                 tij = ti[j]
-                if tij != z and b[j] != z:
+                if tij and b[j]:
                     acc = f.add(acc, f.mul(tij, b[j]))
             eb.append(acc)
         for i in range(self.rank, self.rows):
-            if eb[i] != z:
+            if eb[i]:
                 return None
         x = [z] * self.cols
         for i, pc in enumerate(self.pivots):

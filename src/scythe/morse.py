@@ -148,8 +148,11 @@ def _pairing_candidate(param, critical, y, policy, upward):
     raise ValidationError("unknown pairing policy %r" % (policy,))
 
 
-def _sweep(param, upward, policy, tracker, observer):
-    """One full reduction sweep in the given direction; returns its Matching."""
+def _sweep(param, upward, policy, steps, observer):
+    """One full reduction sweep in the given direction; returns its Matching.
+
+    When steps is a list, each removal appends its equivalence step to it.
+    """
     poset = param.poset
     critical = set()
     matching = Matching()
@@ -189,8 +192,8 @@ def _sweep(param, upward, policy, tracker, observer):
                 enqueue(poset.x_plus(x) - {top} if upward
                         else poset.x_minus(top) - {x})
                 comeback = sorted(poset.x_plus(y) if upward else poset.x_minus(y))
-                if tracker is not None:
-                    tracker.apply_step(_equiv.step_maps(param, x, top, inv))
+                if steps is not None:
+                    steps.append(_equiv.step_maps(param, x, top, inv))
                 if observer is not None:
                     observer.pair(x, top)
                 _reduce_pair(param, x, top, inv)
@@ -202,18 +205,17 @@ def _sweep(param, upward, policy, tracker, observer):
     return matching
 
 
-def _run(param, upward, policy, track_equivalence, keep_steps, observer):
+def _run(param, upward, policy, track_equivalence, observer):
     snapshot = param.poset.copy()
-    tracker = None
-    if track_equivalence:
-        tracker = _equiv.start_tracking(param, keep_steps=keep_steps)
-    matching = _sweep(param, upward, policy, tracker, observer)
-    eq = tracker.finalize(param) if tracker is not None else None
+    src = param.assemble() if track_equivalence else None
+    steps = [] if track_equivalence else None
+    matching = _sweep(param, upward, policy, steps, observer)
+    eq = (_equiv.Equivalence(src, steps, param.assemble())
+          if track_equivalence else None)
     return MorseData(matching, param, eq, [PassRecord(snapshot, matching)])
 
 
-def scythe(param, policy="strict", track_equivalence=False, keep_steps=False,
-           observer=None):
+def scythe(param, policy="strict", track_equivalence=False, observer=None):
     """Reduce param in place, seeding from minimal cells upward.
 
     Seeds are chosen by least dimension then id.  The default policy pairs
@@ -223,39 +225,38 @@ def scythe(param, policy="strict", track_equivalence=False, keep_steps=False,
     matching then lives on the reduced order, and the monotone-removal
     guarantee of the strict reading is not asserted).
     """
-    return _run(param, True, policy, track_equivalence, keep_steps, observer)
+    return _run(param, True, policy, track_equivalence, observer)
 
 
-def coscythe(param, policy="strict", track_equivalence=False, keep_steps=False,
-             observer=None):
+def coscythe(param, policy="strict", track_equivalence=False, observer=None):
     """Dual sweep: seeds maximal cells (greatest dimension, then id) and
     searches above each dequeued cell for its unique partner."""
-    return _run(param, False, policy, track_equivalence, keep_steps, observer)
+    return _run(param, False, policy, track_equivalence, observer)
 
 
 def iterate_scythe(param, policy="strict", track_equivalence=False,
-                   keep_steps=False, observer=None):
+                   observer=None):
     """Run reduction sweeps until the critical poset stops shrinking.
 
     Each sweep starts with every surviving cell non-critical again; the
     passes field records one PassRecord per sweep and the matching collects
     every removed pair in order.
     """
-    tracker = None
-    if track_equivalence:
-        tracker = _equiv.start_tracking(param, keep_steps=keep_steps)
+    src = param.assemble() if track_equivalence else None
+    steps = [] if track_equivalence else None
     passes = []
     all_pairs = []
     while True:
         before = len(param.poset)
         snapshot = param.poset.copy()
-        matching = _sweep(param, True, policy, tracker, observer)
+        matching = _sweep(param, True, policy, steps, observer)
         passes.append(PassRecord(snapshot, matching))
         all_pairs.extend(matching.pairs)
         if len(param.poset) == before:
             break
     combined = Matching(all_pairs, set(param.poset.dims))
-    eq = tracker.finalize(param) if tracker is not None else None
+    eq = (_equiv.Equivalence(src, steps, param.assemble())
+          if track_equivalence else None)
     return MorseData(combined, param, eq, passes)
 
 

@@ -84,17 +84,19 @@ def param_to_json(param):
 
 def equivalence_to_json(eq):
     """Dense psi/phi/theta matrices by dimension, with their cell orders."""
-    top = max(eq.src_layouts) if eq.src_layouts else 0
+    layouts = eq.src_complex.layouts
+    top = max(layouts) if layouts else 0
     out = {
         "psi": {str(n): eq.psi_matrix(n).to_json() for n in range(top + 1)},
         "phi": {str(n): eq.phi_matrix(n).to_json() for n in range(top + 1)},
         "theta": {str(n): eq.theta_matrix(n).to_json()
                   for n in range(1, top + 1)},
         "source_cells": {
-            str(n): list(eq.src_layouts[n].cells)
-            for n in sorted(eq.src_layouts)
+            str(n): list(layouts[n].cells) for n in sorted(layouts)
         },
-        "target_cells": {str(n): eq.dst_cells(n) for n in range(top + 1)},
+        "target_cells": {
+            str(n): list(eq.dst_complex.layout(n).cells) for n in range(top + 1)
+        },
     }
     return out
 

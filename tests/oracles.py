@@ -108,3 +108,18 @@ def ref_d_squared_witnesses(cx, p=None):
                        for i in range(r0, r1) for j in range(c0, c1)):
                     witnesses.append((n, t, s))
     return witnesses
+
+
+def ref_coboundary(cx, vec, n, p=None):
+    """d^n vec as a plain list, by the dense row-times-vector sum.
+
+    vec is a cochain of C^n; beyond the top dimension the image is empty.
+    """
+    if n >= cx.top:
+        return []
+    deltas, _ = complex_to_grids(cx)
+    out = []
+    for row in deltas[n]:
+        v = sum(a * b for a, b in zip(row, vec))
+        out.append(v if p is None else v % p)
+    return out

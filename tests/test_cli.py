@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -95,6 +96,30 @@ def test_reduce_report_and_equivalence(capsys, data_dir):
     assert set(doc["equivalence"]) == {
         "psi", "phi", "theta", "source_cells", "target_cells"
     }
+
+
+# sha256 of stdout for the transport and equivalence outputs, fixed bytes
+PINNED_STDOUT = [
+    (["compute", "circle8.json", "--lift"],
+     "9cefc8bc50bbc88bc931db1072c9fd36faea08004d763698ed1444b9a2e09133"),
+    (["compute", "torus.json", "--lift"],
+     "1380599eeed786012a7c0e7422b772148e899c3495ec4a229c34bb8ed37cd662"),
+    (["reduce", "torus.json", "--equivalence"],
+     "972e0540318a54c53a5bcedb1f4d5688c383e0aa8a19b30e5470eee45aba825a"),
+    (["reduce", "torus.json", "--equivalence", "--iterate", "--policy", "relaxed"],
+     "972e0540318a54c53a5bcedb1f4d5688c383e0aa8a19b30e5470eee45aba825a"),
+    (["reduce", "genus2_surface.json", "--equivalence", "--field", "fp:5"],
+     "d2461e40fcad313a62634528cacea370e57118471fbd43d0288597fd567e5040"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=["_".join(a) for a, _ in PINNED_STDOUT])
+def test_lift_and_equivalence_bytes_are_pinned(capsys, data_dir, argv, digest):
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_nerve_command(capsys, data_dir):

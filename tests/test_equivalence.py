@@ -12,18 +12,14 @@ from scythe.complexes import (
     theta_graph,
     torus_grid,
 )
-from scythe.equivalence import (
-    Equivalence,
-    SteppedEquivalence,
-    lift_cocycle,
-    project_cocycle,
-)
+from scythe.equivalence import Equivalence, lift_cocycle, project_cocycle
 from scythe.errors import NotACocycle
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix, mat_mul, matvec
 from scythe.morse import coscythe, iterate_scythe, scythe
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
+from oracles import ref_coboundary
 from randgen import random_parametrization, random_simplicial
 
 FIXTURES = [interval, circle, filled_triangle, theta_graph,
@@ -65,68 +61,63 @@ def test_laws_on_fixtures(runner):
         check_laws(eq.src_complex, eq.dst_complex, eq)
 
 
-def test_laws_on_random_instances():
+def _random_instances():
+    """The seeded random parametrizations of the law tests, over Q and F5."""
     rng = random.Random(31)
     for trial in range(25):
         base = random_simplicial(rng)
         field = fp(5) if trial % 3 == 0 else RATIONAL
-        param = random_parametrization(rng, base, field)
+        yield random_parametrization(rng, base, field)
+
+
+def test_laws_on_random_instances():
+    for param in _random_instances():
         data = scythe(param, track_equivalence=True)
         eq = data.equivalence
         check_laws(eq.src_complex, eq.dst_complex, eq)
 
 
 def test_identity_equivalence():
-    param = compile_sheaf(constant_sheaf(circle()))
-    layouts = {n: param.layout(n) for n in range(param.max_dim() + 1)}
-    eq = Equivalence.identity(param.field, layouts)
-    cx = param.assemble()
-    eq.src_complex = cx
-    eq.dst_complex = cx
+    cx = compile_sheaf(constant_sheaf(circle())).assemble()
+    eq = Equivalence(cx, [], cx)
     check_laws(cx, cx, eq)
     assert eq.theta_matrix(1).is_zero()
 
 
-def test_stepped_equivalence_matches_dense():
-    for make in (circle, lambda: torus_grid(2, 3)):
-        dense = compile_sheaf(constant_sheaf(make()))
-        stepped = dense.copy()
-        d1 = scythe(dense, track_equivalence=True).equivalence
-        d2 = scythe(stepped, track_equivalence=True, keep_steps=True).equivalence
-        assert isinstance(d2, SteppedEquivalence)
-        m = d2.materialize()
-        for n in range(d1.src_complex.top + 1):
-            assert m.psi_matrix(n).data == d1.psi_matrix(n).data
-            assert m.phi_matrix(n).data == d1.phi_matrix(n).data
-            assert m.theta_matrix(n).data == d1.theta_matrix(n).data
+def _random_cocycle(rng, cx, n):
+    """A random coboundary plus a random combination of generators."""
+    f = cx.field
+    if n > 0:
+        below = [f.from_int(rng.randint(-2, 2)) for _ in range(cx.rank_c(n - 1))]
+        vec = matvec(cx.d(n - 1), below)
+    else:
+        vec = [f.zero] * cx.rank_c(0)
+    gens = betti(cx, generators=True).generators.get(n)
+    for j in range(gens.cols if gens is not None else 0):
+        c = f.from_int(rng.randint(-2, 2))
+        vec = [f.add(v, f.mul(c, g)) for v, g in zip(vec, gens.column(j))]
+    return vec
+
+
+def _assert_transport_matches_matrices(rng, eq):
+    orig, red = eq.src_complex, eq.dst_complex
+    for n in range(orig.top + 1):
+        vec = _random_cocycle(rng, orig, n)
+        assert project_cocycle(eq, vec, n) == matvec(eq.psi_matrix(n), vec)
+        rvec = _random_cocycle(rng, red, n)
+        assert lift_cocycle(eq, rvec, n) == matvec(eq.phi_matrix(n), rvec)
 
 
 def test_stepped_transport_matches_matrices():
     rng = random.Random(13)
-    param = compile_sheaf(constant_sheaf(torus_grid(3, 3)))
-    stepped = scythe(param.copy(), track_equivalence=True,
-                     keep_steps=True).equivalence
-    dense = stepped.materialize()
-    f = param.field
-    orig = stepped.src_complex
-    red = stepped.dst_complex
-    for n in range(orig.top + 1):
-        # transport a genuine cocycle: any coboundary will do
-        if n > 0:
-            below = [f.from_int(rng.randint(-2, 2))
-                     for _ in range(orig.rank_c(n - 1))]
-            vec = matvec(orig.d(n - 1), below)
-        else:
-            basis = betti(orig, generators=True).generators[0]
-            vec = basis.column(0) if basis.cols else [f.zero] * orig.rank_c(0)
-        assert stepped.project_vector(vec, n) == matvec(dense.psi_matrix(n), vec)
-        if n > 0:
-            rbelow = [f.from_int(rng.randint(-2, 2))
-                      for _ in range(red.rank_c(n - 1))]
-            rvec = matvec(red.d(n - 1), rbelow)
-        else:
-            rvec = [f.one] * red.rank_c(0)
-        assert stepped.lift_vector(rvec, n) == matvec(dense.phi_matrix(n), rvec)
+    for runner in (scythe, coscythe, iterate_scythe):
+        for make in (lambda: torus_grid(3, 3), genus2_surface):
+            param = compile_sheaf(constant_sheaf(make()))
+            eq = runner(param, track_equivalence=True).equivalence
+            _assert_transport_matches_matrices(rng, eq)
+    for param in _random_instances():
+        eq = scythe(param, track_equivalence=True).equivalence
+        _assert_transport_matches_matrices(rng, eq)
 
 
 def test_project_and_lift_preserve_classes():
@@ -154,6 +145,53 @@ def test_cocycle_guard():
     not_cocycle = [f.one] + [f.zero] * (eq.src_complex.rank_c(1) - 1)
     with pytest.raises(NotACocycle):
         project_cocycle(eq, not_cocycle, 1)
+
+
+def test_lift_guard():
+    # the first random instance whose reduced complex keeps a nonzero d
+    for param in _random_instances():
+        eq = scythe(param, track_equivalence=True).equivalence
+        red = eq.dst_complex
+        hits = [(n, j) for n in range(red.top) for j in range(red.rank_c(n))
+                if any(red.d(n).column(j))]
+        if hits:
+            break
+    else:
+        pytest.fail("every random instance reduced to d = 0")
+    n, j = hits[0]
+    f = red.field
+    not_cocycle = [f.zero] * red.rank_c(n)
+    not_cocycle[j] = f.one
+    with pytest.raises(NotACocycle):
+        lift_cocycle(eq, not_cocycle, n)
+
+
+def test_cocycle_guard_matches_dense_oracle():
+    # the block walk accepts exactly the vectors whose dense image is zero
+    rng = random.Random(7)
+    rejected = accepted = 0
+    for param in _random_instances():
+        field = param.field
+        p = field.p
+        eq = scythe(param, track_equivalence=True).equivalence
+        for cx, transport in ((eq.src_complex, project_cocycle),
+                              (eq.dst_complex, lift_cocycle)):
+            for n in range(cx.top + 1):
+                if not cx.rank_c(n):
+                    continue
+                vec = _random_cocycle(rng, cx, n)
+                bumped = list(vec)
+                i = rng.randrange(len(vec))
+                bumped[i] = field.add(bumped[i], field.from_int(rng.randint(1, 4)))
+                for v in (vec, bumped):
+                    if any(ref_coboundary(cx, v, n, p)):
+                        rejected += 1
+                        with pytest.raises(NotACocycle):
+                            transport(eq, v, n)
+                    else:
+                        accepted += 1
+                        transport(eq, v, n)
+    assert rejected and accepted
 
 
 def test_iterate_composes_across_passes():
