@@ -39,6 +39,7 @@ from .serialize import (
 )
 from .sheaf import (
     CellularSheaf,
+    check_sheaf,
     compile_sheaf,
     constant_sheaf,
     pushforward_constant,
@@ -97,10 +98,10 @@ def _obtain_param(args):
     spec = getattr(args, "sheaf", None)
     if isinstance(obj, CWComplex):
         return compile_sheaf(_build_sheaf(obj, spec, _pipeline_field(args)))
+    if isinstance(obj, CellularSheaf):
+        obj = compile_sheaf(obj)
     if spec is not None:
         raise ParseError("--sheaf only applies to bare complex documents")
-    if isinstance(obj, CellularSheaf):
-        return compile_sheaf(obj)
     if isinstance(obj, Parametrization):
         return obj
     raise ParseError("input document is not a complex, sheaf, or parametrization")
@@ -229,6 +230,8 @@ def cmd_validate(args):
                 base = parse(_load_doc(args, args.base))
                 validate_fibers(base, gamma, fibers)
         else:
+            if isinstance(obj, CellularSheaf):
+                check_sheaf(obj)
             kind = doc.get("kind") or type(obj).__name__.lower()
     _emit(args, {"ok": True, "kind": kind})
     return 0

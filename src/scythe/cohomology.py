@@ -1,14 +1,16 @@
 """Cohomology of assembled complexes: Betti numbers, cocycle bases, and the
 maps induced on cohomology by inclusions of complexes.
 
-Each complex caches one echelon factorization per dimension; every rank,
-kernel and modulo-coboundary solve reuses it.
+Each complex caches two echelon factorizations per dimension n: that of
+d^n, which every rank and kernel reuses, and that of [d^{n-1} | kernel],
+which flags the cohomology representatives and solves for class
+coordinates.
 """
 
 from .errors import NotAComplex, SolveFailed, UnknownCell
-from .matrix import EchelonSolver, Matrix, matvec
+from .matrix import EchelonSolver, Matrix
 from .morse import scythe
-from .parametrization import verify_d_squared
+from .parametrization import is_cocycle, verify_d_squared
 from .sheaf import compile_sheaf
 
 
@@ -92,12 +94,16 @@ class CocycleBasis:
     """Kernel representatives at one dimension.
 
     matrix columns span the cocycles; flagged lists the column indices that
-    stay independent after quotienting by coboundaries.
+    stay independent after quotienting by coboundaries.  classes is the
+    echelon of [d^{n-1} | matrix] the flags were read from, whose first
+    offset columns are the coboundaries.
     """
 
-    def __init__(self, matrix, flagged):
+    def __init__(self, matrix, flagged, classes, offset):
         self.matrix = matrix
         self.flagged = flagged
+        self.classes = classes
+        self.offset = offset
 
 
 def cocycle_basis(cx, n):
@@ -105,47 +111,36 @@ def cocycle_basis(cx, n):
     key = ("basis", n)
     if key in cx._cache:
         return cx._cache[key]
-    if n < 0 or n > cx.top:
-        out = CocycleBasis(Matrix.zeros(cx.field, max(cx.rank_c(n), 0), 0), [])
-        cx._cache[key] = out
-        return out
-    kernel = _solver(cx, n).kernel_basis()
-    bound = cx.d(n - 1)
-    total = cx.rank_c(n)
+    if 0 <= n <= cx.top:
+        kernel = _solver(cx, n).kernel_basis()
+        bound = cx.d(n - 1)
+    else:
+        kernel = bound = Matrix.zeros(cx.field, 0, 0)
+    total = kernel.rows
     data = [bound.data[i] + kernel.data[i] for i in range(total)]
-    pivots = EchelonSolver(Matrix(cx.field, total, bound.cols + kernel.cols, data)).pivots
-    flagged = [j - bound.cols for j in pivots if j >= bound.cols]
-    out = CocycleBasis(kernel, flagged)
+    classes = EchelonSolver(
+        Matrix(cx.field, total, bound.cols + kernel.cols, data)
+    )
+    flagged = [j - bound.cols for j in classes.pivots if j >= bound.cols]
+    out = CocycleBasis(kernel, flagged, classes, bound.cols)
     cx._cache[key] = out
     return out
 
 
-def _class_solver(cx, n):
-    """Echelon of [coboundaries | flagged representatives], cached."""
-    key = ("classes", n)
-    if key not in cx._cache:
-        basis = cocycle_basis(cx, n)
-        bound = cx.d(n - 1)
-        total = cx.rank_c(n)
-        reps = [basis.matrix.column(j) for j in basis.flagged]
-        data = [
-            bound.data[i] + [col[i] for col in reps] for i in range(total)
-        ]
-        solver = EchelonSolver(Matrix(cx.field, total, bound.cols + len(reps), data))
-        cx._cache[key] = (solver, bound.cols, len(reps))
-    return cx._cache[key]
-
-
 def class_coordinates(cx, vec, n):
-    """Coordinates of a cocycle's class in the flagged basis at dimension n."""
-    image = matvec(cx.d(n), vec)
-    if any(v != cx.field.zero for v in image):
+    """Coordinates of a cocycle's class in the flagged basis at dimension n.
+
+    The pivot columns of [d^{n-1} | kernel] span the cocycles, so a cocycle
+    has one expression in them; its coefficients on the flagged kernel
+    columns are the coordinates.
+    """
+    if not is_cocycle(cx, vec, n):
         raise SolveFailed("vector at dimension %d is not a cocycle" % n)
-    solver, n_bound, n_reps = _class_solver(cx, n)
-    sol = solver.solve(vec)
+    basis = cocycle_basis(cx, n)
+    sol = basis.classes.solve(vec)
     if sol is None:
         raise SolveFailed("cocycle not spanned by coboundaries and representatives")
-    return sol[n_bound:n_bound + n_reps]
+    return [sol[basis.offset + j] for j in basis.flagged]
 
 
 def induced_map(big, small, embedding, n):

@@ -9,7 +9,8 @@ asked for (the written equivalence document and the law checks), and kept.
 """
 
 from .errors import NotACocycle
-from .matrix import Matrix, mat_mul
+from .matrix import Matrix, mat_mul, matvec_add
+from .parametrization import is_cocycle
 
 
 class StepMaps:
@@ -181,16 +182,6 @@ def _axpy(field, target, coeff, source):
             target[i] = field.add(target[i], field.mul(coeff, s))
 
 
-def _add_product(field, target, block, vec):
-    """target += block . vec over field, in place, skipping zero work."""
-    for i, row in enumerate(block.data):
-        acc = target[i]
-        for a, v in zip(row, vec):
-            if a and v:
-                acc = field.add(acc, field.mul(a, v))
-        target[i] = acc
-
-
 def _to_blocks(layout, vec):
     return {
         c: list(vec[layout.offsets[c]:layout.offsets[c] + layout.ranks[c]])
@@ -203,20 +194,7 @@ def _from_blocks(layout, blocks):
 
 
 def _check_cocycle(cx, vec, n):
-    """Raise NotACocycle unless d^n vec = 0, summed over covering-pair blocks."""
-    layout = cx.layout(n)
-    if len(vec) != layout.total:
-        raise ValueError(
-            "vector length %d, C^%d has rank %d" % (len(vec), n, layout.total)
-        )
-    f = cx.field
-    parts = _to_blocks(layout, vec)
-    image = {}
-    for (x, y), m in cx.blocks.items():
-        part = parts.get(x)
-        if part is not None and any(part):
-            _add_product(f, image.setdefault(y, [f.zero] * m.rows), m, part)
-    if any(any(v) for v in image.values()):
+    if not is_cocycle(cx, vec, n):
         raise NotACocycle("input at dimension %d is not killed by d" % n)
 
 
@@ -233,7 +211,7 @@ def project_cocycle(eq, vec, n):
             vy = blocks.pop(step.y)
             if any(vy):
                 for z, blk in step.psi_blocks.items():
-                    _add_product(eq.field, blocks[z], blk, vy)
+                    matvec_add(blk, vy, blocks[z])
         elif step.dimx == n:
             del blocks[step.x]
     return _from_blocks(eq.dst_complex.layout(n), blocks)
@@ -252,7 +230,7 @@ def lift_cocycle(eq, vec, n):
         if step.dimx == n:
             val = [f.zero] * step.inv.rows
             for w, blk in step.phi_blocks.items():
-                _add_product(f, val, blk, blocks[w])
+                matvec_add(blk, blocks[w], val)
             blocks[step.x] = val
         elif step.dimy == n:
             blocks[step.y] = [f.zero] * step.inv.rows

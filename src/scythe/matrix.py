@@ -138,15 +138,20 @@ def matvec(a, vec):
     """Apply a to a coordinate vector given as a plain list."""
     if len(vec) != a.cols:
         raise ValueError("vector length %d, matrix wants %d" % (len(vec), a.cols))
+    out = [a.field.zero] * a.rows
+    matvec_add(a, vec, out)
+    return out
+
+
+def matvec_add(a, vec, target):
+    """target += a . vec over a's field, in place, skipping zero work."""
     f = a.field
-    out = []
-    for row in a.data:
-        acc = f.zero
+    for i, row in enumerate(a.data):
+        acc = target[i]
         for rv, v in zip(row, vec):
             if rv and v:
                 acc = f.add(acc, f.mul(rv, v))
-        out.append(acc)
-    return out
+        target[i] = acc
 
 
 def try_invert(a):
@@ -191,37 +196,6 @@ def try_invert(a):
                 if ic[j]:
                     ii[j] = f.sub(ii[j], f.mul(factor, ic[j]))
     return Matrix(f, n, n, inv)
-
-
-def rank(a):
-    """Exact rank via forward elimination."""
-    f = a.field
-    work = a.copy_data()
-    r = 0
-    for col in range(a.cols):
-        pivot = None
-        for i in range(r, a.rows):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        pinv = f.inv(prow[col])
-        for i in range(r + 1, a.rows):
-            factor = work[i][col]
-            if not factor:
-                continue
-            scale = f.mul(factor, pinv)
-            wi = work[i]
-            for j in range(col, a.cols):
-                if prow[j]:
-                    wi[j] = f.sub(wi[j], f.mul(scale, prow[j]))
-        r += 1
-        if r == a.rows:
-            break
-    return r
 
 
 class EchelonSolver:

@@ -3,10 +3,9 @@
 The decomposition theorems here compute H^n of a space from H^0 and H^1 of
 sheaves living on a nerve or Reeb graph.  They are valid only when that base
 is at most one-dimensional, so higher nerves are refused, not approximated.
-Stalk computations are independent and run on a bounded worker pool.
+Stalk computations are independent tasks; they run in task order in one
+process.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .cohomology import CohomologyProfile, betti, induced_map, sheaf_cohomology
 from .cw import build_cw, subcomplex
@@ -14,7 +13,6 @@ from .errors import (
     FiberInclusionViolated,
     NerveTooBig,
     NotACover,
-    ScytheError,
     ValidationError,
 )
 from .field import RATIONAL
@@ -111,27 +109,6 @@ def nerve(cover):
     return Nerve(cw, supports, simplices)
 
 
-def _run_tasks(jobs, workers):
-    """Run all zero-argument jobs, collecting (index, error) without stopping."""
-    results = [None] * len(jobs)
-    failures = []
-    if workers <= 1:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = job()
-            except ScytheError as exc:
-                failures.append((i, exc))
-        return results, failures
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except ScytheError as exc:
-                failures.append((i, exc))
-    return results, failures
-
-
 def _subset_complex(base, cells, field):
     piece = subcomplex(base, cells)
     return compile_sheaf(constant_sheaf(piece, 1, field)).assemble()
@@ -140,43 +117,26 @@ def _subset_complex(base, cells, field):
 def parallel_stalks(base, tasks, field=RATIONAL, workers=1):
     """Cohomology profiles of face-closed subsets, one per (cells, degree) task.
 
-    Results come back in task order whatever the worker count.  Every task
-    is attempted; if any fail, the lowest-index failure is raised once the
-    rest have finished.  Profiles are padded with zeros up to the requested
-    degree so profile.betti[degree] always exists.
+    Tasks run in order in one process, so results come back in task order
+    and the first failing task raises.  workers is accepted and selects
+    nothing.  Profiles are padded with zeros up to the requested degree so
+    profile.betti[degree] always exists.
     """
-
-    def job(cells, degree):
-        def run():
-            profile = betti(_subset_complex(base, cells, field))
-            while len(profile.betti) <= degree:
-                profile.betti.append(0)
-            return profile
-
-        return run
-
-    results, failures = _run_tasks([job(c, d) for c, d in tasks], workers)
-    if failures:
-        raise failures[0][1]
+    results = []
+    for cells, degree in tasks:
+        profile = betti(_subset_complex(base, cells, field))
+        while len(profile.betti) <= degree:
+            profile.betti.append(0)
+        results.append(profile)
     return results
 
 
-def _stalk_tables(base, supports, field, workers):
-    """Assembled complex and betti profile for every support, in parallel."""
-    names = sorted(supports)
-
-    def job(cells):
-        def run():
-            cx = _subset_complex(base, cells, field)
-            return cx, betti(cx)
-
-        return run
-
-    results, failures = _run_tasks([job(supports[n]) for n in names], workers)
-    if failures:
-        raise failures[0][1]
-    complexes = {name: out[0] for name, out in zip(names, results)}
-    profiles = {name: out[1] for name, out in zip(names, results)}
+def _stalk_tables(base, supports, field):
+    """Assembled complex and betti profile for every support, in name order."""
+    complexes, profiles = {}, {}
+    for name in sorted(supports):
+        cx = complexes[name] = _subset_complex(base, supports[name], field)
+        profiles[name] = betti(cx)
     return complexes, profiles
 
 
@@ -211,28 +171,34 @@ class SheafOverNerve:
 
 
 def cech_sheaf(cover, n, field=RATIONAL, workers=1):
-    """Degree-n cohomology of supports arranged as a sheaf on the nerve."""
+    """Degree-n cohomology of supports arranged as a sheaf on the nerve.
+
+    workers is accepted and selects nothing; stalks are computed in order.
+    """
     nv = nerve(cover)
-    complexes, profiles = _stalk_tables(cover.base, nv.supports, field, workers)
+    complexes, profiles = _stalk_tables(cover.base, nv.supports, field)
     sheaf = _degree_sheaf(nv.cw, complexes, profiles, n, field)
     return SheafOverNerve(n, sheaf, dict(nv.supports))
 
 
-def _combine(degree_pairs, top):
-    """Fold (b0, b1) per degree into the decomposition profile."""
+def _decompose(base, graph, supports, field, reduce_first):
+    """Betti numbers of base from the degree sheaves of supports on graph.
+
+    graph is at most one-dimensional, so H^n(base) is H^0 of the degree-n
+    sheaf plus H^1 of the degree-(n-1) sheaf, for n up to base's dimension.
+    """
+    complexes, profiles = _stalk_tables(base, supports, field)
     out = []
-    for n in range(top + 1):
-        b0 = degree_pairs[n][0]
-        b1 = degree_pairs[n - 1][1] if n > 0 else 0
-        out.append(b0 + b1)
+    carry = 0
+    for n in range(base.poset.max_dim() + 1):
+        sheaf = _degree_sheaf(graph, complexes, profiles, n, field)
+        b0 = b1 = 0
+        if any(sheaf.stalk_rank.values()):
+            profile = sheaf_cohomology(sheaf, reduce_first=reduce_first)
+            b0, b1 = _entry(profile, 0), _entry(profile, 1)
+        out.append(b0 + carry)
+        carry = b1
     return CohomologyProfile(out)
-
-
-def _sheaf_b01(sheaf, reduce_first):
-    if all(r == 0 for r in sheaf.stalk_rank.values()):
-        return 0, 0
-    profile = sheaf_cohomology(sheaf, reduce_first=reduce_first)
-    return _entry(profile, 0), _entry(profile, 1)
 
 
 def cohomology_via_cech(X, cover, field=RATIONAL, workers=1, reduce_first=True):
@@ -240,6 +206,7 @@ def cohomology_via_cech(X, cover, field=RATIONAL, workers=1, reduce_first=True):
 
     Requires the nerve to be at most one-dimensional.  Nerve-level sheaf
     cohomology runs through a reduction sweep unless reduce_first is off.
+    workers is accepted and selects nothing; stalks are computed in order.
     """
     base = cover.base
     if X is not None and set(X.poset.dims) != set(base.poset.dims):
@@ -250,14 +217,7 @@ def cohomology_via_cech(X, cover, field=RATIONAL, workers=1, reduce_first=True):
             "nerve has a %d-simplex; the decomposition needs dimension <= 1"
             % nv.dim
         )
-    complexes, profiles = _stalk_tables(base, nv.supports, field, workers)
-    top = base.poset.max_dim()
-    pairs = {
-        n: _sheaf_b01(_degree_sheaf(nv.cw, complexes, profiles, n, field),
-                      reduce_first)
-        for n in range(top + 1)
-    }
-    return _combine(pairs, top)
+    return _decompose(base, nv.cw, nv.supports, field, reduce_first)
 
 
 def validate_fibers(X, gamma, fibers):
@@ -295,26 +255,23 @@ def leray_sheaf(X, gamma, fibers, n, field=RATIONAL, workers=1):
 
     fibers maps every cell of gamma to a face-closed subset of X; each edge
     fiber must sit inside both endpoint fibers, mirroring how preimages of
-    open stars shrink as cells grow.
+    open stars shrink as cells grow.  workers is accepted and selects
+    nothing; stalks are computed in order.
     """
     checked = validate_fibers(X, gamma, fibers)
-    complexes, profiles = _stalk_tables(X, checked, field, workers)
+    complexes, profiles = _stalk_tables(X, checked, field)
     sheaf = _degree_sheaf(gamma, complexes, profiles, n, field)
     return SheafOverNerve(n, sheaf, checked)
 
 
 def cohomology_via_leray(X, gamma, fibers, field=RATIONAL, workers=1,
                          reduce_first=True):
-    """Betti numbers of X from sheaves of fiber cohomology on a graph."""
+    """Betti numbers of X from sheaves of fiber cohomology on a graph.
+
+    workers is accepted and selects nothing; stalks are computed in order.
+    """
     checked = validate_fibers(X, gamma, fibers)
-    complexes, profiles = _stalk_tables(X, checked, field, workers)
-    top = X.poset.max_dim()
-    pairs = {
-        n: _sheaf_b01(_degree_sheaf(gamma, complexes, profiles, n, field),
-                      reduce_first)
-        for n in range(top + 1)
-    }
-    return _combine(pairs, top)
+    return _decompose(X, gamma, checked, field, reduce_first)
 
 
 class NerveReport:
@@ -352,7 +309,10 @@ def _acyclic(profile):
 
 
 def nerve_theorem_check(cover, field=RATIONAL, workers=1):
-    """Check every support is acyclic; if so compare nerve and base Betti."""
+    """Check every support is acyclic; if so compare nerve and base Betti.
+
+    workers is accepted and selects nothing; supports are checked in order.
+    """
     nv = nerve(cover)
     names = sorted(nv.supports)
     results = parallel_stalks(

@@ -7,7 +7,7 @@ keeps the blocks so d-squared can be checked one interval at a time.
 """
 
 from .errors import ValidationError
-from .matrix import Matrix
+from .matrix import Matrix, matvec_add
 
 
 class Layout:
@@ -137,6 +137,31 @@ class CochainComplex:
         if n in self.deltas:
             return self.deltas[n]
         return Matrix.zeros(self.field, self.rank_c(n + 1), self.rank_c(n))
+
+
+def is_cocycle(cx, vec, n):
+    """Whether d^n vec = 0, summed over the covering-pair blocks of cx.
+
+    Only the blocks leaving cells where vec is nonzero are applied; no
+    coboundary matrix is read.  Raises ValueError unless vec has the rank
+    of C^n.
+    """
+    layout = cx.layout(n)
+    if len(vec) != layout.total:
+        raise ValueError(
+            "vector length %d, C^%d has rank %d" % (len(vec), n, layout.total)
+        )
+    f = cx.field
+    image = {}
+    for (x, y), m in cx.blocks.items():
+        off = layout.offsets.get(x)
+        if off is None:
+            continue
+        part = vec[off:off + m.cols]
+        if not any(part):
+            continue
+        matvec_add(m, part, image.setdefault(y, [f.zero] * m.rows))
+    return not any(any(acc) for acc in image.values())
 
 
 class SquareReport:

@@ -15,7 +15,7 @@ from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .matrix import Matrix
 from .nerve import Cover
-from .sheaf import CellularSheaf, check_sheaf, compile_sheaf
+from .sheaf import CellularSheaf, compile_sheaf
 
 
 def dumps(obj):
@@ -243,7 +243,6 @@ def _parse_complex_family(data, kind, path="$"):
     base = build_cw(elements, incidence)
     sheaf = CellularSheaf(base, field, ranks, maps)
     if kind == "sheaf":
-        check_sheaf(sheaf)
         return sheaf
     if kind in ("parametrization", "reduced"):
         for pair, sign in incidence.items():
@@ -261,10 +260,11 @@ def parse(data):
 
     Complex documents come back as CWComplex, sheaf documents as
     CellularSheaf, parametrization/reduced documents as Parametrization,
-    fiber documents as a (graph, fibers) pair.  Sheaf, parametrization and
-    reduced documents are checked to square to zero per codimension-two
-    interval of their signed maps (check_sheaf) and raise InvalidSheafData
-    when they do not; a sheaf document is not compiled here.  Cover
+    fiber documents as a (graph, fibers) pair.  Parametrization and
+    reduced documents are compiled here, which checks that their maps
+    square to zero (InvalidSheafData when they do not).  Sheaf documents
+    get only the structural checks: d-squared is checked once, where the
+    sheaf is compiled (compile_sheaf) or validated (check_sheaf).  Cover
     documents need a base complex; use parse_cover.
     """
     _expect(isinstance(data, dict), "top level: expected an object")

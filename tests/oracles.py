@@ -123,3 +123,59 @@ def ref_coboundary(cx, vec, n, p=None):
         v = sum(a * b for a, b in zip(row, vec))
         out.append(v if p is None else v % p)
     return out
+
+
+def ref_solve(grid, rhs, p=None):
+    """For each right-hand side b, one x with grid . x = b, or None.
+
+    grid is a list of rows and every b has one entry per row; the solution
+    has its free variables zero.  One plain reduction of the rows augmented
+    by all the right-hand sides to reduced echelon form.
+    """
+    ncols = len(grid[0]) if grid else 0
+    conv = Fraction if p is None else (lambda v: int(v) % p)
+    rows = [[conv(v) for v in row] + [conv(b[i]) for b in rhs]
+            for i, row in enumerate(grid)]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = (Fraction(1) / rows[r][col] if p is None
+               else pow(rows[r][col], -1, p))
+        rows[r] = [v * inv if p is None else (v * inv) % p for v in rows[r]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i == r or c == 0:
+                continue
+            rows[i] = [a - c * b if p is None else (a - c * b) % p
+                       for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    out = []
+    for k in range(ncols, ncols + len(rhs)):
+        if any(row[k] != 0 for row in rows[len(pivots):]):
+            out.append(None)
+            continue
+        x = [0] * ncols
+        for i, col in enumerate(pivots):
+            x[col] = rows[i][k]
+        out.append(x)
+    return out
+
+
+def ref_class_coordinates(cx, reps, vecs, n, p=None):
+    """Coordinates of each vec on reps in [d^{n-1} | reps] . x = vec.
+
+    reps are the flagged cocycle representatives at dimension n as plain
+    columns; each solve has free variables zero, and a vec's coordinates
+    are the entries of its x on the representative columns (None when
+    there is no x).
+    """
+    deltas, dims = complex_to_grids(cx)
+    bound = deltas[n - 1] if n > 0 else [[] for _ in range(dims[n])]
+    grid = [list(bound[i]) + [rep[i] for rep in reps] for i in range(dims[n])]
+    width = len(bound[0]) if bound else 0
+    return [None if x is None else x[width:]
+            for x in ref_solve(grid, vecs, p)]

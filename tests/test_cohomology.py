@@ -14,17 +14,19 @@ from scythe.complexes import (
     circle,
     circle_subdivided,
     filled_triangle,
+    genus2_reeb,
     genus2_surface,
     interval,
     path_complex,
     point,
     theta_graph,
     torus_grid,
+    torus_reeb,
 )
 from scythe.cw import subcomplex
 from scythe.errors import NotAComplex, SolveFailed
 from scythe.field import RATIONAL, fp
-from scythe.matrix import Matrix, mat_mul, matvec, rank
+from scythe.matrix import Matrix, mat_mul, matvec
 from scythe.parametrization import Parametrization
 from scythe.sheaf import (
     compile_sheaf,
@@ -33,7 +35,7 @@ from scythe.sheaf import (
     skyscraper_sheaf,
 )
 
-from oracles import ref_betti, ref_d_squared_witnesses
+from oracles import ref_betti, ref_class_coordinates, ref_d_squared_witnesses
 from randgen import random_parametrization, random_simplicial
 
 CASES = [
@@ -134,6 +136,49 @@ def test_coboundary_of_anything_has_zero_class():
         assert all(c == f.zero for c in coords)
 
 
+def _class_complexes():
+    """Constant sheaves on the fixtures and seeded random parametrizations,
+    assembled, over Q and F5."""
+    for field in (RATIONAL, fp(5)):
+        for make, _ in CASES:
+            yield compile_sheaf(constant_sheaf(make(), 1, field)).assemble()
+        yield compile_sheaf(constant_sheaf(torus_grid(2, 3), 2, field)).assemble()
+    rng = random.Random(23)
+    for trial in range(20):
+        field = fp(5) if trial % 2 else RATIONAL
+        yield random_parametrization(rng, random_simplicial(rng), field).assemble()
+
+
+def test_class_coordinates_match_reference_solve():
+    # a kernel combination plus a coboundary, solved for against
+    # [d^{n-1} | flagged representatives] by plain elimination
+    rng = random.Random(17)
+    checked = nonzero = 0
+    for cx in _class_complexes():
+        f = cx.field
+        for n in range(cx.top + 1):
+            basis = cocycle_basis(cx, n)
+            reps = [basis.matrix.column(j) for j in basis.flagged]
+            vecs = []
+            for _ in range(3):
+                vec = [f.zero] * cx.rank_c(n)
+                if n > 0:
+                    below = [f.from_int(rng.randint(-2, 2))
+                             for _ in range(cx.rank_c(n - 1))]
+                    vec = matvec(cx.d(n - 1), below)
+                for j in range(basis.matrix.cols):
+                    c = f.from_int(rng.randint(-2, 2))
+                    vec = [f.add(v, f.mul(c, k))
+                           for v, k in zip(vec, basis.matrix.column(j))]
+                vecs.append(vec)
+            want = ref_class_coordinates(cx, reps, vecs, n, f.p)
+            for vec, coords in zip(vecs, want):
+                assert class_coordinates(cx, vec, n) == coords
+                checked += 1
+                nonzero += any(coords)
+    assert checked > 300 and nonzero > 100
+
+
 def test_induced_map_identity_inclusion():
     t = torus_grid(2, 3)
     cx = compile_sheaf(constant_sheaf(t)).assemble()
@@ -153,6 +198,50 @@ def test_induced_map_circle_into_annulus():
     # inclusion of the boundary circle into the annulus is an H^1 iso
     assert m.rows == 1 and m.cols == 1
     assert m.data[0][0] != big.field.zero
+
+
+# H^n(vertex fiber) -> H^n(edge fiber) on every cover of the shipped Reeb
+# graphs, for n = 0, 1, 2, as matrix JSON; pinned, and the same over Q and F5
+REEB_INDUCED = {
+    "genus2": {
+        ("gb", "ge0"): [[["1"]], [[]], []],
+        ("gs1", "ge0"): [[["1"]], [["1", "1"]], []],
+        ("gs1", "gea"): [[["1"]], [["1", "0"]], []],
+        ("gs1", "geb"): [[["1"]], [["0", "1"]], []],
+        ("gs2", "ge1"): [[["1"]], [["1", "1"]], []],
+        ("gs2", "gea"): [[["1"]], [["1", "0"]], []],
+        ("gs2", "geb"): [[["1"]], [["0", "1"]], []],
+        ("gs3", "ge1"): [[["1"]], [["1", "1"]], []],
+        ("gs3", "gec"): [[["1"]], [["1", "0"]], []],
+        ("gs3", "ged"): [[["1"]], [["0", "1"]], []],
+        ("gs4", "ge2"): [[["1"]], [["1", "1"]], []],
+        ("gs4", "gec"): [[["1"]], [["1", "0"]], []],
+        ("gs4", "ged"): [[["1"]], [["0", "1"]], []],
+        ("gt", "ge2"): [[["1"]], [[]], []],
+    },
+    "torus": {
+        ("u0", "a0"): [[["1"]], [["1"]], []],
+        ("u0", "a2"): [[["1"]], [["1"]], []],
+        ("u1", "a0"): [[["1"]], [["1"]], []],
+        ("u1", "a1"): [[["1"]], [["1"]], []],
+        ("u2", "a1"): [[["1"]], [["1"]], []],
+        ("u2", "a2"): [[["1"]], [["1"]], []],
+    },
+}
+
+
+@pytest.mark.parametrize("name,make", [("genus2", genus2_reeb),
+                                       ("torus", torus_reeb)])
+def test_induced_maps_on_reeb_fibers_are_pinned(name, make):
+    surface, graph, fibers = make()
+    for field in (RATIONAL, fp(5)):
+        cx = {c: compile_sheaf(constant_sheaf(subcomplex(surface, cells), 1,
+                                              field)).assemble()
+              for c, cells in fibers.items()}
+        got = {(s, t): [induced_map(cx[s], cx[t], None, n).to_json()
+                        for n in range(3)]
+               for s, t in graph.poset.covers()}
+        assert got == REEB_INDUCED[name]
 
 
 def test_betti_against_reference_on_random_instances():

@@ -13,7 +13,7 @@ from scythe.complexes import (
     torus_grid,
 )
 from scythe.equivalence import Equivalence, lift_cocycle, project_cocycle
-from scythe.errors import NotACocycle
+from scythe.errors import NotACocycle, SolveFailed
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix, mat_mul, matvec
 from scythe.morse import coscythe, iterate_scythe, scythe
@@ -167,7 +167,8 @@ def test_lift_guard():
 
 
 def test_cocycle_guard_matches_dense_oracle():
-    # the block walk accepts exactly the vectors whose dense image is zero
+    # the block walk accepts exactly the vectors whose dense image is zero,
+    # in the transports and in class_coordinates alike
     rng = random.Random(7)
     rejected = accepted = 0
     for param in _random_instances():
@@ -188,9 +189,17 @@ def test_cocycle_guard_matches_dense_oracle():
                         rejected += 1
                         with pytest.raises(NotACocycle):
                             transport(eq, v, n)
+                        with pytest.raises(SolveFailed):
+                            class_coordinates(cx, v, n)
                     else:
                         accepted += 1
                         transport(eq, v, n)
+                        class_coordinates(cx, v, n)
+                longer = vec + [field.zero]
+                with pytest.raises(ValueError):
+                    transport(eq, longer, n)
+                with pytest.raises(ValueError):
+                    class_coordinates(cx, longer, n)
     assert rejected and accepted
 
 
