@@ -4,11 +4,21 @@ The decomposition theorems here compute H^n of a space from H^0 and H^1 of
 sheaves living on a nerve or Reeb graph.  They are valid only when that base
 is at most one-dimensional, so higher nerves are refused, not approximated.
 Stalk computations are independent tasks; they run in task order in one
-process.
+process.  Each fiber (support) is reduced once, keeping its equivalence;
+a restriction H^n(sigma) -> H^n(tau) lifts sigma's reduced generators,
+copies out tau's cells and projects into tau's reduced complex, so sheaf
+stalks are written in the flagged bases of the reduced fibers.
 """
 
-from .cohomology import CohomologyProfile, betti, induced_map, sheaf_cohomology
+from .cohomology import (
+    CohomologyProfile,
+    betti,
+    class_coordinates,
+    cocycle_basis,
+    sheaf_cohomology,
+)
 from .cw import build_cw, subcomplex
+from .equivalence import lift_cocycle, project_cocycle
 from .errors import (
     FiberInclusionViolated,
     NerveTooBig,
@@ -16,6 +26,8 @@ from .errors import (
     ValidationError,
 )
 from .field import RATIONAL
+from .matrix import Matrix
+from .morse import scythe
 from .sheaf import CellularSheaf, compile_sheaf, constant_sheaf
 
 
@@ -109,22 +121,19 @@ def nerve(cover):
     return Nerve(cw, supports, simplices)
 
 
-def _subset_complex(base, cells, field):
-    piece = subcomplex(base, cells)
-    return compile_sheaf(constant_sheaf(piece, 1, field)).assemble()
-
-
 def parallel_stalks(base, tasks, field=RATIONAL, workers=1):
     """Cohomology profiles of face-closed subsets, one per (cells, degree) task.
 
-    Tasks run in order in one process, so results come back in task order
-    and the first failing task raises.  workers is accepted and selects
-    nothing.  Profiles are padded with zeros up to the requested degree so
+    Each subset is reduced before its Betti numbers are taken.  Tasks run
+    in order in one process, so results come back in task order and the
+    first failing task raises.  workers is accepted and selects nothing.
+    Profiles are padded with zeros up to the requested degree so
     profile.betti[degree] always exists.
     """
     results = []
     for cells, degree in tasks:
-        profile = betti(_subset_complex(base, cells, field))
+        piece = subcomplex(base, cells)
+        profile = sheaf_cohomology(constant_sheaf(piece, 1, field))
         while len(profile.betti) <= degree:
             profile.betti.append(0)
         results.append(profile)
@@ -132,27 +141,56 @@ def parallel_stalks(base, tasks, field=RATIONAL, workers=1):
 
 
 def _stalk_tables(base, supports, field):
-    """Assembled complex and betti profile for every support, in name order."""
-    complexes, profiles = {}, {}
+    """Reduction equivalence and reduced Betti profile for every support."""
+    equivalences, profiles = {}, {}
     for name in sorted(supports):
-        cx = complexes[name] = _subset_complex(base, supports[name], field)
-        profiles[name] = betti(cx)
-    return complexes, profiles
+        piece = subcomplex(base, supports[name])
+        param = compile_sheaf(constant_sheaf(piece, 1, field))
+        eq = scythe(param, track_equivalence=True).equivalence
+        equivalences[name], profiles[name] = eq, betti(eq.dst_complex)
+    return equivalences, profiles
 
 
 def _entry(profile, n):
     return profile.betti[n] if 0 <= n < len(profile.betti) else 0
 
 
-def _degree_sheaf(cw, complexes, profiles, n, field):
-    """The sheaf on cw whose stalks are degree-n cohomologies of supports."""
+def _transport(lifts, big, small, n, rank):
+    """Matrix of H^n(big fiber) -> H^n(small fiber) in the reduced bases.
+
+    lifts are big's reduced generators lifted to its fiber; small's fiber is
+    a subcomplex of big's with the same cell ids, so each lift restricts by
+    copying out small's blocks before it is projected and solved for.
+    """
+    src = big.src_complex.layout(n)
+    dst = small.src_complex.layout(n)
+    cols = []
+    for vec in lifts:
+        restricted = [v for c in dst.cells for v in vec[slice(*src.slot(c))]]
+        reduced = project_cocycle(small, restricted, n)
+        cols.append(class_coordinates(small.dst_complex, reduced, n))
+    data = [[col[i] for col in cols] for i in range(rank)]
+    return Matrix(small.field, rank, len(cols), data)
+
+
+def _degree_sheaf(cw, equivalences, profiles, n, field):
+    """The sheaf on cw whose stalks are degree-n cohomologies of supports.
+
+    Each support's reduced generators are lifted once, for every cover above.
+    """
     ranks = {cell: _entry(profiles[cell], n) for cell in cw.poset.dims}
+    lifts = {}
     restriction = {}
     for sigma, tau in cw.poset.covers():
         if ranks[sigma] == 0 and ranks[tau] == 0:
             continue
-        restriction[(sigma, tau)] = induced_map(
-            complexes[sigma], complexes[tau], None, n
+        big = equivalences[sigma]
+        if sigma not in lifts:
+            basis = cocycle_basis(big.dst_complex, n)
+            lifts[sigma] = [lift_cocycle(big, basis.matrix.column(j), n)
+                            for j in basis.flagged]
+        restriction[(sigma, tau)] = _transport(
+            lifts[sigma], big, equivalences[tau], n, ranks[tau]
         )
     return CellularSheaf(cw, field, ranks, restriction)
 
@@ -173,11 +211,13 @@ class SheafOverNerve:
 def cech_sheaf(cover, n, field=RATIONAL, workers=1):
     """Degree-n cohomology of supports arranged as a sheaf on the nerve.
 
-    workers is accepted and selects nothing; stalks are computed in order.
+    Stalks are in the reduced supports' flagged bases, and restrictions
+    move their generators by cocycle transport.  workers is accepted and
+    selects nothing; stalks are computed in order.
     """
     nv = nerve(cover)
-    complexes, profiles = _stalk_tables(cover.base, nv.supports, field)
-    sheaf = _degree_sheaf(nv.cw, complexes, profiles, n, field)
+    equivalences, profiles = _stalk_tables(cover.base, nv.supports, field)
+    sheaf = _degree_sheaf(nv.cw, equivalences, profiles, n, field)
     return SheafOverNerve(n, sheaf, dict(nv.supports))
 
 
@@ -186,12 +226,14 @@ def _decompose(base, graph, supports, field, reduce_first):
 
     graph is at most one-dimensional, so H^n(base) is H^0 of the degree-n
     sheaf plus H^1 of the degree-(n-1) sheaf, for n up to base's dimension.
+    Each support is reduced once, and every degree sheaf is built from
+    those reductions by cocycle transport.
     """
-    complexes, profiles = _stalk_tables(base, supports, field)
+    equivalences, profiles = _stalk_tables(base, supports, field)
     out = []
     carry = 0
     for n in range(base.poset.max_dim() + 1):
-        sheaf = _degree_sheaf(graph, complexes, profiles, n, field)
+        sheaf = _degree_sheaf(graph, equivalences, profiles, n, field)
         b0 = b1 = 0
         if any(sheaf.stalk_rank.values()):
             profile = sheaf_cohomology(sheaf, reduce_first=reduce_first)
@@ -255,12 +297,14 @@ def leray_sheaf(X, gamma, fibers, n, field=RATIONAL, workers=1):
 
     fibers maps every cell of gamma to a face-closed subset of X; each edge
     fiber must sit inside both endpoint fibers, mirroring how preimages of
-    open stars shrink as cells grow.  workers is accepted and selects
-    nothing; stalks are computed in order.
+    open stars shrink as cells grow.  Stalks are in the reduced fibers'
+    flagged bases, and restrictions move their generators by cocycle
+    transport.  workers is accepted and selects nothing; stalks are
+    computed in order.
     """
     checked = validate_fibers(X, gamma, fibers)
-    complexes, profiles = _stalk_tables(X, checked, field)
-    sheaf = _degree_sheaf(gamma, complexes, profiles, n, field)
+    equivalences, profiles = _stalk_tables(X, checked, field)
+    sheaf = _degree_sheaf(gamma, equivalences, profiles, n, field)
     return SheafOverNerve(n, sheaf, checked)
 
 
@@ -323,10 +367,8 @@ def nerve_theorem_check(cover, field=RATIONAL, workers=1):
         (name, profile) for name, profile in zip(names, results)
         if not _acyclic(profile)
     ]
-    nerve_betti = betti(compile_sheaf(constant_sheaf(nv.cw, 1, field)).assemble())
-    base_betti = betti(
-        compile_sheaf(constant_sheaf(cover.base, 1, field)).assemble()
-    )
+    nerve_betti = sheaf_cohomology(constant_sheaf(nv.cw, 1, field))
+    base_betti = sheaf_cohomology(constant_sheaf(cover.base, 1, field))
     match = None
     if not failures:
         match = _trimmed(nerve_betti) == _trimmed(base_betti)

@@ -2,10 +2,17 @@
 
 Everything here is written from scratch on purpose: plain Gaussian
 elimination over Fraction or ints mod p, and Betti numbers straight from
-the rank-nullity count.  No imports from scythe's linear algebra.
+the rank-nullity count.  No imports from scythe's linear algebra.  The one
+exception is ref_degree_sheaf, the pipelines' degree sheaves built the
+direct way on unreduced fibers with scythe's induced_map, kept as the
+reference the transported restrictions are compared with.
 """
 
 from fractions import Fraction
+
+from scythe.cohomology import betti, induced_map
+from scythe.cw import subcomplex
+from scythe.sheaf import compile_sheaf, constant_sheaf
 
 
 def ref_rank(grid, p=None):
@@ -179,3 +186,27 @@ def ref_class_coordinates(cx, reps, vecs, n, p=None):
     width = len(bound[0]) if bound else 0
     return [None if x is None else x[width:]
             for x in ref_solve(grid, vecs, p)]
+
+
+def ref_degree_sheaf(base, graph, supports, n, field):
+    """Degree-n stalk ranks and restrictions on graph, on unreduced fibers.
+
+    Every support's constant sheaf is assembled without reduction; a cover
+    sigma < tau with a nonzero stalk at either end gets induced_map of the
+    inclusion, written in the unreduced fibers' flagged bases.  Returns the
+    assembled fiber complexes, the ranks and the restrictions.
+    """
+    complexes = {
+        name: compile_sheaf(constant_sheaf(subcomplex(base, cells), 1,
+                                           field)).assemble()
+        for name, cells in supports.items()
+    }
+    ranks = {}
+    for name, cx in complexes.items():
+        numbers = betti(cx).betti
+        ranks[name] = numbers[n] if n < len(numbers) else 0
+    restriction = {
+        (s, t): induced_map(complexes[s], complexes[t], None, n)
+        for s, t in graph.poset.covers() if ranks[s] or ranks[t]
+    }
+    return complexes, ranks, restriction

@@ -122,6 +122,33 @@ def test_lift_and_equivalence_bytes_are_pinned(capsys, data_dir, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of stdout for the pipelines on every shipped cover and fibering,
+# taken when fibers were still computed unreduced
+PINNED_PIPELINES = [
+    (["cech", "circle6.json", "three_arc_cover.json"],
+     "4788214f93c1e35c91fe1196046d6fa2a6482234d05626c5c7bf37fbd2e43429"),
+    (["cech", "circle8.json", "two_arc_cover.json"],
+     "834d7c5c32fb9daa60b793a9cbf16565ab017471be893918361850f479845dd0"),
+    (["leray", "torus.json", "torus_reeb.json"],
+     "aedad592e54b180fefdb8becccb1668bca5156c6e2e3b1fe4a150322c945bd21"),
+    (["leray", "genus2_surface.json", "genus2_reeb.json"],
+     "12fd5d136b0e9687ce694125c90889d6153476e8ea0c3992b5cab3e6aaa72303"),
+]
+PIPELINE_FLAGS = [[], ["--field", "fp:5"], ["--field", "fp:2"],
+                  ["--no-reduce"], ["--workers", "8"]]
+
+
+@pytest.mark.parametrize("flags", PIPELINE_FLAGS,
+                         ids=["_".join(f) or "plain" for f in PIPELINE_FLAGS])
+@pytest.mark.parametrize("argv,digest", PINNED_PIPELINES,
+                         ids=["_".join(a) for a, _ in PINNED_PIPELINES])
+def test_pipeline_bytes_are_pinned(capsys, data_dir, argv, digest, flags):
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv, *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_nerve_command(capsys, data_dir):
     code, out, _ = run_cli(capsys, "nerve", str(data_dir / "circle8.json"),
                            str(data_dir / "two_arc_cover.json"))

@@ -1,16 +1,27 @@
+import random
+
 import pytest
 
-from scythe.cohomology import betti
+from oracles import ref_degree_sheaf
+from scythe.cohomology import (
+    betti,
+    class_coordinates,
+    cocycle_basis,
+    sheaf_cohomology,
+)
 from scythe.complexes import (
     circle_subdivided,
     filled_triangle,
     genus2_reeb,
     interval,
     three_arc_cover_cells,
+    torus_grid,
     torus_reeb,
     torus_reeb_fine,
     two_arc_cover_cells,
 )
+from scythe.cw import build_cw
+from scythe.equivalence import lift_cocycle
 from scythe.errors import (
     FiberInclusionViolated,
     NerveTooBig,
@@ -20,6 +31,7 @@ from scythe.errors import (
     ValidationError,
 )
 from scythe.field import RATIONAL, fp
+from scythe.matrix import Matrix, mat_mul, try_invert
 from scythe.nerve import (
     Cover,
     cech_sheaf,
@@ -31,6 +43,7 @@ from scythe.nerve import (
     nerve_theorem_check,
     parallel_stalks,
     validate_fibers,
+    _stalk_tables,
 )
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
@@ -240,3 +253,114 @@ def test_finer_graph_lowers_estimate():
     fine = complexity_estimate(tfine, tgf, tff)
     assert fine.max_fiber < coarse.max_fiber
     assert fine.pipeline_cost < coarse.pipeline_cost
+
+
+def _leray_case(make):
+    X, graph, fibers = make()
+    return X, graph, fibers, lambda n, f: leray_sheaf(X, graph, fibers, n, f)
+
+
+def _cech_case(cells):
+    base, pieces = cells()
+    cover = Cover(base, pieces)
+    nv = nerve(cover)
+    return base, nv.cw, nv.supports, lambda n, f: cech_sheaf(cover, n, f)
+
+
+PIPELINE_CASES = {
+    "genus2_reeb": lambda: _leray_case(genus2_reeb),
+    "torus_reeb": lambda: _leray_case(torus_reeb),
+    "torus_reeb_fine": lambda: _leray_case(torus_reeb_fine),
+    "two_arc_cover": lambda: _cech_case(two_arc_cover_cells),
+    "three_arc_cover": lambda: _cech_case(three_arc_cover_cells),
+}
+
+
+def _change_of_basis(eq, cx, n):
+    """Columns: classes in cx of eq's reduced generators, lifted to cx."""
+    basis = cocycle_basis(eq.dst_complex, n)
+    lifts = [lift_cocycle(eq, basis.matrix.column(j), n) for j in basis.flagged]
+    cols = [class_coordinates(cx, vec, n) for vec in lifts]
+    size = len(cols)
+    return Matrix(cx.field, size, size,
+                  [[col[i] for col in cols] for i in range(size)])
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_transported_restrictions_are_induced_maps_in_reduced_bases(name):
+    # R . B_sigma = B_tau . T on every cover, where T is the transported
+    # restriction, R the induced map on unreduced fibers and B a fiber's
+    # invertible change of basis from its reduced generators
+    base, graph, supports, sheaf_of = PIPELINE_CASES[name]()
+    nonzero = 0
+    for field in (RATIONAL, fp(5), fp(2)):
+        equivalences, _ = _stalk_tables(base, supports, field)
+        for n in range(base.poset.max_dim() + 1):
+            sheaf = sheaf_of(n, field).sheaf
+            complexes, ranks, ref = ref_degree_sheaf(base, graph, supports, n,
+                                                     field)
+            assert sheaf.stalk_rank == ranks
+            assert set(sheaf.restriction) == set(ref)
+            change = {c: _change_of_basis(equivalences[c], complexes[c], n)
+                      for c in graph.poset.dims}
+            for c, b in change.items():
+                assert b.rows == ranks[c]
+                assert b.rows == 0 or try_invert(b) is not None
+            for (s, t), r in ref.items():
+                got = sheaf.restriction[(s, t)]
+                assert mat_mul(r, change[s]) == mat_mul(change[t], got)
+                nonzero += not r.is_zero()
+    assert nonzero > 0
+
+
+def _fibered_torus(rng):
+    """A seeded torus_grid fibered over a cycle graph of 3 to 6 vertices.
+
+    Vertex fibers are annuli of seeded widths starting at a seeded column;
+    neighbours overlap in an annulus of 2 * gap + 1 columns (gap 0 or 1),
+    which is the edge fiber.
+    """
+    k = rng.randint(3, 6)
+    gap = rng.randint(0, 1)
+    widths = [rng.randint(2 * gap + 1, 2 * gap + 2) for _ in range(k)]
+    rows, cols = rng.randint(2, 3), sum(widths)
+    offset = rng.randrange(cols)
+
+    def annulus(first, last):
+        cells = set()
+        for j in range(first, last + 1):
+            j %= cols
+            cells |= {"%s%02d%02d" % (kind, i, j) for kind in ("v", "w")
+                      for i in range(rows)}
+        for j in range(first, last):
+            j %= cols
+            cells |= {"%s%02d%02d" % (kind, i, j) for kind in ("h", "q")
+                      for i in range(rows)}
+        return cells
+
+    cuts = [offset + sum(widths[:t]) for t in range(k + 1)]
+    elements, incidence, fibers = [], {}, {}
+    for t in range(k):
+        u, nxt, a = "u%d" % t, "u%d" % ((t + 1) % k), "a%d" % t
+        elements += [(u, 0), (a, 1)]
+        incidence[(u, a)] = -1
+        incidence[(nxt, a)] = 1
+        fibers[u] = annulus(cuts[t] - gap, cuts[t + 1] + gap)
+        fibers[a] = annulus(cuts[t + 1] - gap, cuts[t + 1] + gap)
+    return torus_grid(rows, cols), build_cw(elements, incidence), fibers
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pipelines_agree_with_direct_cohomology_on_fibered_tori(seed):
+    X, graph, fibers = _fibered_torus(random.Random(seed))
+    cover = Cover(X, [(c, fibers[c]) for c in graph.poset.elements_of_dim(0)])
+    for field in (RATIONAL, fp(5), fp(2)):
+        direct = sheaf_cohomology(constant_sheaf(X, 1, field)).betti
+        assert direct == [1, 2, 1]
+        for reduce_first in (True, False):
+            assert cohomology_via_leray(
+                X, graph, fibers, field=field, reduce_first=reduce_first
+            ).betti == direct
+            assert cohomology_via_cech(
+                X, cover, field=field, reduce_first=reduce_first
+            ).betti == direct
