@@ -1,10 +1,12 @@
 """Cohomology of assembled complexes: Betti numbers, cocycle bases, and the
 maps induced on cohomology by inclusions of complexes.
 
-Each complex caches two echelon factorizations per dimension n: that of
-d^n, which every rank and kernel reuses, and that of [d^{n-1} | kernel],
-which flags the cohomology representatives and solves for class
-coordinates.
+Elimination is the one reader of dense coboundaries: it asks the complex
+for d^n, which is stacked from the covering-pair blocks on first request.
+Each complex caches two echelon factorizations per dimension n next to it:
+that of d^n, which every rank and kernel reuses, and that of
+[d^{n-1} | kernel], which flags the cohomology representatives and solves
+for class coordinates.  The d-squared and cocycle checks read the blocks.
 """
 
 from .errors import NotAComplex, SolveFailed, UnknownCell

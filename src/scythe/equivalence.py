@@ -3,9 +3,10 @@
 Removing one pair (x, y) defines a projection psi onto the surviving
 complex, a lift phi back, and a homotopy Theta; a full reduction's
 equivalence is the composite of its steps in removal order.  Cocycles are
-transported by replaying the steps' blocks on cell-indexed vectors.  The
-dense psi/phi/Theta matrices are folded from the steps only when one is
-asked for (the written equivalence document and the law checks), and kept.
+transported by replaying the steps' blocks on cell-indexed vectors.  When
+psi/phi/Theta are first asked for (the written equivalence document and the
+law checks), the steps are folded once into sparse rows and columns, kept
+as {coordinate: value} dicts; each call then densifies one matrix.
 """
 
 from .errors import NotACocycle
@@ -64,122 +65,97 @@ class Equivalence:
         self.dst_complex = dst_complex
         self.field = src_complex.field
         self._folded = None
-        self._dense = {}
 
     def _maps(self):
-        """Dense psi rows, phi columns and theta, folded from the steps once."""
+        """Sparse psi rows, phi columns and theta rows, folded once."""
         if self._folded is None:
             self._folded = _fold(self.field, self.src_complex.layouts, self.steps)
         return self._folded
 
     def psi_matrix(self, n):
         """Dense projection C^n(original) -> C^n(reduced)."""
-        key = ("psi", n)
-        if key not in self._dense:
-            psi = self._maps()[0].get(n, {})
-            rows = [r for c in self.dst_complex.layout(n).cells for r in psi[c]]
-            self._dense[key] = Matrix(
-                self.field, len(rows), self.src_complex.rank_c(n), rows
-            )
-        return self._dense[key]
+        psi = self._maps()[0].get(n, {})
+        rows = [r for c in self.dst_complex.layout(n).cells for r in psi[c]]
+        return _densify(self.field, rows, self.src_complex.rank_c(n))
 
     def phi_matrix(self, n):
         """Dense lift C^n(reduced) -> C^n(original)."""
-        key = ("phi", n)
-        if key not in self._dense:
-            phi = self._maps()[1].get(n, {})
-            cols = [v for c in self.dst_complex.layout(n).cells for v in phi[c]]
-            total = self.src_complex.rank_c(n)
-            data = [[col[i] for col in cols] for i in range(total)]
-            self._dense[key] = Matrix(self.field, total, len(cols), data)
-        return self._dense[key]
+        phi = self._maps()[1].get(n, {})
+        cols = [v for c in self.dst_complex.layout(n).cells for v in phi[c]]
+        return _densify(self.field, cols, self.src_complex.rank_c(n)).transpose()
 
     def theta_matrix(self, n):
         """Dense homotopy C^n(original) -> C^{n-1}(original)."""
-        key = ("theta", n)
-        if key not in self._dense:
-            theta = self._maps()[2]
-            rows, cols = self.src_complex.rank_c(n - 1), self.src_complex.rank_c(n)
-            if n in theta:
-                self._dense[key] = Matrix(self.field, rows, cols, theta[n])
-            else:
-                self._dense[key] = Matrix.zeros(self.field, rows, cols)
-        return self._dense[key]
+        theta = self._maps()[2].get(n, {})
+        rows = [theta.get(i, {}) for i in range(self.src_complex.rank_c(n - 1))]
+        return _densify(self.field, rows, self.src_complex.rank_c(n))
+
+
+def _densify(field, vecs, width):
+    """The matrix whose rows are the {coordinate: value} dicts vecs."""
+    data = [[field.zero] * width for _ in vecs]
+    for row, vec in zip(data, vecs):
+        for i, v in vec.items():
+            row[i] = v
+    return Matrix(field, len(vecs), width, data)
 
 
 def _fold(field, layouts, steps):
-    """The steps folded into dense psi rows, phi columns and theta.
+    """The steps folded into sparse psi rows, phi columns and theta rows.
 
-    Starts from the identity on layouts.  Rows of psi and columns of phi are
-    kept grouped by surviving cell, so a step only touches the cells it
-    removes or corrects.
+    Each row or column is a {coordinate: value} dict holding its nonzero
+    entries, starting from the identity on layouts.  Rows of psi and
+    columns of phi are kept grouped by surviving cell, so a step only
+    touches the cells it removes or corrects; theta[n] maps a row index of
+    C^{n-1} to its row.
     """
     psi, phi, theta = {}, {}, {}
-    zero, one = field.zero, field.one
     for n, layout in layouts.items():
-        psi[n] = {}
-        phi[n] = {}
+        psi[n], phi[n] = {}, {}
         for c in layout.cells:
             off = layout.offsets[c]
-            rows = []
-            cols = []
-            for i in range(layout.ranks[c]):
-                vec = [zero] * layout.total
-                vec[off + i] = one
-                rows.append(vec)
-                cols.append(vec[:])
-            psi[n][c] = rows
-            phi[n][c] = cols
-        if n - 1 in layouts:
-            prev = layouts[n - 1].total
-            theta[n] = [[zero] * layout.total for _ in range(prev)]
+            psi[n][c] = [{off + i: field.one} for i in range(layout.ranks[c])]
+            phi[n][c] = [{off + i: field.one} for i in range(layout.ranks[c])]
     for step in steps:
         _apply_step(field, psi, phi, theta, step)
     return psi, phi, theta
 
 
 def _apply_step(f, psi, phi, theta, step):
-    """Fold one reduction step into the dense composite, in place."""
+    """Fold one reduction step into the sparse composite, in place."""
     ky, kx = step.dimy, step.dimx
     rows_y = psi[ky].pop(step.y)
     cols_x = phi[kx].pop(step.x)
     del psi[kx][step.x]
     del phi[ky][step.y]
     # homotopy first: it needs the lift/projection from before this step
-    if ky in theta:
-        inv = step.inv
-        mid = []
-        for i in range(inv.rows):
-            acc = [f.zero] * (len(rows_y[0]) if rows_y else 0)
-            for t in range(inv.cols):
-                _axpy(f, acc, inv.data[i][t], rows_y[t])
-            mid.append(acc)
-        rows = theta[ky]
-        for t1, col in enumerate(cols_x):
-            row_src = mid[t1]
-            for i, coeff in enumerate(col):
-                if coeff:
-                    _axpy(f, rows[i], coeff, row_src)
+    rows = theta.setdefault(ky, {})
+    for inv_row, col in zip(step.inv.data, cols_x):
+        mid = {}
+        for coeff, row_y in zip(inv_row, rows_y):
+            _axpy(f, mid, coeff, row_y)
+        for i, coeff in col.items():
+            _axpy(f, rows.setdefault(i, {}), coeff, mid)
     for z, blk in step.psi_blocks.items():
-        rows_z = psi[ky][z]
-        for i in range(blk.rows):
-            for t in range(blk.cols):
-                _axpy(f, rows_z[i], blk.data[i][t], rows_y[t])
+        for row_z, blk_row in zip(psi[ky][z], blk.data):
+            for coeff, row_y in zip(blk_row, rows_y):
+                _axpy(f, row_z, coeff, row_y)
     for w, blk in step.phi_blocks.items():
-        cols_w = phi[kx][w]
-        for j in range(blk.cols):
-            col_wj = cols_w[j]
-            for t in range(blk.rows):
-                _axpy(f, col_wj, blk.data[t][j], cols_x[t])
+        for j, col_w in enumerate(phi[kx][w]):
+            for blk_row, col_x in zip(blk.data, cols_x):
+                _axpy(f, col_w, blk_row[j], col_x)
 
 
 def _axpy(field, target, coeff, source):
-    """target += coeff * source over field, skipping zero work."""
+    """target += coeff * source on {coordinate: value} dicts, dropping zeros."""
     if not coeff:
         return
-    for i, s in enumerate(source):
-        if s:
-            target[i] = field.add(target[i], field.mul(coeff, s))
+    for i, s in source.items():
+        v = field.add(target.get(i, field.zero), field.mul(coeff, s))
+        if v:
+            target[i] = v
+        else:
+            target.pop(i, None)
 
 
 def _to_blocks(layout, vec):

@@ -205,14 +205,28 @@ def _sweep(param, upward, policy, steps, observer):
     return matching
 
 
-def _run(param, upward, policy, track_equivalence, observer):
-    snapshot = param.poset.copy()
+def _run(param, upward, policy, track_equivalence, observer, until_stable):
+    """Sweep param once, or until_stable until a sweep removes nothing.
+
+    Each sweep starts with every surviving cell non-critical again; passes
+    holds one PassRecord per sweep and the matching every removed pair in
+    order.
+    """
     src = param.assemble() if track_equivalence else None
     steps = [] if track_equivalence else None
-    matching = _sweep(param, upward, policy, steps, observer)
+    passes = []
+    pairs = []
+    while True:
+        before = len(param.poset)
+        snapshot = param.poset.copy()
+        matching = _sweep(param, upward, policy, steps, observer)
+        passes.append(PassRecord(snapshot, matching))
+        pairs.extend(matching.pairs)
+        if not until_stable or len(param.poset) == before:
+            break
     eq = (_equiv.Equivalence(src, steps, param.assemble())
           if track_equivalence else None)
-    return MorseData(matching, param, eq, [PassRecord(snapshot, matching)])
+    return MorseData(Matching(pairs, param.poset.dims), param, eq, passes)
 
 
 def scythe(param, policy="strict", track_equivalence=False, observer=None):
@@ -225,39 +239,19 @@ def scythe(param, policy="strict", track_equivalence=False, observer=None):
     matching then lives on the reduced order, and the monotone-removal
     guarantee of the strict reading is not asserted).
     """
-    return _run(param, True, policy, track_equivalence, observer)
+    return _run(param, True, policy, track_equivalence, observer, False)
 
 
 def coscythe(param, policy="strict", track_equivalence=False, observer=None):
     """Dual sweep: seeds maximal cells (greatest dimension, then id) and
     searches above each dequeued cell for its unique partner."""
-    return _run(param, False, policy, track_equivalence, observer)
+    return _run(param, False, policy, track_equivalence, observer, False)
 
 
 def iterate_scythe(param, policy="strict", track_equivalence=False,
                    observer=None):
-    """Run reduction sweeps until the critical poset stops shrinking.
-
-    Each sweep starts with every surviving cell non-critical again; the
-    passes field records one PassRecord per sweep and the matching collects
-    every removed pair in order.
-    """
-    src = param.assemble() if track_equivalence else None
-    steps = [] if track_equivalence else None
-    passes = []
-    all_pairs = []
-    while True:
-        before = len(param.poset)
-        snapshot = param.poset.copy()
-        matching = _sweep(param, True, policy, steps, observer)
-        passes.append(PassRecord(snapshot, matching))
-        all_pairs.extend(matching.pairs)
-        if len(param.poset) == before:
-            break
-    combined = Matching(all_pairs, set(param.poset.dims))
-    eq = (_equiv.Equivalence(src, steps, param.assemble())
-          if track_equivalence else None)
-    return MorseData(combined, param, eq, passes)
+    """Run upward reduction sweeps until the critical poset stops shrinking."""
+    return _run(param, True, policy, track_equivalence, observer, True)
 
 
 class AcyclicReport:

@@ -1,9 +1,11 @@
-"""Poset-parametrized cochain complexes and their assembled coboundaries.
+"""Poset-parametrized cochain complexes, stored as covering-pair blocks.
 
 A Parametrization attaches a free module of some rank to each poset element
 and a matrix to each covering pair; missing pairs are zero maps.  assemble
-stacks the blocks into one matrix per dimension, ordering cells by id, and
-keeps the blocks so d-squared can be checked one interval at a time.
+snapshots the blocks with one layout per dimension, ordering cells by id.
+d-squared, the cocycle test and cocycle transport read the blocks one
+interval at a time; a dense coboundary is stacked only when d(n) is asked
+for, as elimination does.
 """
 
 from .errors import ValidationError
@@ -86,40 +88,22 @@ class Parametrization:
         return max(self.stalk_rank.values(), default=0)
 
     def assemble(self):
-        """Stack covering-pair blocks into per-dimension coboundary matrices."""
-        top = self.max_dim()
-        layouts = {n: self.layout(n) for n in range(top + 1)}
-        deltas = {}
-        blocks = {}
-        z = self.field.zero
-        for n in range(top):
-            src, dst = layouts[n], layouts[n + 1]
-            data = [[z] * src.total for _ in range(dst.total)]
-            for (x, y), m in self.maps.items():
-                if x in src and y in dst:
-                    blocks[(x, y)] = m
-                    r0, _ = dst.slot(y)
-                    c0, _ = src.slot(x)
-                    for i in range(m.rows):
-                        row = data[r0 + i]
-                        mrow = m.data[i]
-                        for j in range(m.cols):
-                            row[c0 + j] = mrow[j]
-            deltas[n] = Matrix(self.field, dst.total, src.total, data)
-        return CochainComplex(self.field, layouts, deltas, blocks)
+        """Snapshot the layouts and covering-pair blocks as a CochainComplex."""
+        layouts = {n: self.layout(n) for n in range(self.max_dim() + 1)}
+        return CochainComplex(self.field, layouts, dict(self.maps))
 
 
 class CochainComplex:
-    """Assembled coboundary matrices d^n with the layouts indexing their blocks.
+    """Covering-pair blocks of a complex with the layouts indexing them.
 
-    blocks holds the covering-pair matrices the coboundaries were stacked
-    from, keyed (lower cell, upper cell); absent pairs are zero blocks.
+    blocks maps (lower cell, upper cell) to its matrix; absent pairs are
+    zero blocks.  The dense coboundary d^n is stacked from the blocks on
+    first request and cached with the echelons in _cache.
     """
 
-    def __init__(self, field, layouts, deltas, blocks):
+    def __init__(self, field, layouts, blocks):
         self.field = field
         self.layouts = layouts
-        self.deltas = deltas
         self.blocks = blocks
         self.top = max(layouts, default=-1)
         self._cache = {}
@@ -133,10 +117,18 @@ class CochainComplex:
         return self.layout(n).total
 
     def d(self, n):
-        """The coboundary C^n -> C^{n+1}, zero-shaped outside the range."""
-        if n in self.deltas:
-            return self.deltas[n]
-        return Matrix.zeros(self.field, self.rank_c(n + 1), self.rank_c(n))
+        """The dense coboundary C^n -> C^{n+1}, zero-shaped outside the range."""
+        key = ("d", n)
+        if key not in self._cache:
+            src, dst = self.layout(n), self.layout(n + 1)
+            data = [[self.field.zero] * src.total for _ in range(dst.total)]
+            for (x, y), m in self.blocks.items():
+                if x in src and y in dst:
+                    r0, c0 = dst.offsets[y], src.offsets[x]
+                    for i, row in enumerate(m.data):
+                        data[r0 + i][c0:c0 + m.cols] = row
+            self._cache[key] = Matrix(self.field, dst.total, src.total, data)
+        return self._cache[key]
 
 
 def is_cocycle(cx, vec, n):

@@ -2,7 +2,8 @@
 
 Everything here is written from scratch on purpose: plain Gaussian
 elimination over Fraction or ints mod p, and Betti numbers straight from
-the rank-nullity count.  No imports from scythe's linear algebra.  The one
+the rank-nullity count, with coboundaries stacked here from a complex's
+covering-pair blocks.  No imports from scythe's linear algebra.  The one
 exception is ref_degree_sheaf, the pipelines' degree sheaves built the
 direct way on unreduced fibers with scythe's induced_map, kept as the
 reference the transported restrictions are compared with.
@@ -67,18 +68,35 @@ def betti_from_deltas(deltas, dims, p=None):
     return out
 
 
+def coboundary_grid(cx, n):
+    """d^n of cx as a plain grid, stacked here from its layouts and blocks.
+
+    Rows run over the cells of dimension n + 1 and columns over those of
+    dimension n, each cell spanning its stalk rank in layout order; a
+    dimension without a layout contributes no rows or columns.
+    """
+    def offsets(k):
+        layout = cx.layouts.get(k)
+        out, total = {}, 0
+        for c in (layout.cells if layout is not None else []):
+            out[c] = total
+            total += layout.ranks[c]
+        return out, total
+
+    (cols, width), (rows, height) = offsets(n), offsets(n + 1)
+    grid = [[0] * width for _ in range(height)]
+    for (x, y), m in cx.blocks.items():
+        if x in cols and y in rows:
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    grid[rows[y] + i][cols[x] + j] = m.data[i][j]
+    return grid
+
+
 def complex_to_grids(cx):
-    """Pull the library's assembled coboundaries out into plain grids."""
+    """The complex's coboundaries as plain grids, stacked from its blocks."""
     dims = [cx.rank_c(n) for n in range(cx.top + 1)]
-    deltas = []
-    for n in range(cx.top + 1):
-        if n == cx.top:
-            deltas.append([])
-            continue
-        m = cx.d(n)
-        deltas.append([[m.data[i][j] for j in range(m.cols)]
-                       for i in range(m.rows)])
-    return deltas, dims
+    return [coboundary_grid(cx, n) for n in range(cx.top + 1)], dims
 
 
 def ref_betti(cx, p=None):
@@ -210,3 +228,64 @@ def ref_degree_sheaf(base, graph, supports, n, field):
         for s, t in graph.poset.covers() if ranks[s] or ranks[t]
     }
     return complexes, ranks, restriction
+
+
+def ref_fold(eq, p=None):
+    """Dense psi, phi and theta of an equivalence, folded from its steps.
+
+    The dense fold the library made before it kept sparse rows: full-length
+    psi rows and phi columns per cell, starting from the identity, and full
+    theta rows, each step updated in place in removal order.  Returns
+    {n: grid} dicts psi, phi and theta shaped as psi_matrix(n),
+    phi_matrix(n) and theta_matrix(n), for every dimension of the source.
+    """
+    def axpy(target, coeff, source):
+        if coeff == 0:
+            return
+        for i, s in enumerate(source):
+            if s != 0:
+                v = target[i] + coeff * s
+                target[i] = v if p is None else v % p
+
+    layouts = eq.src_complex.layouts
+    psi, phi, theta = {}, {}, {}
+    for n, layout in layouts.items():
+        psi[n], phi[n] = {}, {}
+        for c in layout.cells:
+            vecs = []
+            for i in range(layout.ranks[c]):
+                vec = [0] * layout.total
+                vec[layout.offsets[c] + i] = 1
+                vecs.append(vec)
+            psi[n][c] = vecs
+            phi[n][c] = [list(v) for v in vecs]
+        prev = layouts[n - 1].total if n - 1 in layouts else 0
+        theta[n] = [[0] * layout.total for _ in range(prev)]
+    for step in eq.steps:
+        ky, kx = step.dimy, step.dimx
+        rows_y = psi[ky].pop(step.y)
+        cols_x = phi[kx].pop(step.x)
+        del psi[kx][step.x]
+        del phi[ky][step.y]
+        inv = step.inv.data
+        for t1, col in enumerate(cols_x):
+            mid = [0] * len(rows_y[0])
+            for t, row in enumerate(rows_y):
+                axpy(mid, inv[t1][t], row)
+            for i, coeff in enumerate(col):
+                axpy(theta[ky][i], coeff, mid)
+        for z, blk in step.psi_blocks.items():
+            for i in range(blk.rows):
+                for t in range(blk.cols):
+                    axpy(psi[ky][z][i], blk.data[i][t], rows_y[t])
+        for w, blk in step.phi_blocks.items():
+            for j in range(blk.cols):
+                for t in range(blk.rows):
+                    axpy(phi[kx][w][j], blk.data[t][j], cols_x[t])
+    psi_grids, phi_grids = {}, {}
+    for n, layout in layouts.items():
+        cells = eq.dst_complex.layout(n).cells
+        psi_grids[n] = [r for c in cells for r in psi[n][c]]
+        cols = [v for c in cells for v in phi[n][c]]
+        phi_grids[n] = [[col[i] for col in cols] for i in range(layout.total)]
+    return psi_grids, phi_grids, theta

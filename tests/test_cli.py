@@ -110,6 +110,14 @@ PINNED_STDOUT = [
      "972e0540318a54c53a5bcedb1f4d5688c383e0aa8a19b30e5470eee45aba825a"),
     (["reduce", "genus2_surface.json", "--equivalence", "--field", "fp:5"],
      "d2461e40fcad313a62634528cacea370e57118471fbd43d0288597fd567e5040"),
+    # stalks of rank > 1: multi-row inverses in the folded psi/phi/theta
+    (["reduce", "torus.json", "--sheaf", "constant:2", "--equivalence"],
+     "1096ca080a385cfee765f9ec849c500211653f9958cca85a225b45e1d406a4e3"),
+    (["reduce", "circle8.json", "--sheaf", "constant:3", "--field", "fp:5",
+      "--equivalence"],
+     "aeb0745dd2b293e1c60ade34883f88a10656463b21a2b541e6fbdb81dae12474"),
+    (["compute", "genus2_surface.json", "--sheaf", "constant:2", "--lift"],
+     "9b7cca663d84071303f8dd871c2f001893ff45da2497f59573ef5b3a02d900f1"),
 ]
 
 

@@ -35,7 +35,12 @@ from scythe.sheaf import (
     skyscraper_sheaf,
 )
 
-from oracles import ref_betti, ref_class_coordinates, ref_d_squared_witnesses
+from oracles import (
+    coboundary_grid,
+    ref_betti,
+    ref_class_coordinates,
+    ref_d_squared_witnesses,
+)
 from randgen import random_parametrization, random_simplicial
 
 CASES = [
@@ -147,6 +152,16 @@ def _class_complexes():
     for trial in range(20):
         field = fp(5) if trial % 2 else RATIONAL
         yield random_parametrization(rng, random_simplicial(rng), field).assemble()
+
+
+def test_stacked_coboundaries_match_reference_grids():
+    # d(n) is stacked from the covering-pair blocks on request; the oracle
+    # stacks the same blocks on its own, one degree past each end too
+    for cx in _class_complexes():
+        for n in range(-1, cx.top + 2):
+            d = cx.d(n)
+            assert (d.rows, d.cols) == (cx.rank_c(n + 1), cx.rank_c(n))
+            assert d.data == coboundary_grid(cx, n)
 
 
 def test_class_coordinates_match_reference_solve():

@@ -19,7 +19,7 @@ from scythe.matrix import Matrix, mat_mul, matvec
 from scythe.morse import coscythe, iterate_scythe, scythe
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
-from oracles import ref_coboundary
+from oracles import ref_coboundary, ref_fold
 from randgen import random_parametrization, random_simplicial
 
 FIXTURES = [interval, circle, filled_triangle, theta_graph,
@@ -75,6 +75,31 @@ def test_laws_on_random_instances():
         data = scythe(param, track_equivalence=True)
         eq = data.equivalence
         check_laws(eq.src_complex, eq.dst_complex, eq)
+
+
+def _assert_fold_matches_reference(eq):
+    psi, phi, theta = ref_fold(eq, eq.field.p)
+    for n in range(eq.src_complex.top + 1):
+        assert eq.psi_matrix(n).data == psi[n]
+        assert eq.phi_matrix(n).data == phi[n]
+        assert eq.theta_matrix(n).data == theta[n]
+
+
+@pytest.mark.parametrize("runner", [scythe, coscythe, iterate_scythe])
+def test_fold_matches_dense_reference(runner):
+    # the laws hold for many psi/phi/theta; the reference pins the one
+    # folded from the steps, entry for entry
+    for field in (RATIONAL, fp(5)):
+        for make in FIXTURES:
+            param = compile_sheaf(constant_sheaf(make(), 1, field))
+            eq = runner(param, track_equivalence=True).equivalence
+            _assert_fold_matches_reference(eq)
+        param = compile_sheaf(constant_sheaf(torus_grid(3, 3), 2, field))
+        _assert_fold_matches_reference(
+            runner(param, track_equivalence=True).equivalence)
+    for param in _random_instances():
+        eq = runner(param, track_equivalence=True).equivalence
+        _assert_fold_matches_reference(eq)
 
 
 def test_identity_equivalence():
@@ -135,6 +160,19 @@ def test_project_and_lift_preserve_classes():
             diff = [orig.field.sub(a, b) for a, b in zip(vec, back)]
             coords = class_coordinates(orig, diff, n)
             assert all(c == orig.field.zero for c in coords)
+
+
+def test_transport_never_stacks_source_coboundaries():
+    # lift, projection and class coordinates read blocks; only the reduced
+    # complex, where betti eliminates, may hold a dense coboundary
+    param = compile_sheaf(constant_sheaf(genus2_surface(), 2))
+    eq = scythe(param, track_equivalence=True).equivalence
+    src, red = eq.src_complex, eq.dst_complex
+    for n, gens in betti(red, generators=True).generators.items():
+        for j in range(gens.cols):
+            down = project_cocycle(eq, lift_cocycle(eq, gens.column(j), n), n)
+            assert class_coordinates(red, down, n)
+    assert not [n for n in range(-1, src.top + 2) if ("d", n) in src._cache]
 
 
 def test_cocycle_guard():

@@ -43,6 +43,7 @@ from scythe.nerve import (
     nerve_theorem_check,
     parallel_stalks,
     validate_fibers,
+    _degree_sheaf,
     _stalk_tables,
 )
 from scythe.sheaf import compile_sheaf, constant_sheaf
@@ -311,6 +312,19 @@ def test_transported_restrictions_are_induced_maps_in_reduced_bases(name):
                 assert mat_mul(r, change[s]) == mat_mul(change[t], got)
                 nonzero += not r.is_zero()
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_stalk_tables_never_stack_fiber_coboundaries(name):
+    # fibers are reduced and transported through their blocks; no dense
+    # coboundary of an unreduced fiber is ever built
+    base, graph, supports, _ = PIPELINE_CASES[name]()
+    equivalences, profiles = _stalk_tables(base, supports, RATIONAL)
+    for n in range(base.poset.max_dim() + 1):
+        _degree_sheaf(graph, equivalences, profiles, n, RATIONAL)
+    for eq in equivalences.values():
+        src = eq.src_complex
+        assert not [n for n in range(-1, src.top + 2) if ("d", n) in src._cache]
 
 
 def _fibered_torus(rng):
