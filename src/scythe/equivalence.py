@@ -1,55 +1,40 @@
 """The cochain equivalence of a reduction, kept as the list of its steps.
 
-Removing one pair (x, y) defines a projection psi onto the surviving
-complex, a lift phi back, and a homotopy Theta; a full reduction's
-equivalence is the composite of its steps in removal order.  Cocycles are
-transported by replaying the steps' blocks on cell-indexed vectors.  When
-psi/phi/Theta are first asked for (the written equivalence document and the
-law checks), the steps are folded once into sparse rows and columns, kept
-as {coordinate: value} dicts; each call then densifies one matrix.
+Removing one pair (x, y) is recorded as the inverse of F_xy and the blocks
+around the pair, F_xz above x and F_wy below y; they define a projection
+psi onto the surviving complex, a lift phi back, and a homotopy Theta, and
+a full reduction's equivalence is the composite of its steps in removal
+order.  Cocycles are transported by replaying the steps on cell-indexed
+vectors.  When psi/phi/Theta are first asked for (the written equivalence
+document and the law checks), the steps are folded once into sparse rows
+and columns, kept as {coordinate: value} dicts; each call then densifies
+one matrix.
 """
 
 from .errors import NotACocycle
-from .matrix import Matrix, mat_mul, matvec_add
+from .matrix import Matrix, mat_mul, matvec, matvec_add
 from .parametrization import is_cocycle
 
 
 class StepMaps:
-    """Single-step equivalence data for removing the pair (x, y).
+    """The record of one reduction step: the removed pair (x, y) and its star.
 
-    psi_blocks[z] sends the y coordinate into survivor z; phi_blocks[w]
-    rebuilds the x coordinate from survivor w; inv is the inverse of the
-    matched map and doubles as the homotopy block from y back to x.  An
-    invertible block is square, so x and y both have rank inv.rows.
+    inv is the inverse of the matched map F_xy; up[z] is the block F_xz for
+    each survivor z above x and down[w] the block F_wy for each survivor w
+    below y, read before the removal.  The step projects the y coordinate
+    into z by -F_xz.inv, lifts the x coordinate from w by -inv.F_wy, and
+    inv doubles as the homotopy block from y back to x.  An invertible
+    block is square, so x and y both have rank inv.rows.
     """
 
-    def __init__(self, x, y, dimx, dimy, inv, psi_blocks, phi_blocks):
+    def __init__(self, x, y, dimx, dimy, inv, up, down):
         self.x = x
         self.y = y
         self.dimx = dimx
         self.dimy = dimy
         self.inv = inv
-        self.psi_blocks = psi_blocks
-        self.phi_blocks = phi_blocks
-
-
-def step_maps(param, x, y, inv):
-    """Equivalence data for removing (x, y) from param, read before mutation.
-
-    inv is the inverse of the pair's map, as found when the pair was matched.
-    """
-    poset = param.poset
-    psi_blocks = {}
-    for z in sorted(poset.x_plus(x) - {y}):
-        fxz = param.maps.get((x, z))
-        if fxz is not None:
-            psi_blocks[z] = mat_mul(fxz, inv).neg()
-    phi_blocks = {}
-    for w in sorted(poset.x_minus(y) - {x}):
-        fwy = param.maps.get((w, y))
-        if fwy is not None:
-            phi_blocks[w] = mat_mul(inv, fwy).neg()
-    return StepMaps(x, y, poset.dim(x), poset.dim(y), inv, psi_blocks, phi_blocks)
+        self.up = up
+        self.down = down
 
 
 class Equivalence:
@@ -136,11 +121,13 @@ def _apply_step(f, psi, phi, theta, step):
             _axpy(f, mid, coeff, row_y)
         for i, coeff in col.items():
             _axpy(f, rows.setdefault(i, {}), coeff, mid)
-    for z, blk in step.psi_blocks.items():
+    for z, fxz in step.up.items():
+        blk = mat_mul(fxz, step.inv).neg()
         for row_z, blk_row in zip(psi[ky][z], blk.data):
             for coeff, row_y in zip(blk_row, rows_y):
                 _axpy(f, row_z, coeff, row_y)
-    for w, blk in step.phi_blocks.items():
+    for w, fwy in step.down.items():
+        blk = mat_mul(step.inv, fwy).neg()
         for j, col_w in enumerate(phi[kx][w]):
             for blk_row, col_x in zip(blk.data, cols_x):
                 _axpy(f, col_w, blk_row[j], col_x)
@@ -177,17 +164,20 @@ def _check_cocycle(cx, vec, n):
 def project_cocycle(eq, vec, n):
     """Push a cocycle of the original complex down to the reduced one.
 
-    Replays each step's projection in removal order; raises NotACocycle
-    when d does not kill vec.
+    Replays each step's projection in removal order: the y block v_y
+    leaves, and each z above x gains F_xz.u with u = -inv.v_y.  Raises
+    NotACocycle when d does not kill vec.
     """
     _check_cocycle(eq.src_complex, vec, n)
+    f = eq.field
     blocks = _to_blocks(eq.src_complex.layout(n), vec)
     for step in eq.steps:
         if step.dimy == n:
             vy = blocks.pop(step.y)
             if any(vy):
-                for z, blk in step.psi_blocks.items():
-                    matvec_add(blk, vy, blocks[z])
+                u = [f.neg(v) for v in matvec(step.inv, vy)]
+                for z, fxz in step.up.items():
+                    matvec_add(fxz, u, blocks[z])
         elif step.dimx == n:
             del blocks[step.x]
     return _from_blocks(eq.dst_complex.layout(n), blocks)
@@ -196,18 +186,21 @@ def project_cocycle(eq, vec, n):
 def lift_cocycle(eq, vec, n):
     """Lift a cocycle of the reduced complex back to the original one.
 
-    Replays each step's lift, last step first; raises NotACocycle when d
-    does not kill vec.
+    Replays each step's lift, last step first: the x block is set to
+    -inv.sum_w F_wy.v_w over the w below y, and the y block to zero.
+    Raises NotACocycle when d does not kill vec.
     """
     _check_cocycle(eq.dst_complex, vec, n)
     f = eq.field
     blocks = _to_blocks(eq.dst_complex.layout(n), vec)
     for step in reversed(eq.steps):
         if step.dimx == n:
-            val = [f.zero] * step.inv.rows
-            for w, blk in step.phi_blocks.items():
-                matvec_add(blk, blocks[w], val)
-            blocks[step.x] = val
+            acc = [f.zero] * step.inv.rows
+            for w, fwy in step.down.items():
+                matvec_add(fwy, blocks[w], acc)
+            if any(acc):
+                acc = [f.neg(v) for v in matvec(step.inv, acc)]
+            blocks[step.x] = acc
         elif step.dimy == n:
             blocks[step.y] = [f.zero] * step.inv.rows
     return _from_blocks(eq.src_complex.layout(n), blocks)

@@ -100,7 +100,9 @@ class Matrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def to_json(self):
-        return [[self.field.format(v) for v in row] for row in self.data]
+        f = self.field
+        zero = f.format(f.zero)
+        return [[f.format(v) if v else zero for v in row] for row in self.data]
 
 
 def _check_same_shape(a, b):
@@ -158,44 +160,15 @@ def try_invert(a):
     """Exact two-sided inverse, or None when the matrix has none.
 
     Non-square input also yields None; the caller decides whether that is
-    exceptional.
+    exceptional.  A square matrix of full rank reduces to the identity, so
+    its echelon transform is the inverse.
     """
     if a.rows != a.cols:
         return None
-    n = a.rows
-    f = a.field
-    work = a.copy_data()
-    inv = Matrix.identity(f, n).copy_data()
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        pv = work[col][col]
-        if pv != f.one:
-            pinv = f.inv(pv)
-            work[col] = [f.mul(pinv, v) for v in work[col]]
-            inv[col] = [f.mul(pinv, v) for v in inv[col]]
-        wc, ic = work[col], inv[col]
-        for i in range(n):
-            if i == col:
-                continue
-            factor = work[i][col]
-            if not factor:
-                continue
-            wi, ii = work[i], inv[i]
-            for j in range(n):
-                if wc[j]:
-                    wi[j] = f.sub(wi[j], f.mul(factor, wc[j]))
-                if ic[j]:
-                    ii[j] = f.sub(ii[j], f.mul(factor, ic[j]))
-    return Matrix(f, n, n, inv)
+    ech = EchelonSolver(a)
+    if ech.rank != a.rows:
+        return None
+    return Matrix(a.field, a.rows, a.cols, ech.transform)
 
 
 class EchelonSolver:

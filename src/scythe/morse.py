@@ -3,8 +3,11 @@
 The engine repeatedly picks a critical seed cell, then breadth-first
 searches its neighborhood for covering pairs (x, y) whose map is invertible
 and removes them, correcting the surviving maps so cohomology is untouched.
-A dual top-down sweep and an iterated mode are provided, together with a
-gradient-path oracle used to cross-check the reduction.
+Each removal returns its step record: the pair, the inverse of its map and
+the blocks around it as they stood.  A tracked sweep keeps those records
+as the equivalence and multiplies nothing more.  A dual top-down sweep and
+an iterated mode are provided, together with a gradient-path oracle used
+to cross-check the reduction.
 """
 
 from collections import deque
@@ -50,10 +53,6 @@ class MorseData:
         self.equivalence = equivalence
         self.passes = passes if passes is not None else []
 
-    @property
-    def critical_poset(self):
-        return self.reduced.poset
-
     def critical_counts(self):
         """Cells surviving per dimension, the m_k of the complexity bound."""
         counts = {}
@@ -83,20 +82,25 @@ def reduce_pair(param, x, y):
 
 
 def _reduce_pair(param, x, y, inv):
-    """reduce_pair for a checked cover whose map has the inverse inv."""
+    """reduce_pair for a checked cover whose map has the inverse inv.
+
+    Returns the step's StepMaps: the pair, inv and the star of the pair as
+    it stood, up[z] = F_xz for z above x and down[w] = F_wy for w below y.
+    """
     poset = param.poset
-    zs = sorted(poset.x_plus(x) - {y})
-    ws = sorted(poset.x_minus(y) - {x})
-    corrections = []
-    for z in zs:
+    up = {}
+    for z in sorted(poset.x_plus(x) - {y}):
         fxz = param.maps.get((x, z))
-        if fxz is None:
-            continue
-        corrections.append((z, mat_mul(fxz, inv)))
-    for w in ws:
+        if fxz is not None:
+            up[z] = fxz
+    down = {}
+    for w in sorted(poset.x_minus(y) - {x}):
         fwy = param.maps.get((w, y))
-        if fwy is None:
-            continue
+        if fwy is not None:
+            down[w] = fwy
+    step = _equiv.StepMaps(x, y, poset.dim(x), poset.dim(y), inv, up, down)
+    corrections = [(z, mat_mul(fxz, inv)) for z, fxz in up.items()]
+    for w, fwy in down.items():
         for z, head in corrections:
             updated = param.map_of(w, z).sub(mat_mul(head, fwy))
             if updated.is_zero():
@@ -114,6 +118,7 @@ def _reduce_pair(param, x, y, inv):
             param.maps.pop((s, dead), None)
         poset.remove_element(dead)
         del param.stalk_rank[dead]
+    return step
 
 
 def _pairing_candidate(param, critical, y, policy, upward):
@@ -151,7 +156,7 @@ def _pairing_candidate(param, critical, y, policy, upward):
 def _sweep(param, upward, policy, steps, observer):
     """One full reduction sweep in the given direction; returns its Matching.
 
-    When steps is a list, each removal appends its equivalence step to it.
+    When steps is a list, each removal appends its StepMaps record to it.
     """
     poset = param.poset
     critical = set()
@@ -192,11 +197,11 @@ def _sweep(param, upward, policy, steps, observer):
                 enqueue(poset.x_plus(x) - {top} if upward
                         else poset.x_minus(top) - {x})
                 comeback = sorted(poset.x_plus(y) if upward else poset.x_minus(y))
-                if steps is not None:
-                    steps.append(_equiv.step_maps(param, x, top, inv))
                 if observer is not None:
                     observer.pair(x, top)
-                _reduce_pair(param, x, top, inv)
+                step = _reduce_pair(param, x, top, inv)
+                if steps is not None:
+                    steps.append(step)
                 matching.pairs.append((x, top))
                 enqueue(comeback)
             else:

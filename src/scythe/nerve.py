@@ -71,17 +71,13 @@ class Cover:
     def names(self):
         return list(self.pieces)
 
-    def piece(self, name):
-        return self.pieces[name]
-
 
 class Nerve:
     """The nerve as a simplicial CWComplex plus the support of each simplex."""
 
-    def __init__(self, cw, supports, simplices):
+    def __init__(self, cw, supports):
         self.cw = cw
         self.supports = supports
-        self.simplices = simplices
 
     @property
     def dim(self):
@@ -117,8 +113,7 @@ def nerve(cover):
             incidence[("|".join(face), "|".join(tup))] = (-1) ** i
     cw = build_cw(elements, incidence)
     supports = {"|".join(tup): frozenset(supp) for tup, supp in found.items()}
-    simplices = {"|".join(tup): tup for tup in found}
-    return Nerve(cw, supports, simplices)
+    return Nerve(cw, supports)
 
 
 def parallel_stalks(base, tasks, field=RATIONAL, workers=1):

@@ -23,10 +23,6 @@ class GradedPoset:
             self.up[x].add(y)
             self.down[y].add(x)
 
-    @property
-    def n(self):
-        return len(self.dims)
-
     def __contains__(self, x):
         return x in self.dims
 

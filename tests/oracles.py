@@ -235,7 +235,9 @@ def ref_fold(eq, p=None):
 
     The dense fold the library made before it kept sparse rows: full-length
     psi rows and phi columns per cell, starting from the identity, and full
-    theta rows, each step updated in place in removal order.  Returns
+    theta rows, each step updated in place in removal order.  A step's
+    projection blocks -F_xz.inv and lift blocks -inv.F_wy are multiplied
+    out here from its inv, up and down.  Returns
     {n: grid} dicts psi, phi and theta shaped as psi_matrix(n),
     phi_matrix(n) and theta_matrix(n), for every dimension of the source.
     """
@@ -246,6 +248,13 @@ def ref_fold(eq, p=None):
             if s != 0:
                 v = target[i] + coeff * s
                 target[i] = v if p is None else v % p
+
+    def neg_product(a, b):
+        out = [[0] * len(b[0]) for _ in a]
+        for i, row in enumerate(a):
+            for t, coeff in enumerate(row):
+                axpy(out[i], -coeff, b[t])
+        return out
 
     layouts = eq.src_complex.layouts
     psi, phi, theta = {}, {}, {}
@@ -274,14 +283,16 @@ def ref_fold(eq, p=None):
                 axpy(mid, inv[t1][t], row)
             for i, coeff in enumerate(col):
                 axpy(theta[ky][i], coeff, mid)
-        for z, blk in step.psi_blocks.items():
-            for i in range(blk.rows):
-                for t in range(blk.cols):
-                    axpy(psi[ky][z][i], blk.data[i][t], rows_y[t])
-        for w, blk in step.phi_blocks.items():
-            for j in range(blk.cols):
-                for t in range(blk.rows):
-                    axpy(phi[kx][w][j], blk.data[t][j], cols_x[t])
+        for z, fxz in step.up.items():
+            blk = neg_product(fxz.data, inv)
+            for i in range(len(blk)):
+                for t in range(len(blk[i])):
+                    axpy(psi[ky][z][i], blk[i][t], rows_y[t])
+        for w, fwy in step.down.items():
+            blk = neg_product(inv, fwy.data)
+            for j in range(len(blk[0])):
+                for t in range(len(blk)):
+                    axpy(phi[kx][w][j], blk[t][j], cols_x[t])
     psi_grids, phi_grids = {}, {}
     for n, layout in layouts.items():
         cells = eq.dst_complex.layout(n).cells

@@ -14,7 +14,7 @@ from scythe.complexes import (
 )
 from scythe.equivalence import Equivalence, lift_cocycle, project_cocycle
 from scythe.errors import NotACocycle, SolveFailed
-from scythe.field import RATIONAL, fp
+from scythe.field import RATIONAL, FieldSpec, fp
 from scythe.matrix import Matrix, mat_mul, matvec
 from scythe.morse import coscythe, iterate_scythe, scythe
 from scythe.sheaf import compile_sheaf, constant_sheaf
@@ -100,6 +100,36 @@ def test_fold_matches_dense_reference(runner):
     for param in _random_instances():
         eq = runner(param, track_equivalence=True).equivalence
         _assert_fold_matches_reference(eq)
+
+
+def _counting_field(field):
+    """A fresh copy of field whose mul counts its calls in .calls."""
+    f = FieldSpec(field.kind, field.p)
+    f.calls = 0
+    plain = f.mul
+
+    def mul(a, b):
+        f.calls += 1
+        return plain(a, b)
+
+    f.mul = mul
+    return f
+
+
+@pytest.mark.parametrize("runner", [scythe, coscythe, iterate_scythe])
+def test_tracking_adds_no_field_multiplications(runner):
+    # a step records the blocks it removed; only the psi/phi/theta fold
+    # multiplies them out, so tracking costs the sweep no products
+    for make in (lambda: torus_grid(4, 4), genus2_surface):
+        for field in (RATIONAL, fp(5)):
+            counts = []
+            for track in (False, True):
+                f = _counting_field(field)
+                param = compile_sheaf(constant_sheaf(make(), 2, f))
+                f.calls = 0
+                runner(param, track_equivalence=track)
+                counts.append(f.calls)
+            assert counts[0] == counts[1] > 0, counts
 
 
 def test_identity_equivalence():
