@@ -49,7 +49,10 @@ from .sheaf import (
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text: %s" % (path, exc))
 
 
 def _field_flag(text):

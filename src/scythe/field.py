@@ -1,9 +1,14 @@
 """Coefficient fields: the rationals and prime fields F_p.
 
-Rational arithmetic rides on fractions.Fraction, which keeps values in
-lowest terms.  Prime-field elements are plain ints held in [0, p).
+A rational is a plain int whenever it is integral and a
+fractions.Fraction, in lowest terms, only when it has a denominator:
+incidences, constant-sheaf blocks and their inverses are mostly +-1, and
+int arithmetic costs a fraction of Fraction's.  Mixed int/Fraction
+arithmetic is exact, and an integral Fraction it leaves behind equals its
+int and hashes alike.  Prime-field elements are plain ints held in [0, p).
 """
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -42,9 +47,8 @@ class FieldSpec:
             raise ParseError("unknown field kind %r" % (kind,))
         self.kind = kind
         self.p = p
-        # built once and shared: both element types are immutable
-        self.zero = Fraction(0) if kind == "rational" else 0
-        self.one = Fraction(1) if kind == "rational" else 1
+        self.zero = 0
+        self.one = 1
 
     def __eq__(self, other):
         return (
@@ -87,12 +91,12 @@ class FieldSpec:
         if self.kind == "rational":
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            return _integral(1 / Fraction(a))
         return pow(a, -1, self.p)
 
     def from_int(self, n):
         if self.kind == "rational":
-            return Fraction(n)
+            return n if type(n) is int else _integral(Fraction(n))
         return n % self.p
 
     # -- serialization -----------------------------------------------------
@@ -100,13 +104,23 @@ class FieldSpec:
     def parse(self, text):
         """Read one element from its string form.
 
-        Rationals accept "a" or "a/b"; F_p accepts an integer literal and
-        canonicalizes it into [0, p).
+        Rationals accept what fractions.Fraction accepts ("a", "a/b",
+        decimals, exponents) and come back as ints when integral.  An
+        exponent larger in magnitude than sys.get_int_max_str_digits() is
+        rejected (unbounded when that limit is 0): "1e999999999" would
+        otherwise build its power of ten before anything checked it, where
+        a plain literal that long is already refused.  F_p accepts an
+        integer literal and canonicalizes it into [0, p).
         """
         text = str(text).strip()
         if self.kind == "rational":
             try:
-                return Fraction(text)
+                return int(text)
+            except ValueError:
+                pass
+            _check_exponent(text)
+            try:
+                return _integral(Fraction(text))
             except (ValueError, ZeroDivisionError):
                 raise ParseError("bad rational literal %r" % text)
         try:
@@ -137,6 +151,26 @@ class FieldSpec:
         if kind == "fp":
             return cls("fp", obj.get("p"))
         raise ParseError("unknown field kind %r" % (kind,))
+
+
+def _integral(q):
+    """A Fraction as an int when its denominator is 1, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _check_exponent(text):
+    """Reject a rational literal whose exponent exceeds the digit limit."""
+    _, e, exp = text.lower().rpartition("e")
+    limit = sys.get_int_max_str_digits()
+    if not e or not limit:
+        return
+    try:
+        too_big = abs(int(exp)) > limit
+    except ValueError:
+        return  # not an exponent; Fraction decides
+    if too_big:
+        raise ParseError("bad rational literal %r: exponent beyond %d"
+                         % (text, limit))
 
 
 RATIONAL = FieldSpec("rational")

@@ -181,20 +181,14 @@ def d_squared_witnesses(field, maps, dims):
     formed: one walk over the two-step paths, linear in the covers.  Returns
     (n, tau, sigma) for each nonzero sum, sorted.
 
-    Sums run in exact integer arithmetic wherever the entries are integers
-    (rationals with denominator 1, and F_p residues, reduced only when a
-    sum is tested), since a Fraction product costs many integer ones.  When
-    every block is 1x1, as for rank-1 stalks, blocks are walked as scalars.
+    F_p residues are summed as plain ints and reduced only when a sum is
+    tested.  When every block is 1x1, as for rank-1 stalks, blocks are
+    walked as scalars.
     """
     scalar = all(m.rows == 1 and m.cols == 1 for m in maps.values())
     up = {}
     for (x, y), m in maps.items():
-        if scalar:
-            v = m.data[0][0]
-            block = v.numerator if v.denominator == 1 else v
-        else:
-            block = [[v.numerator if v.denominator == 1 else v for v in row]
-                     for row in m.data]
+        block = m.data[0][0] if scalar else m.data
         up.setdefault(x, []).append((y, m.cols, block))
     z = field.zero
 

@@ -24,10 +24,18 @@ def dumps(obj):
 
 
 def loads(text):
+    """Parse JSON text; malformed or over-deep documents raise ParseError.
+
+    Besides JSONDecodeError, json raises a plain ValueError for an integer
+    longer than the interpreter's digit limit and RecursionError for
+    nesting deeper than the stack allows.
+    """
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError("not JSON: %s" % exc)
+    except RecursionError:
+        raise ParseError("not JSON: nested too deeply")
 
 
 def complex_to_json(cw):

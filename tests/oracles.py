@@ -54,6 +54,14 @@ def ref_rank(grid, p=None):
     return rank
 
 
+def ref_product(a, b, cols):
+    """The product of grids a and b (b has cols columns), over Fraction."""
+    inner = len(b)
+    return [[sum((Fraction(row[k]) * Fraction(b[k][j]) for k in range(inner)),
+                 Fraction(0))
+             for j in range(cols)] for row in a]
+
+
 def betti_from_deltas(deltas, dims, p=None):
     """Betti numbers from coboundary grids; dims[n] is the rank of C^n.
 

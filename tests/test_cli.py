@@ -263,6 +263,33 @@ def test_compute_rejects_sheaf_that_does_not_square_to_zero(capsys, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
 
+@pytest.mark.parametrize("payload, message", [
+    (b'{"kind": "complex", "cells": [{"id": "u", "dim": '
+     + b"9" * 4301 + b'}], "covers": []}', "not JSON: Exceeds the limit"),
+    (b"[" * 200000, "not JSON: nested too deeply"),
+    (b'\xff\xfe{"kind": "complex"}', "is not UTF-8 text"),
+], ids=["long-integer", "deep-nesting", "not-utf8"])
+def test_malformed_documents_exit_2(capsys, tmp_path, payload, message):
+    doc = tmp_path / "malformed.json"
+    doc.write_bytes(payload)
+    code, out, err = run_cli(capsys, "compute", str(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e-5000", "1e999999999"])
+def test_rational_exponent_beyond_digit_limit_exits_2(capsys, tmp_path,
+                                                      digit_limit, literal):
+    sheaf = sheaf_to_json(constant_sheaf(filled_triangle(), 1, RATIONAL))
+    sheaf["covers"][0]["map"] = [[literal]]
+    doc = tmp_path / "exponent.json"
+    doc.write_text(dumps(sheaf))
+    code, out, err = run_cli(capsys, "compute", str(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exponent beyond" in err
+
+
 def test_bench_emits_growing_sizes(capsys):
     code, out, _ = run_cli(capsys, "bench", "--seed", "7")
     assert code == 0

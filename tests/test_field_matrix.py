@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from scythe.errors import NotInvertible, ParseError, SolveFailed
 from scythe.field import RATIONAL, FieldSpec, fp
 from scythe.matrix import EchelonSolver, Matrix, mat_mul, matvec, try_invert
 
-from oracles import ref_rank
+from oracles import ref_product, ref_rank, ref_solve
 
 
 def test_field_kinds():
@@ -59,6 +61,100 @@ def test_field_json_roundtrip():
 @settings(max_examples=60, deadline=None)
 def test_rational_format_parse_roundtrip(q):
     assert RATIONAL.parse(RATIONAL.format(q)) == q
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-0", "+3", " 7 ", "2/4", "4/2", "1.5", "1e3", "1_0", "\u0663",
+    "--3", "+-3", "0x10", "", "1/0",
+])
+def test_rational_parse_matches_fraction(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            RATIONAL.parse(text)
+        return
+    assert RATIONAL.parse(text) == want
+
+
+def test_integral_rationals_are_ints():
+    f = RATIONAL
+    integral = [f.zero, f.one, f.parse("4/2"), f.parse("1e3"), f.parse("-0"),
+                f.parse("1.0"), f.from_int(-5), f.from_int(Fraction(6, 3)),
+                f.inv(1), f.inv(-1), f.inv(Fraction(1, 2)), f.inv(Fraction(-1))]
+    assert all(type(v) is int for v in integral)
+    assert integral[-4:] == [1, -1, 2, -1]
+    assert type(f.inv(2)) is Fraction and f.inv(2) == Fraction(1, 2)
+    assert type(f.parse("2/4")) is Fraction
+    assert f.format(Fraction(3)) == f.format(3) == "3"
+    assert f.format(Fraction(-6, 4)) == "-3/2"
+
+
+@pytest.mark.parametrize("text", [
+    "1e5000", "1e-5000", "1e999999999", "1" + "0" * 5000,
+])
+def test_rational_literal_beyond_digit_limit_fails_fast(digit_limit, text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        RATIONAL.parse(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rational_exponent_bound_follows_digit_limit(digit_limit):
+    assert RATIONAL.parse("1e4300") == 10 ** 4300
+    assert RATIONAL.parse("1e-4300") == Fraction(1, 10 ** 4300)
+    sys.set_int_max_str_digits(0)  # disabled: exponents are unbounded
+    assert RATIONAL.parse("1e5000") == 10 ** 5000
+
+
+_mixed_entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def _grids(rows, cols):
+    return st.lists(st.lists(_mixed_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _mixed(grid, cols):
+    return Matrix(RATIONAL, len(grid), cols, [list(r) for r in grid])
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mat_mul_on_mixed_entries_matches_fraction_reference(r, k, c, data):
+    a = data.draw(_grids(r, k))
+    b = data.draw(_grids(k, c))
+    assert mat_mul(_mixed(a, k), _mixed(b, c)).data == ref_product(a, b, c)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_on_mixed_entries_matches_fraction_reference(r, c, data):
+    grid = data.draw(_grids(r, c))
+    rhs = data.draw(st.lists(_mixed_entries, min_size=r, max_size=r))
+    m = _mixed(grid, c)
+    s = EchelonSolver(m)
+    assert s.rank == ref_rank(grid)
+    assert s.solve(rhs) == ref_solve(grid, [rhs])[0]
+    kernel = s.kernel_basis()
+    assert kernel.cols == c - s.rank
+    assert not any(any(v) for v in ref_product(grid, kernel.data, kernel.cols))
+
+
+@given(st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_try_invert_on_mixed_entries_matches_fraction_reference(n, data):
+    grid = data.draw(_grids(n, n))
+    inv = try_invert(_mixed(grid, n))
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    columns = ref_solve(grid, units)
+    if ref_rank(grid) < n:
+        assert inv is None
+    else:
+        assert inv.data == [[columns[j][i] for j in range(n)] for i in range(n)]
 
 
 def test_matrix_basics():
