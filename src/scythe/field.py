@@ -11,7 +11,7 @@ int and hashes alike.  Prime-field elements are plain ints held in [0, p).
 import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ScytheError
 
 
 def _is_prime(p):
@@ -130,11 +130,23 @@ class FieldSpec:
         return n % self.p
 
     def format(self, a):
-        if self.kind == "rational":
-            if a.denominator == 1:
-                return str(a.numerator)
-            return "%d/%d" % (a.numerator, a.denominator)
-        return str(a)
+        """An element's string form.
+
+        An integer longer than sys.get_int_max_str_digits() has no string
+        form (str raises ValueError); that becomes a ScytheError, since such
+        an element can be parsed from an exponent literal such as "1e4300".
+        """
+        try:
+            if self.kind == "rational":
+                if a.denominator == 1:
+                    return str(a.numerator)
+                return "%d/%d" % (a.numerator, a.denominator)
+            return str(a)
+        except ValueError:
+            raise ScytheError(
+                "cannot write an element of more than %d digits, the limit "
+                "of sys.get_int_max_str_digits()"
+                % sys.get_int_max_str_digits())
 
     def to_json(self):
         if self.kind == "rational":

@@ -4,10 +4,14 @@ One document shape throughout: {"kind": ..., "cells"/"covers"/... }.  The
 kind field wins when present; without it, rank or map data means a sheaf.
 Matrices are nested arrays of element strings.  Output is canonical (sorted
 keys, two-space indent, trailing newline) so equal objects give equal bytes.
-Parse errors carry a JSON-ish path to the offending spot.
+The writer is hand-written: its bytes are those of json.dumps(obj,
+indent=2, sort_keys=True) plus a newline, but json has no C path for
+indent and would encode every matrix entry in pure Python.  Parse errors
+carry a JSON-ish path to the offending spot.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cohomology import CohomologyProfile
 from .cw import CWComplex, build_cw
@@ -19,8 +23,64 @@ from .sheaf import CellularSheaf, compile_sheaf
 
 
 def dumps(obj):
-    """Canonical text form of a JSON-ready object."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical text form of a JSON-ready object.
+
+    The bytes equal json.dumps(obj, indent=2, sort_keys=True) + "\n".  json
+    takes its pure-Python encoder whenever indent is set, one generator
+    step per value, so this writer does the layout itself: a list made
+    only of strings, which is every matrix row, is one join over
+    encode_basestring_ascii, and other scalars go through json.dumps.
+    """
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline, out):
+    """Append obj's chunks to out; newline carries the current indent."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            out.append("[" + inner + ("," + inner).join(map(_quote, obj))
+                       + newline + "]")
+            return
+        except TypeError:
+            pass  # not all strings
+        opener = "["
+        for item in obj:
+            out.append(opener + inner)
+            _write(item, inner, out)
+            opener = ","
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{"
+        for key, value in sorted(obj.items()):
+            out.append(opener + inner + _quote(_key(key)) + ": ")
+            _write(value, inner, out)
+            opener = ","
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(obj))
+
+
+def _key(key):
+    """A dict key as json writes it: str as is, other scalars as their text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % type(key).__name__)
 
 
 def loads(text):

@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ import scythe
 from scythe.cli import main
 from scythe.complexes import filled_triangle
 from scythe.field import RATIONAL
-from scythe.matrix import Matrix, matvec
+from scythe.matrix import Matrix, mat_mul, matvec, try_invert
 from scythe.serialize import dumps, loads, parse, sheaf_to_json
 from scythe.sheaf import CellularSheaf, compile_sheaf, constant_sheaf
 
@@ -118,13 +119,52 @@ PINNED_STDOUT = [
      "aeb0745dd2b293e1c60ade34883f88a10656463b21a2b541e6fbdb81dae12474"),
     (["compute", "genus2_surface.json", "--sheaf", "constant:2", "--lift"],
      "9b7cca663d84071303f8dd871c2f001893ff45da2497f59573ef5b3a02d900f1"),
+    # the parametrization document with its matching, and plain generators
+    (["reduce", "torus.json"],
+     "a06081469d9883f026788039b89e6fb08690646f7fda457f901799445a1dea5c"),
+    (["compute", "torus.json", "--generators"],
+     "ef16b4cdacb6216d2b7d1c4b1c9d3b8bd00dc2db49b2878b34670bb3a4efef74"),
+    (["nerve", "circle6.json", "three_arc_cover.json"],
+     "4cd223c30f79f40a7a2784d0b240d7104206c0ebb250c8ff6c4479718129840e"),
+    # formatted Fractions such as 1/2 and -3/4 throughout the document
+    (["reduce", "conjugated_circle6.json", "--equivalence"],
+     "5f22f600cff293eee2df1adddba28e5638dff6d56c7d47170666afd338b866d5"),
 ]
+
+
+def conjugated_circle6(data_dir):
+    """circle6's constant rank-2 sheaf seen in a rational basis per cell.
+
+    Cell i's stalk gets the gauge g_i = [[a, b], [0, c]] from a short
+    cycle, and the map on s < t becomes g_t g_s^{-1}: still a sheaf whose
+    coboundary squares to zero, with entries such as 1/2 and -3/4.
+    """
+    cw = parse(loads((data_dir / "circle6.json").read_text()))
+    shapes = [(2, 1, 1), (Fraction(-3, 2), 0, 4), (1, Fraction(1, 2), -2),
+              (Fraction(4, 3), -1, Fraction(3, 4))]
+    gauge = {
+        cell: Matrix(RATIONAL, 2, 2, [[a, b], [0, c]])
+        for cell, (a, b, c) in zip(cw.cells(), shapes * len(cw.cells()))
+    }
+    maps = {(s, t): mat_mul(gauge[t], try_invert(gauge[s]))
+            for s, t in cw.incidence}
+    sheaf = CellularSheaf(cw, RATIONAL, {c: 2 for c in cw.cells()}, maps)
+    return sheaf_to_json(sheaf)
+
+
+# documents the pinned commands read that no fixture ships
+WRITTEN_DOCS = {"conjugated_circle6.json": conjugated_circle6}
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=["_".join(a) for a, _ in PINNED_STDOUT])
-def test_lift_and_equivalence_bytes_are_pinned(capsys, data_dir, argv, digest):
-    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+def test_lift_and_equivalence_bytes_are_pinned(capsys, data_dir, tmp_path,
+                                               argv, digest):
+    for name, build in WRITTEN_DOCS.items():
+        if name in argv:
+            (tmp_path / name).write_text(dumps(build(data_dir)))
+    argv = [str((tmp_path if a in WRITTEN_DOCS else data_dir) / a)
+            if a.endswith(".json") else a for a in argv]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -288,6 +328,34 @@ def test_rational_exponent_beyond_digit_limit_exits_2(capsys, tmp_path,
     code, out, err = run_cli(capsys, "compute", str(doc))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "exponent beyond" in err
+
+
+def test_element_beyond_digit_limit_exits_2_when_written(capsys, tmp_path,
+                                                        data_dir, digit_limit):
+    cw = parse(loads((data_dir / "circle6.json").read_text()))
+    sheaf = sheaf_to_json(constant_sheaf(cw, 1, RATIONAL))
+    sheaf["covers"][0]["map"] = [["1e4300"]]  # 4301 digits, one past the limit
+    doc = tmp_path / "huge.json"
+    doc.write_text(dumps(sheaf))
+    want = ("error: cannot write an element of more than 4300 digits, "
+            "the limit of sys.get_int_max_str_digits()\n")
+    code, out, err = run_cli(capsys, "reduce", str(doc), "--equivalence")
+    assert (code, out, err) == (2, "", want)
+    # commands that never format the entry print as before; the huge map
+    # twists the circle, so no section survives
+    code, out, _ = run_cli(capsys, "compute", str(doc))
+    assert code == 0 and json.loads(out) == {"betti": [0, 0]}
+    code, out, _ = run_cli(capsys, "validate", str(doc))
+    assert code == 0 and json.loads(out) == {"ok": True, "kind": "sheaf"}
+    # and as its own process: exit code 2, the message, no traceback
+    src = str(pathlib.Path(scythe.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="4300")
+    proc = subprocess.run(
+        [sys.executable, "-m", "scythe.cli", "reduce", str(doc), "--equivalence"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_emits_growing_sizes(capsys):

@@ -1,6 +1,10 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scythe.cohomology import betti, sheaf_cohomology
 from scythe.complexes import (
@@ -44,6 +48,78 @@ def test_dumps_is_canonical():
     assert dumps(json.loads(text)) == text
     with pytest.raises(ParseError):
         loads("{nope")
+
+
+def json_oracle(value):
+    """What dumps must write: json's own indent encoder, kept only here."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(write, value):
+    """The text written, or the type of the exception raised instead."""
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc)
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+CHARS = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é'),
+    st.characters(exclude_categories=()),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+)
+STRINGS = st.text(CHARS, max_size=12)
+FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+)
+SCALARS = st.one_of(
+    STRINGS, st.none(), st.booleans(), FLOATS,
+    st.integers(), st.integers(-10 ** 400, 10 ** 400),
+)
+# every key type json accepts, one per dict, and mixtures json cannot sort
+KEYS = [STRINGS, st.integers(), FLOATS, st.booleans(), st.none()]
+ROWS = st.lists(STRINGS, max_size=6)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        *[st.dictionaries(key, children, max_size=4) for key in KEYS],
+        st.dictionaries(st.one_of(*KEYS), children, max_size=3),
+        st.lists(ROWS, max_size=4),  # a matrix: every row on the fast path
+        # strings with one other value in their midst leave the fast path
+        st.builds(lambda row, other, at: row[:at] + [other] + row[at:],
+                  st.lists(STRINGS, min_size=1, max_size=5), children,
+                  st.integers(0, 5)),
+    )
+
+
+JSON_VALUES = st.recursive(SCALARS, containers, max_leaves=25)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_dumps_writes_the_bytes_of_json_indent_encoder(value):
+    assert outcome(dumps, value) == outcome(json_oracle, value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2},
+    Fraction(1, 2),
+    ["a", "b", Fraction(1, 2)],
+    {"a": [["x"], {"y": {3}}]},
+    {Fraction(1, 2): "half"},
+    {(1, 2): "pair"},
+    {"a": 1, 2: "b"},
+], ids=["set", "fraction", "fraction-in-row", "nested-set", "fraction-key",
+        "tuple-key", "unsortable-keys"])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json_oracle(value)
+    with pytest.raises(TypeError):
+        dumps(value)
 
 
 def test_complex_round_trip():
