@@ -1,4 +1,4 @@
-"""Print the sha256 of stdout and the exit code of a fixed matrix of CLI runs.
+"""Print the sha256 of the output and the exit code of a fixed matrix of CLI runs.
 
 Each line is `sha256 exit-code argv`, with fixture paths written as their
 file names, so two checkouts compare with one diff:
@@ -7,14 +7,20 @@ file names, so two checkouts compare with one diff:
     PYTHONPATH=../old/src python scripts/cli_digests.py > before.txt
     diff before.txt after.txt
 
-The commands run in-process over the fixtures shipped in scythe/data.  Only
-stdout is hashed: the stderr run report of `reduce` carries wall times.
+The commands run in-process over the fixtures shipped in scythe/data and
+over a few malformed documents written to a temporary directory.  A run
+that succeeds has its stdout hashed; the stderr run report of `reduce`
+carries wall times and appears only on success.  A run that fails has
+stdout and its one-line stderr message hashed, so error text is covered.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
+import json
 import pathlib
+import tempfile
 
 import scythe
 from scythe.cli import main
@@ -36,6 +42,27 @@ REDUCE_MODES = [[], ["--equivalence"], ["--iterate"], ["--policy", "relaxed"],
                 ["--equivalence", "--iterate", "--policy", "relaxed"]]
 PIPELINE_FLAGS = [[], ["--field", "fp:5"], ["--field", "fp:2"],
                   ["--no-reduce"], ["--workers", "8"]]
+
+# a small valid sheaf document and edits that each break one reader check
+SHEAF = {"kind": "sheaf",
+         "cells": [{"id": "a", "dim": 0, "rank": 1},
+                   {"id": "b", "dim": 0, "rank": 1},
+                   {"id": "e", "dim": 1, "rank": 1}],
+         "covers": [{"from": "a", "to": "e", "incidence": -1, "map": [["1"]]},
+                    {"from": "b", "to": "e", "incidence": 1, "map": [["1"]]}]}
+MALFORMED = {
+    "bad_map_type.json": (("covers", 1, "map"), "1"),
+    "bad_map_row.json": (("covers", 1, "map"), [[]]),
+    "bad_map_float.json": (("covers", 1, "map"), [[1.5]]),
+    "bad_map_zero_denominator.json": (("covers", 1, "map"), [["1/0"]]),
+    "bad_rank_bool.json": (("cells", 2, "rank"), True),
+    "bad_dim_float.json": (("cells", 2, "dim"), 1.0),
+    "bad_id_list.json": (("cells", 1, "id"), ["b"]),
+    "bad_endpoint.json": (("covers", 1, "from"), "zz"),
+    "bad_incidence.json": (("covers", 1, "incidence"), 2),
+    "bad_cells_object.json": (("cells",), {"a": 0}),
+    "bad_covers_null.json": (("covers",), None),
+}
 
 
 def commands():
@@ -60,20 +87,40 @@ def commands():
     # failures: a composite modulus, an unknown --sheaf spec
     yield ["compute", "torus.json", "--field", "fp:4"]
     yield ["compute", "circle8.json", "--sheaf", "nonsense"]
+    for name in MALFORMED:
+        yield ["compute", name]
+        yield ["validate", name]
 
 
-def run(argv):
-    resolved = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+def write_malformed(directory):
+    for name, (path, value) in MALFORMED.items():
+        doc = copy.deepcopy(SHEAF)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def run(argv, scratch):
+    resolved = [str((scratch if a in MALFORMED else DATA) / a)
+                if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(resolved)
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+    text = out.getvalue()
+    if code != 0:
+        text += err.getvalue()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), code
 
 
 def report():
-    for argv in commands():
-        digest, code = run(argv)
-        print(digest, code, " ".join(argv), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = pathlib.Path(tmp)
+        write_malformed(scratch)
+        for argv in commands():
+            digest, code = run(argv, scratch)
+            print(digest, code, " ".join(argv), flush=True)
 
 
 if __name__ == "__main__":

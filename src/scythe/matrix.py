@@ -2,7 +2,13 @@
 
 Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
-cubic algorithm (reports quote omega = 3).
+cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
+rank-1 stalk), so mat_mul, sub and try_invert answer that shape directly,
+try_invert with one field inverse and no echelon form.  A Matrix built
+from outside has its grid checked against its shape; the results of the
+kernels here (zeros, identity, add, sub, neg, transpose, mat_mul,
+try_invert) are built with _built, which skips that re-check of a grid
+they shaped themselves.
 """
 
 from .errors import SolveFailed
@@ -25,18 +31,18 @@ class Matrix:
         self.cols = cols
         self.data = data
 
-    @classmethod
-    def zeros(cls, field, rows, cols):
+    @staticmethod
+    def zeros(field, rows, cols):
         z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return _built(field, rows, cols, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, field, n):
+    @staticmethod
+    def identity(field, n):
         z, o = field.zero, field.one
         data = [[z] * n for _ in range(n)]
         for i in range(n):
             data[i][i] = o
-        return cls(field, n, n, data)
+        return _built(field, n, n, data)
 
     @classmethod
     def from_rows(cls, field, rows_of_ints):
@@ -64,14 +70,14 @@ class Matrix:
         return "Matrix(%dx%d [%s])" % (self.rows, self.cols, body)
 
     def is_zero(self):
-        return not any(any(row) for row in self.data)
+        return not any(map(any, self.data))
 
     def copy_data(self):
         return [row[:] for row in self.data]
 
     def transpose(self):
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix(self.field, self.cols, self.rows, data)
+        return _built(self.field, self.cols, self.rows, data)
 
     def add(self, other):
         _check_same_shape(self, other)
@@ -80,21 +86,23 @@ class Matrix:
             [f.add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
         ]
-        return Matrix(f, self.rows, self.cols, data)
+        return _built(f, self.rows, self.cols, data)
 
     def sub(self, other):
         _check_same_shape(self, other)
         f = self.field
+        if self.rows == 1 and self.cols == 1:
+            return _built(f, 1, 1, [[f.sub(self.data[0][0], other.data[0][0])]])
         data = [
             [f.sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
         ]
-        return Matrix(f, self.rows, self.cols, data)
+        return _built(f, self.rows, self.cols, data)
 
     def neg(self):
         f = self.field
         data = [[f.neg(v) for v in row] for row in self.data]
-        return Matrix(f, self.rows, self.cols, data)
+        return _built(f, self.rows, self.cols, data)
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -105,8 +113,18 @@ class Matrix:
         return [[f.format(v) if v else zero for v in row] for row in self.data]
 
 
+def _built(field, rows, cols, data):
+    """A Matrix over a grid a kernel shaped itself: no re-check of the shape."""
+    m = object.__new__(Matrix)
+    m.field = field
+    m.rows = rows
+    m.cols = cols
+    m.data = data
+    return m
+
+
 def _check_same_shape(a, b):
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError("field mismatch")
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError("shape mismatch %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
@@ -114,26 +132,26 @@ def _check_same_shape(a, b):
 
 def mat_mul(a, b):
     """Exact matrix product, skipping zero entries of the left factor."""
-    if a.field != b.field:
+    f = a.field
+    if f is not b.field and f != b.field:
         raise ValueError("field mismatch")
     if a.cols != b.rows:
         raise ValueError("inner dimensions %d vs %d" % (a.cols, b.rows))
-    f = a.field
-    out = [[f.zero] * b.cols for _ in range(a.rows)]
-    bd = b.data
-    for i in range(a.rows):
-        arow = a.data[i]
-        orow = out[i]
-        for k in range(a.cols):
-            aik = arow[k]
-            if not aik:
-                continue
-            brow = bd[k]
-            for j in range(b.cols):
-                bkj = brow[j]
-                if bkj:
-                    orow[j] = f.add(orow[j], f.mul(aik, bkj))
-    return Matrix(f, a.rows, b.cols, out)
+    if a.rows == 1 and a.cols == 1 and b.cols == 1:
+        x = a.data[0][0]
+        y = b.data[0][0]
+        return _built(f, 1, 1, [[f.mul(x, y) if x and y else f.zero]])
+    add, mul, zero = f.add, f.mul, f.zero
+    out = []
+    for arow in a.data:
+        orow = [zero] * b.cols
+        for aik, brow in zip(arow, b.data):
+            if aik:
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        orow[j] = add(orow[j], mul(aik, bkj))
+        out.append(orow)
+    return _built(f, a.rows, b.cols, out)
 
 
 def matvec(a, vec):
@@ -160,15 +178,19 @@ def try_invert(a):
     """Exact two-sided inverse, or None when the matrix has none.
 
     Non-square input also yields None; the caller decides whether that is
-    exceptional.  A square matrix of full rank reduces to the identity, so
-    its echelon transform is the inverse.
+    exceptional.  A 1x1 matrix is inverted entrywise.  A larger square
+    matrix of full rank reduces to the identity, so its echelon transform
+    is the inverse.
     """
     if a.rows != a.cols:
         return None
+    if a.rows == 1:
+        v = a.data[0][0]
+        return _built(a.field, 1, 1, [[a.field.inv(v)]]) if v else None
     ech = EchelonSolver(a)
     if ech.rank != a.rows:
         return None
-    return Matrix(a.field, a.rows, a.cols, ech.transform)
+    return _built(a.field, a.rows, a.cols, ech.transform)
 
 
 class EchelonSolver:

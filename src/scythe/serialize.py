@@ -6,8 +6,10 @@ Matrices are nested arrays of element strings.  Output is canonical (sorted
 keys, two-space indent, trailing newline) so equal objects give equal bytes.
 The writer is hand-written: its bytes are those of json.dumps(obj,
 indent=2, sort_keys=True) plus a newline, but json has no C path for
-indent and would encode every matrix entry in pure Python.  Parse errors
-carry a JSON-ish path to the offending spot.
+indent and would encode every matrix entry in pure Python; plain ints are
+written with int.__repr__.  Parse errors carry a JSON-ish path to the
+offending spot; the readers of cells, covers and matrices format that
+path and message only when they raise.
 """
 
 import json
@@ -29,7 +31,9 @@ def dumps(obj):
     takes its pure-Python encoder whenever indent is set, one generator
     step per value, so this writer does the layout itself: a list made
     only of strings, which is every matrix row, is one join over
-    encode_basestring_ascii, and other scalars go through json.dumps.
+    encode_basestring_ascii, a plain int is int.__repr__ (what json's
+    encoder calls for it; bools are not plain ints and stay true/false),
+    and other scalars go through json.dumps.
     """
     out = []
     _write(obj, "\n", out)
@@ -41,6 +45,8 @@ def _write(obj, newline, out):
     """Append obj's chunks to out; newline carries the current indent."""
     if isinstance(obj, str):
         out.append(_quote(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -209,11 +215,20 @@ def _get(data, key, path):
     return data[key]
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _bad_int(path, value, minimum=None):
+    """The error for a value at path that is not an integer >= minimum."""
+    if _is_int(value):
+        return ParseError("%s: expected >= %d, got %d" % (path, minimum, value))
+    return ParseError("%s: expected an integer, got %r" % (path, value))
+
+
 def _int(value, path, minimum=None):
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            "%s: expected an integer, got %r" % (path, value))
-    if minimum is not None:
-        _expect(value >= minimum, "%s: expected >= %d, got %d" % (path, minimum, value))
+    if not _is_int(value) or minimum is not None and value < minimum:
+        raise _bad_int(path, value, minimum)
     return value
 
 
@@ -224,20 +239,27 @@ def parse_field(obj):
     return FieldSpec.from_json(obj)
 
 
+# The readers below run once per cell, cover and matrix entry, so each
+# check is a plain test and its path and message are formatted only in
+# the branch that raises.
+
 def _parse_matrix(field, grid, rows, cols, path):
-    _expect(isinstance(grid, list), "%s: expected an array of rows" % path)
+    if not isinstance(grid, list):
+        raise ParseError("%s: expected an array of rows" % path)
     if len(grid) != rows:
         raise ParseError("%s: expected %d rows, got %d" % (path, rows, len(grid)))
+    parse = field.parse
     data = []
     for r, row in enumerate(grid):
-        _expect(isinstance(row, list) and len(row) == cols,
-                "%s[%d]: expected %d entries" % (path, r, cols))
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError("%s[%d]: expected %d entries" % (path, r, cols))
         parsed = []
         for c, value in enumerate(row):
-            _expect(isinstance(value, (str, int)) and not isinstance(value, bool),
-                    "%s[%d][%d]: expected an element string" % (path, r, c))
+            if not isinstance(value, (str, int)) or isinstance(value, bool):
+                raise ParseError("%s[%d][%d]: expected an element string"
+                                 % (path, r, c))
             try:
-                parsed.append(field.parse(value))
+                parsed.append(parse(value))
             except ParseError as exc:
                 raise ParseError("%s[%d][%d]: %s" % (path, r, c, exc))
         data.append(parsed)
@@ -246,19 +268,36 @@ def _parse_matrix(field, grid, rows, cols, path):
 
 def _parse_cells(data, path):
     raw = _get(data, "cells", path)
-    _expect(isinstance(raw, list), "%s.cells: expected an array" % path)
+    if not isinstance(raw, list):
+        raise ParseError("%s.cells: expected an array" % path)
     elements = []
     ranks = {}
     for i, entry in enumerate(raw):
-        p = "%s.cells[%d]" % (path, i)
-        _expect(isinstance(entry, dict), p + ": expected an object")
-        cid = _get(entry, "id", p)
-        _expect(isinstance(cid, str) and cid, p + ".id: expected a nonempty string")
-        dim = _int(_get(entry, "dim", p), p + ".dim", minimum=0)
+        if not isinstance(entry, dict):
+            raise ParseError("%s.cells[%d]: expected an object" % (path, i))
+        if "id" not in entry:
+            raise ParseError("%s.cells[%d]: missing 'id'" % (path, i))
+        cid = entry["id"]
+        if not isinstance(cid, str) or not cid:
+            raise ParseError("%s.cells[%d].id: expected a nonempty string"
+                             % (path, i))
+        if "dim" not in entry:
+            raise ParseError("%s.cells[%d]: missing 'dim'" % (path, i))
+        dim = entry["dim"]
+        if not _is_int(dim) or dim < 0:
+            raise _bad_int("%s.cells[%d].dim" % (path, i), dim, 0)
         elements.append((cid, dim))
         if "rank" in entry:
-            ranks[cid] = _int(entry["rank"], p + ".rank", minimum=0)
+            rank = entry["rank"]
+            if not _is_int(rank) or rank < 0:
+                raise _bad_int("%s.cells[%d].rank" % (path, i), rank, 0)
+            ranks[cid] = rank
     if ranks and len(ranks) != len(elements):
+        seen = set()
+        for cid, _ in elements:
+            if cid in seen:
+                raise ParseError("duplicate element id %r" % (cid,))
+            seen.add(cid)
         raise ParseError(
             "%s.cells: some cells carry ranks and some do not" % path
         )
@@ -267,29 +306,45 @@ def _parse_cells(data, path):
 
 def _parse_covers(data, field, ranks, path):
     raw = data.get("covers", [])
-    _expect(isinstance(raw, list), "%s.covers: expected an array" % path)
+    if not isinstance(raw, list):
+        raise ParseError("%s.covers: expected an array" % path)
     incidence = {}
     maps = {}
     rank_of = (ranks or {}).get
     for i, entry in enumerate(raw):
-        p = "%s.covers[%d]" % (path, i)
-        _expect(isinstance(entry, dict), p + ": expected an object")
-        s = _get(entry, "from", p)
-        t = _get(entry, "to", p)
-        _expect(isinstance(s, str) and isinstance(t, str),
-                p + ": from/to must be cell ids")
-        sign = _int(_get(entry, "incidence", p), p + ".incidence")
-        _expect(sign in (1, -1), p + ".incidence: expected +1 or -1")
+        if not isinstance(entry, dict):
+            raise ParseError("%s.covers[%d]: expected an object" % (path, i))
+        if "from" not in entry:
+            raise ParseError("%s.covers[%d]: missing 'from'" % (path, i))
+        if "to" not in entry:
+            raise ParseError("%s.covers[%d]: missing 'to'" % (path, i))
+        s = entry["from"]
+        t = entry["to"]
+        if not isinstance(s, str) or not isinstance(t, str):
+            raise ParseError("%s.covers[%d]: from/to must be cell ids"
+                             % (path, i))
+        if "incidence" not in entry:
+            raise ParseError("%s.covers[%d]: missing 'incidence'" % (path, i))
+        sign = entry["incidence"]
+        if not _is_int(sign):
+            raise _bad_int("%s.covers[%d].incidence" % (path, i), sign)
+        if sign not in (1, -1):
+            raise ParseError("%s.covers[%d].incidence: expected +1 or -1"
+                             % (path, i))
         if (s, t) in incidence:
-            raise ParseError("%s: duplicate cover (%s, %s)" % (p, s, t))
+            raise ParseError("%s.covers[%d]: duplicate cover (%s, %s)"
+                             % (path, i, s, t))
         incidence[(s, t)] = sign
         if "map" in entry:
             if ranks is None:
-                raise ParseError(p + ".map: maps need cell ranks")
+                raise ParseError("%s.covers[%d].map: maps need cell ranks"
+                                 % (path, i))
             if rank_of(s) is None or rank_of(t) is None:
-                raise ParseError(p + ": cover endpoints missing from cells")
+                raise ParseError("%s.covers[%d]: cover endpoints missing "
+                                 "from cells" % (path, i))
             maps[(s, t)] = _parse_matrix(
-                field, entry["map"], rank_of(t), rank_of(s), p + ".map"
+                field, entry["map"], rank_of(t), rank_of(s),
+                "%s.covers[%d].map" % (path, i)
             )
     return incidence, maps
 

@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,23 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     code, _, err = run_cli(capsys, "compute", str(data_dir / "torus.json"),
                            "--field", "fp:4")
     assert code == 2 and "prime" in err
+
+
+def test_modulus_past_2_64_exits_2_fast(capsys, data_dir, tmp_path):
+    # a 30-digit modulus; trial division up to its square root never ends
+    modulus = 10 ** 30 + 57
+    want = "error: fp modulus must be a prime below 2^64, got one of 100 bits\n"
+    circle = data_dir / "circle6.json"
+    doc = json.loads(circle.read_text())
+    doc["field"] = {"kind": "fp", "p": modulus}
+    in_doc = tmp_path / "big_modulus.json"
+    in_doc.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    runs = [("compute", str(circle), "--field", "fp:%d" % modulus),
+            ("compute", str(in_doc)), ("validate", str(in_doc))]
+    for argv in runs:
+        assert run_cli(capsys, *argv) == (2, "", want)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_compute_rejects_sheaf_that_does_not_square_to_zero(capsys, tmp_path):

@@ -233,3 +233,129 @@ def test_matrix_json():
     assert m.to_json() == [["6", "2"], ["3", "0"]]
     q = Matrix.from_rows(RATIONAL, [[Fraction(1, 2)]])
     assert q.to_json() == [["1/2"]]
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    from scythe.field import _is_prime
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if _trial_division(n)]
+    # strong pseudoprimes to the leading bases, Carmichael numbers, and
+    # primes next to the 2^64 bound
+    for n in (3215031751, 3825123056546413051, 561, 41041, 2 ** 64 - 1):
+        assert not _is_prime(n)
+    for n in (2 ** 61 - 1, 2 ** 64 - 59, 100000000000031):
+        assert _is_prime(n)
+
+
+@pytest.mark.parametrize("p", [100000000000031, 10000000000000061])
+def test_large_prime_modulus_builds_fast(p):
+    start = time.perf_counter()
+    assert fp(p).p == p
+    assert time.perf_counter() - start < 0.1
+
+
+def test_modulus_of_2_64_or_more_is_refused():
+    assert fp(2 ** 64 - 59).p == 2 ** 64 - 59
+    for p in (2 ** 64, 10 ** 30 + 57, 10 ** 5000):
+        with pytest.raises(ParseError, match=r"below 2\^64"):
+            fp(p)
+
+
+def _fp_grids(rows, cols, p):
+    return st.lists(st.lists(st.integers(0, p - 1), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+def _field_of(p):
+    return RATIONAL if p is None else fp(p)
+
+
+# products of a 1x1, 1xk or kx1 block, beside general shapes
+_PRODUCT_SHAPES = st.one_of(
+    st.just((1, 1, 1)),
+    st.tuples(st.just(1), st.integers(1, 4), st.just(1)),
+    st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 4)),
+    st.tuples(st.just(1), st.just(1), st.integers(2, 4)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+)
+
+
+@pytest.mark.parametrize("p", [5, 2])
+@given(_PRODUCT_SHAPES, st.data())
+@settings(max_examples=80, deadline=None)
+def test_mat_mul_over_fp_matches_reference(p, shape, data):
+    r, k, c = shape
+    a = data.draw(_fp_grids(r, k, p))
+    b = data.draw(_fp_grids(k, c, p))
+    want = [[int(v) % p for v in row] for row in ref_product(a, b, c)]
+    f = fp(p)
+    assert mat_mul(Matrix(f, r, k, a), Matrix(f, k, c, b)).data == want
+
+
+@pytest.mark.parametrize("p", [5, 2])
+@given(st.one_of(st.just(1), st.integers(0, 4)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_try_invert_over_fp_matches_reference(p, n, data):
+    grid = data.draw(_fp_grids(n, n, p))
+    inv = try_invert(Matrix(fp(p), n, n, grid))
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    columns = ref_solve(grid, units, p)
+    if ref_rank(grid, p) < n:
+        assert inv is None
+    else:
+        assert inv.data == [[columns[j][i] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [None, 5, 2])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (3, 1)])
+def test_try_invert_small_blocks(p, rows, cols):
+    f = _field_of(p)
+    zero = Matrix.zeros(f, rows, cols)
+    assert try_invert(zero) is None
+    ones = Matrix.from_rows(f, [[1] * cols for _ in range(rows)])
+    assert (try_invert(ones) is None) == (rows != 1 or cols != 1)
+    if rows == cols == 1 and p != 2:
+        assert try_invert(Matrix.from_rows(f, [[2]])).data == [[f.inv(2)]]
+
+
+@pytest.mark.parametrize("p", [None, 5, 2])
+@given(st.integers(-9, 9), st.integers(-9, 9), st.fractions(max_denominator=6))
+@settings(max_examples=60, deadline=None)
+def test_one_by_one_add_sub_neg_match_plain_arithmetic(p, x, y, q):
+    f = _field_of(p)
+    if p is None:
+        x = x + q  # a Fraction on one side, an int on the other
+        reduce = lambda v: v  # noqa: E731
+    else:
+        reduce = lambda v: v % p  # noqa: E731
+    a = Matrix(f, 1, 1, [[reduce(x)]])
+    b = Matrix(f, 1, 1, [[reduce(y)]])
+    assert a.add(b).data == [[reduce(x + y)]]
+    assert a.sub(b).data == [[reduce(x - y)]]
+    assert a.neg().data == [[reduce(-x)]]
+    assert mat_mul(a, b).data == [[reduce(x * y)]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(RATIONAL, 2, 2, [[1, 2], [3]]),
+    lambda: Matrix(RATIONAL, 2, 2, [[1, 2]]),
+    lambda: Matrix(RATIONAL, 1, 1, [[1, 2]]),
+    lambda: Matrix(fp(5), 1, 2, [[1]]),
+    lambda: Matrix.from_rows(RATIONAL, [[1, 2], [3]]),
+    lambda: Matrix.from_rows(fp(2), [[1], [0, 1]]),
+], ids=["short-row", "missing-row", "long-row", "fp-short-row",
+        "from-rows", "from-rows-fp"])
+def test_ragged_grid_from_outside_raises(build):
+    with pytest.raises(ValueError, match="entry grid does not match"):
+        build()

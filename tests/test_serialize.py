@@ -15,8 +15,9 @@ from scythe.complexes import (
     torus_reeb,
     two_arc_cover_cells,
 )
+from scythe.cli import main
 from scythe.cw import CWComplex
-from scythe.errors import ParseError
+from scythe.errors import ParseError, ValidationError
 from scythe.field import RATIONAL, fp
 from scythe.morse import scythe
 from scythe.nerve import Cover
@@ -103,6 +104,19 @@ JSON_VALUES = st.recursive(SCALARS, containers, max_leaves=25)
 @settings(max_examples=200, deadline=None)
 def test_dumps_writes_the_bytes_of_json_indent_encoder(value):
     assert outcome(dumps, value) == outcome(json_oracle, value)
+
+
+@pytest.mark.parametrize("value", [
+    True, False, 0, -7, 10 ** 40, [True, 1, False, 0, None],
+    {"flag": True, "n": -3, "rows": [["1"], [2]]},
+], ids=["true", "false", "zero", "negative", "long", "mixed-list", "dict"])
+def test_dumps_writes_bools_and_ints_as_json_does(value):
+    assert dumps(value) == json_oracle(value)
+
+
+def test_dumps_refuses_an_int_past_the_digit_limit_as_json_does(digit_limit):
+    for value in (10 ** 4300, [1, 10 ** 4300], {"n": -10 ** 4300}):
+        assert outcome(dumps, value) is outcome(json_oracle, value) is ValueError
 
 
 @pytest.mark.parametrize("value", [
@@ -283,6 +297,95 @@ def test_parse_error_paths():
         del cell["rank"]
     with pytest.raises(ParseError):
         parse(dict(with_map, kind=None))  # maps need ranks
+
+
+def _set(path, value):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+# one case per reader branch, with the exact text of its ParseError
+READER_ERRORS = [
+    ("non-list-map", _set(("covers", 1, "map"), "1"),
+     "$.covers[1].map: expected an array of rows"),
+    ("row-count", _set(("covers", 1, "map"), [["1"], ["0"]]),
+     "$.covers[1].map: expected 1 rows, got 2"),
+    ("short-row", _set(("covers", 1, "map"), [[]]),
+     "$.covers[1].map[0]: expected 1 entries"),
+    ("float-entry", _set(("covers", 1, "map"), [[1.5]]),
+     "$.covers[1].map[0][0]: expected an element string"),
+    ("zero-denominator", _set(("covers", 1, "map"), [["1/0"]]),
+     "$.covers[1].map[0][0]: bad rational literal '1/0'"),
+    ("bool-rank", _set(("cells", 2, "rank"), True),
+     "$.cells[2].rank: expected an integer, got True"),
+    ("negative-rank", _set(("cells", 2, "rank"), -1),
+     "$.cells[2].rank: expected >= 0, got -1"),
+    ("float-dim", _set(("cells", 2, "dim"), 1.0),
+     "$.cells[2].dim: expected an integer, got 1.0"),
+    ("negative-dim", _set(("cells", 0, "dim"), -1),
+     "$.cells[0].dim: expected >= 0, got -1"),
+    ("missing-dim", lambda d: d["cells"][1].pop("dim"),
+     "$.cells[1]: missing 'dim'"),
+    ("list-id", _set(("cells", 1, "id"), ["v"]),
+     "$.cells[1].id: expected a nonempty string"),
+    ("cell-not-object", _set(("cells", 0), "u"),
+     "$.cells[0]: expected an object"),
+    ("unknown-endpoint", _set(("covers", 1, "from"), "zz"),
+     "$.covers[1]: cover endpoints missing from cells"),
+    ("endpoint-not-id", _set(("covers", 0, "to"), 3),
+     "$.covers[0]: from/to must be cell ids"),
+    ("missing-to", lambda d: d["covers"][0].pop("to"),
+     "$.covers[0]: missing 'to'"),
+    ("incidence-2", _set(("covers", 1, "incidence"), 2),
+     "$.covers[1].incidence: expected +1 or -1"),
+    ("incidence-string", _set(("covers", 1, "incidence"), "1"),
+     "$.covers[1].incidence: expected an integer, got '1'"),
+    ("duplicate-cover", lambda d: d["covers"].append(dict(d["covers"][0])),
+     "$.covers[2]: duplicate cover (u, e)"),
+    ("cells-object", _set(("cells",), {"u": 0}),
+     "$.cells: expected an array"),
+    ("covers-null", _set(("covers",), None),
+     "$.covers: expected an array"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", [c[1:] for c in READER_ERRORS],
+                         ids=[c[0] for c in READER_ERRORS])
+def test_reader_error_text_is_pinned(capsys, tmp_path, mutate, message):
+    doc = good_sheaf_doc()
+    mutate(doc)
+    with pytest.raises(ParseError) as caught:
+        parse(doc)
+    assert str(caught.value) == message
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    for command in ("compute", "validate"):
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_duplicate_cell_id_is_reported_in_both_kinds(capsys, tmp_path):
+    sheaf = good_sheaf_doc()
+    sheaf["cells"][1]["id"] = "u"
+    bare = json.loads(json.dumps(sheaf))
+    bare["kind"] = "complex"
+    for cell in bare["cells"]:
+        del cell["rank"]
+    for cover in bare["covers"]:
+        del cover["map"]
+    for doc in (sheaf, bare):
+        with pytest.raises(ValidationError, match=r"^duplicate element id 'u'$"):
+            parse(doc)
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc))
+        code = main(["compute", str(path)])
+        assert (code,) + tuple(capsys.readouterr()) == (
+            2, "", "error: duplicate element id 'u'\n")
 
 
 def test_parametrization_rejects_signed_incidence():
