@@ -8,10 +8,11 @@ file names, so two checkouts compare with one diff:
     diff before.txt after.txt
 
 The commands run in-process over the fixtures shipped in scythe/data and
-over a few malformed documents written to a temporary directory.  A run
-that succeeds has its stdout hashed; the stderr run report of `reduce`
-carries wall times and appears only on success.  A run that fails has
-stdout and its one-line stderr message hashed, so error text is covered.
+over a few malformed documents and a cover whose nerve is too big, written
+to a temporary directory.  A run that succeeds has its stdout hashed; the
+stderr run report of `reduce` carries wall times and appears only on
+success.  A run that fails has stdout and its one-line stderr message
+hashed, so error text is covered.
 """
 
 import contextlib
@@ -64,6 +65,12 @@ MALFORMED = {
     "bad_covers_null.json": (("covers",), None),
 }
 
+# twelve identical whole-circle pieces of circle8.json: the nerve is an
+# 11-simplex, so cech exits 3 with the NerveTooBig text
+DEEP_COVER = "deep_cover.json"
+CIRCLE8_CELLS = ["%s%02d" % (kind, i) for kind in "ve" for i in range(8)]
+WRITTEN = {DEEP_COVER, *MALFORMED}
+
 
 def commands():
     for name in COMPLEXES:
@@ -90,9 +97,10 @@ def commands():
     for name in MALFORMED:
         yield ["compute", name]
         yield ["validate", name]
+    yield ["cech", "circle8.json", DEEP_COVER]
 
 
-def write_malformed(directory):
+def write_documents(directory):
     for name, (path, value) in MALFORMED.items():
         doc = copy.deepcopy(SHEAF)
         target = doc
@@ -100,10 +108,13 @@ def write_malformed(directory):
             target = target[key]
         target[path[-1]] = value
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+    pieces = [{"name": "P%02d" % i, "cells": CIRCLE8_CELLS} for i in range(12)]
+    (directory / DEEP_COVER).write_text(
+        json.dumps({"kind": "cover", "pieces": pieces}), encoding="utf-8")
 
 
 def run(argv, scratch):
-    resolved = [str((scratch if a in MALFORMED else DATA) / a)
+    resolved = [str((scratch if a in WRITTEN else DATA) / a)
                 if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -117,7 +128,7 @@ def run(argv, scratch):
 def report():
     with tempfile.TemporaryDirectory() as tmp:
         scratch = pathlib.Path(tmp)
-        write_malformed(scratch)
+        write_documents(scratch)
         for argv in commands():
             digest, code = run(argv, scratch)
             print(digest, code, " ".join(argv), flush=True)

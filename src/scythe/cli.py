@@ -342,11 +342,11 @@ def main(argv=None):
     except TheoremPrecondition as exc:
         sys.stderr.write("theorem precondition failed: %s\n" % exc)
         return 3
-    except ScytheError as exc:
+    except (ScytheError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except OSError as exc:
-        sys.stderr.write("error: %s\n" % exc)
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
 
 

@@ -38,7 +38,7 @@ class CohomologyProfile:
         return out
 
 
-def sheaf_cohomology(sheaf, reduce_first=True, generators=False):
+def sheaf_cohomology(sheaf, reduce_first=True):
     """Betti profile of a cellular sheaf, via a reduction sweep by default.
 
     The profile spans degrees 0 through the base complex dimension even
@@ -48,7 +48,7 @@ def sheaf_cohomology(sheaf, reduce_first=True, generators=False):
     top = param.max_dim()
     if reduce_first:
         scythe(param)
-    profile = betti(param.assemble(), generators=generators)
+    profile = betti(param.assemble())
     while len(profile.betti) < top + 1:
         profile.betti.append(0)
     return profile

@@ -324,25 +324,22 @@ def genus2_reeb():
     return surface, graph, fibers
 
 
+def _strip(kinds, j):
+    """Cells of the given kinds in column j, wrapped, of the 3x6 torus grid.
+
+    "vw" is the vertical circle at j; "hq" is the band of h edges and
+    squares to its right.
+    """
+    return {"%s%02d%02d" % (kind, i, j % 6) for kind in kinds for i in range(3)}
+
+
 def torus_reeb():
     """Product torus projected to a 3-vertex circle graph.
 
     Fibers over graph vertices are 3-column annuli of the 3x6 grid; fibers
     over graph edges are the single shared vertical circles.
     """
-    rows, cols = 3, 6
-    surface = torus_grid(rows, cols)
-
-    def column(j):
-        j %= cols
-        return {"%s%02d%02d" % (kind, i, j) for kind in ("v", "w")
-                for i in range(rows)}
-
-    def band(j):
-        j %= cols
-        return {"%s%02d%02d" % (kind, i, j) for kind in ("h", "q")
-                for i in range(rows)}
-
+    surface = torus_grid(3, 6)
     graph = build_cw(
         [("u0", 0), ("u1", 0), ("u2", 0), ("a0", 1), ("a1", 1), ("a2", 1)],
         {
@@ -354,10 +351,10 @@ def torus_reeb():
     fibers = {}
     for t in range(3):
         center = 2 * t
-        fibers["u%d" % t] = (column(center - 1) | column(center)
-                             | column(center + 1) | band(center - 1)
-                             | band(center))
-        fibers["a%d" % t] = column(center + 1)
+        fibers["u%d" % t] = (_strip("vw", center - 1) | _strip("vw", center)
+                             | _strip("vw", center + 1)
+                             | _strip("hq", center - 1) | _strip("hq", center))
+        fibers["a%d" % t] = _strip("vw", center + 1)
     return surface, graph, fibers
 
 
@@ -367,19 +364,8 @@ def torus_reeb_fine():
     One graph vertex per column of squares, so the vertex fibers are the
     smallest annuli the grid supports.
     """
-    rows, cols = 3, 6
-    surface = torus_grid(rows, cols)
-
-    def column(j):
-        j %= cols
-        return {"%s%02d%02d" % (kind, i, j) for kind in ("v", "w")
-                for i in range(rows)}
-
-    def band(j):
-        j %= cols
-        return {"%s%02d%02d" % (kind, i, j) for kind in ("h", "q")
-                for i in range(rows)}
-
+    cols = 6
+    surface = torus_grid(3, cols)
     elements = []
     incidence = {}
     for j in range(cols):
@@ -389,8 +375,9 @@ def torus_reeb_fine():
     graph = build_cw(elements, incidence)
     fibers = {}
     for j in range(cols):
-        fibers["u%d" % j] = column(j) | band(j) | column(j + 1)
-        fibers["a%d" % j] = column(j + 1)
+        fibers["u%d" % j] = (_strip("vw", j) | _strip("hq", j)
+                             | _strip("vw", j + 1))
+        fibers["a%d" % j] = _strip("vw", j + 1)
     return surface, graph, fibers
 
 

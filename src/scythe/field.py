@@ -8,6 +8,7 @@ arithmetic is exact, and an integral Fraction it leaves behind equals its
 int and hashes alike.  Prime-field elements are plain ints held in [0, p).
 """
 
+import operator
 import sys
 from fractions import Fraction
 
@@ -49,20 +50,31 @@ def _is_prime(n):
 class FieldSpec:
     """A coefficient field, either the rationals or F_p for a prime p.
 
-    Instances supply zero/one, arithmetic, inversion and string round-trips
-    for their elements, so matrix code never branches on the field kind.
+    The constructor picks the element operations (add, sub, mul, neg, inv,
+    from_int) once for the kind: operator's for Q, closures over p for F_p.
+    So no element operation tests the kind when called, and matrix code
+    never branches on it.
     """
 
     def __init__(self, kind, p=None):
         if kind == "rational":
             if p is not None:
                 raise ParseError("rational field takes no modulus")
+            self.add, self.sub = operator.add, operator.sub
+            self.mul, self.neg = operator.mul, operator.neg
+            self.inv, self.from_int = _q_inv, _q_from_int
         elif kind == "fp":
             if isinstance(p, int) and p >= FP_LIMIT:
                 raise ParseError("fp modulus must be a prime below 2^64, got "
                                  "one of %d bits" % p.bit_length())
             if not isinstance(p, int) or not _is_prime(p):
                 raise ParseError("fp modulus must be a prime, got %r" % (p,))
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: (a * b) % p
+            self.neg = lambda a: (-a) % p
+            self.inv = lambda a: pow(a, -1, p)
+            self.from_int = lambda n: n % p
         else:
             raise ParseError("unknown field kind %r" % (kind,))
         self.kind = kind
@@ -85,83 +97,43 @@ class FieldSpec:
             return "FieldSpec('rational')"
         return "FieldSpec('fp', %d)" % self.p
 
-    # -- element arithmetic ------------------------------------------------
-
-    def add(self, a, b):
-        if self.kind == "rational":
-            return a + b
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        if self.kind == "rational":
-            return a - b
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        if self.kind == "rational":
-            return a * b
-        return (a * b) % self.p
-
-    def neg(self, a):
-        if self.kind == "rational":
-            return -a
-        return (-a) % self.p
-
-    def inv(self, a):
-        if self.kind == "rational":
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return _integral(1 / Fraction(a))
-        return pow(a, -1, self.p)
-
-    def from_int(self, n):
-        if self.kind == "rational":
-            return n if type(n) is int else _integral(Fraction(n))
-        return n % self.p
-
     # -- serialization -----------------------------------------------------
 
     def parse(self, text):
         """Read one element from its string form.
 
-        Rationals accept what fractions.Fraction accepts ("a", "a/b",
+        An integer literal goes through from_int, so F_p canonicalizes it
+        into [0, p) and Q keeps the int; F_p accepts nothing else.
+        Rationals also accept what fractions.Fraction accepts ("a/b",
         decimals, exponents) and come back as ints when integral.  An
         exponent larger in magnitude than sys.get_int_max_str_digits() is
         rejected (unbounded when that limit is 0): "1e999999999" would
         otherwise build its power of ten before anything checked it, where
-        a plain literal that long is already refused.  F_p accepts an
-        integer literal and canonicalizes it into [0, p).
+        a plain literal that long is already refused.
         """
         text = str(text).strip()
-        if self.kind == "rational":
-            try:
-                return int(text)
-            except ValueError:
-                pass
-            _check_exponent(text)
-            try:
-                return _integral(Fraction(text))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("bad rational literal %r" % text)
         try:
-            n = int(text)
+            return self.from_int(int(text))
         except ValueError:
-            raise ParseError("bad F_%d literal %r" % (self.p, text))
-        return n % self.p
+            if self.p is not None:
+                raise ParseError("bad F_%d literal %r" % (self.p, text))
+        _check_exponent(text)
+        try:
+            return _integral(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("bad rational literal %r" % text)
 
     def format(self, a):
-        """An element's string form.
+        """An element's string form: "n" when integral, else "n/d".
 
         An integer longer than sys.get_int_max_str_digits() has no string
         form (str raises ValueError); that becomes a ScytheError, since such
         an element can be parsed from an exponent literal such as "1e4300".
         """
         try:
-            if self.kind == "rational":
-                if a.denominator == 1:
-                    return str(a.numerator)
-                return "%d/%d" % (a.numerator, a.denominator)
-            return str(a)
+            if a.denominator == 1:
+                return str(a.numerator)
+            return "%d/%d" % (a.numerator, a.denominator)
         except ValueError:
             raise ScytheError(
                 "cannot write an element of more than %d digits, the limit "
@@ -183,6 +155,16 @@ class FieldSpec:
         if kind == "fp":
             return cls("fp", obj.get("p"))
         raise ParseError("unknown field kind %r" % (kind,))
+
+
+def _q_inv(a):
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return _integral(1 / Fraction(a))
+
+
+def _q_from_int(n):
+    return n if type(n) is int else _integral(Fraction(n))
 
 
 def _integral(q):

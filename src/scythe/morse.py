@@ -8,6 +8,9 @@ the blocks around it as they stood.  A tracked sweep keeps those records
 as the equivalence and multiplies nothing more.  A dual top-down sweep and
 an iterated mode are provided, together with a gradient-path oracle used
 to cross-check the reduction.
+
+Policy and direction are decided once, when a run and a sweep start; the
+per-cell loop tests neither.
 """
 
 from collections import deque
@@ -121,54 +124,47 @@ def _reduce_pair(param, x, y, inv):
     return step
 
 
-def _pairing_candidate(param, critical, y, policy, upward):
-    """The unique partner cell for y under the given policy, with the
-    inverse of the pair's map, as (partner, inverse); or None.
+def _pairing_candidate(param, critical, y, behind, orient, strict):
+    """The unique partner of y among behind(y), with the inverse of the
+    pair's map, as (partner, inverse); or None.
 
-    upward=True reads the standard sweep (y above, partner below); the dual
-    sweep passes upward=False and searches above y instead.
+    orient(partner, y) orders the pair.  The relaxed policy asks for one
+    invertible pair among the non-critical neighbours; strict is that
+    search restricted to a single non-critical neighbour.
     """
-    poset = param.poset
-    neighbors = poset.x_minus(y) if upward else poset.x_plus(y)
-    nc = [e for e in neighbors if e not in critical]
-    if policy == "strict":
-        if len(nc) != 1:
-            return None
-        partner = nc[0]
-        pair = (partner, y) if upward else (y, partner)
-        inv = try_invert(param.map_of(*pair))
-        if inv is None:
-            return None
-        return partner, inv
-    if policy == "relaxed":
-        hits = []
-        for e in nc:
-            pair = (e, y) if upward else (y, e)
-            inv = try_invert(param.map_of(*pair))
-            if inv is not None:
-                hits.append((e, inv))
-        if len(hits) == 1:
-            return hits[0]
+    free = [e for e in behind(y) if e not in critical]
+    if strict and len(free) != 1:
         return None
-    raise ValidationError("unknown pairing policy %r" % (policy,))
+    hit = None
+    for e in free:
+        inv = try_invert(param.map_of(*orient(e, y)))
+        if inv is not None:
+            if hit is not None:
+                return None
+            hit = e, inv
+    return hit
 
 
-def _sweep(param, upward, policy, steps, observer):
+def _sweep(param, upward, strict, steps, observer):
     """One full reduction sweep in the given direction; returns its Matching.
 
-    When steps is a list, each removal appends its StepMaps record to it.
+    The direction is resolved once, here: partners are sought behind each
+    dequeued cell, the cells ahead of it are queued, and seeds are visited
+    in one sorted pass, dimension descending for the dual sweep.  When
+    steps is a list, each removal appends its StepMaps record to it.
     """
     poset = param.poset
+    dims = poset.dims
+    if upward:
+        ahead, behind, sign = poset.x_plus, poset.x_minus, 1
+        orient = lambda partner, y: (partner, y)
+    else:
+        ahead, behind, sign = poset.x_minus, poset.x_plus, -1
+        orient = lambda partner, y: (y, partner)
     critical = set()
     matching = Matching()
-    if upward:
-        heap = [(d, x) for x, d in poset.dims.items()]
-    else:
-        heap = [(-d, x) for x, d in poset.dims.items()]
-    heapq.heapify(heap)
-    while heap:
-        _, c = heapq.heappop(heap)
-        if c not in poset.dims or c in critical:
+    for _, c in sorted([(sign * d, x) for x, d in dims.items()]):
+        if c not in dims or c in critical:
             continue
         critical.add(c)
         if observer is not None:
@@ -178,7 +174,7 @@ def _sweep(param, upward, policy, steps, observer):
 
         def enqueue(cells):
             for e in sorted(cells):
-                if e in poset.dims and e not in critical and e not in flags:
+                if e in dims and e not in critical and e not in flags:
                     flags.add(e)
                     queue.append(e)
                     if observer is not None:
@@ -186,27 +182,26 @@ def _sweep(param, upward, policy, steps, observer):
 
         while queue:
             y = queue.popleft()
-            if y not in poset.dims:
+            if y not in dims:
                 continue
             if observer is not None:
                 observer.dequeue(y)
-            hit = _pairing_candidate(param, critical, y, policy, upward)
-            if hit is not None:
-                partner, inv = hit
-                x, top = (partner, y) if upward else (y, partner)
-                enqueue(poset.x_plus(x) - {top} if upward
-                        else poset.x_minus(top) - {x})
-                comeback = sorted(poset.x_plus(y) if upward else poset.x_minus(y))
-                if observer is not None:
-                    observer.pair(x, top)
-                step = _reduce_pair(param, x, top, inv)
-                if steps is not None:
-                    steps.append(step)
-                matching.pairs.append((x, top))
-                enqueue(comeback)
-            else:
-                enqueue(poset.x_plus(y) if upward else poset.x_minus(y))
-    matching.critical = set(poset.dims)
+            hit = _pairing_candidate(param, critical, y, behind, orient, strict)
+            if hit is None:
+                enqueue(ahead(y))
+                continue
+            partner, inv = hit
+            x, top = orient(partner, y)
+            enqueue(ahead(partner) - {y})
+            comeback = sorted(ahead(y))
+            if observer is not None:
+                observer.pair(x, top)
+            step = _reduce_pair(param, x, top, inv)
+            if steps is not None:
+                steps.append(step)
+            matching.pairs.append((x, top))
+            enqueue(comeback)
+    matching.critical = set(dims)
     return matching
 
 
@@ -215,8 +210,11 @@ def _run(param, upward, policy, track_equivalence, observer, until_stable):
 
     Each sweep starts with every surviving cell non-critical again; passes
     holds one PassRecord per sweep and the matching every removed pair in
-    order.
+    order.  An unknown policy is refused before anything is read.
     """
+    if policy not in ("strict", "relaxed"):
+        raise ValidationError("unknown pairing policy %r" % (policy,))
+    strict = policy == "strict"
     src = param.assemble() if track_equivalence else None
     steps = [] if track_equivalence else None
     passes = []
@@ -224,7 +222,7 @@ def _run(param, upward, policy, track_equivalence, observer, until_stable):
     while True:
         before = len(param.poset)
         snapshot = param.poset.copy()
-        matching = _sweep(param, upward, policy, steps, observer)
+        matching = _sweep(param, upward, strict, steps, observer)
         passes.append(PassRecord(snapshot, matching))
         pairs.extend(matching.pairs)
         if not until_stable or len(param.poset) == before:

@@ -10,6 +10,8 @@ copies out tau's cells and projects into tau's reduced complex, so sheaf
 stalks are written in the flagged bases of the reduced fibers.
 """
 
+from collections import Counter
+
 from .cohomology import (
     CohomologyProfile,
     betti,
@@ -241,19 +243,23 @@ def _decompose(base, graph, supports, field, reduce_first):
 def cohomology_via_cech(X, cover, field=RATIONAL, workers=1, reduce_first=True):
     """Betti numbers of X out of H^0/H^1 of its Čech sheaves on the nerve.
 
-    Requires the nerve to be at most one-dimensional.  Nerve-level sheaf
+    Requires the nerve to be at most one-dimensional, which is checked in
+    one pass over the pieces before the nerve is built.  Nerve-level sheaf
     cohomology runs through a reduction sweep unless reduce_first is off.
     workers is accepted and selects nothing; stalks are computed in order.
     """
     base = cover.base
     if X is not None and set(X.poset.dims) != set(base.poset.dims):
         raise NotACover("cover does not cover the given complex")
-    nv = nerve(cover)
-    if nv.dim > 1:
+    # the nerve's top simplex is the set of pieces holding its busiest cell
+    top = max(Counter(c for cells in cover.pieces.values()
+                      for c in cells).values()) - 1
+    if top > 1:
         raise NerveTooBig(
             "nerve has a %d-simplex; the decomposition needs dimension <= 1"
-            % nv.dim
+            % top
         )
+    nv = nerve(cover)
     return _decompose(base, nv.cw, nv.supports, field, reduce_first)
 
 

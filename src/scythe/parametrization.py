@@ -66,9 +66,6 @@ class Parametrization:
             self.field, self.poset.copy(), dict(self.stalk_rank), dict(self.maps)
         )
 
-    def rank_of(self, x):
-        return self.stalk_rank[x]
-
     def map_of(self, x, y):
         """The matrix attached to (x, y); absent covers give the zero map."""
         m = self.maps.get((x, y))

@@ -12,10 +12,13 @@ import pytest
 
 import scythe
 from scythe.cli import main
-from scythe.complexes import filled_triangle
+from scythe.complexes import circle_subdivided, filled_triangle, torus_grid
 from scythe.field import RATIONAL
 from scythe.matrix import Matrix, mat_mul, matvec, try_invert
-from scythe.serialize import dumps, loads, parse, sheaf_to_json
+from scythe.nerve import Cover
+from scythe.serialize import (
+    complex_to_json, cover_to_json, dumps, loads, parse, sheaf_to_json,
+)
 from scythe.sheaf import CellularSheaf, compile_sheaf, constant_sheaf
 
 
@@ -298,6 +301,39 @@ def test_modulus_past_2_64_exits_2_fast(capsys, data_dir, tmp_path):
     for argv in runs:
         assert run_cli(capsys, *argv) == (2, "", want)
     assert time.perf_counter() - start < 1.0
+
+
+def test_deep_cover_exits_3_fast(capsys, tmp_path):
+    base = circle_subdivided(8)
+    doc, cover = tmp_path / "circle8.json", tmp_path / "deep.json"
+    doc.write_text(dumps(complex_to_json(base)))
+    cover.write_text(dumps(cover_to_json(
+        Cover(base, [("P%02d" % i, base.cells()) for i in range(16)]))))
+    want = ("theorem precondition failed: nerve has a 15-simplex; "
+            "the decomposition needs dimension <= 1\n")
+    start = time.perf_counter()
+    assert run_cli(capsys, "cech", str(doc), str(cover)) == (3, "", want)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_out_of_memory_exits_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    doc = tmp_path / "torus40.json"
+    doc.write_text(dumps(complex_to_json(torus_grid(40, 40))))
+    limit = 300 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(pathlib.Path(scythe.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "scythe.cli", "compute", str(doc),
+         "--sheaf", "constant:2", "--no-reduce"],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory\n")
 
 
 def test_compute_rejects_sheaf_that_does_not_square_to_zero(capsys, tmp_path):

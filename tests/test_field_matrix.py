@@ -359,3 +359,17 @@ def test_one_by_one_add_sub_neg_match_plain_arithmetic(p, x, y, q):
 def test_ragged_grid_from_outside_raises(build):
     with pytest.raises(ValueError, match="entry grid does not match"):
         build()
+
+
+def test_element_operations_never_read_the_kind():
+    # the constructor fixes the arithmetic; overwriting kind afterwards
+    # changes none of it
+    q, f5 = FieldSpec("rational"), fp(5)
+    for field in (q, f5):
+        field.kind = "neither"
+    assert [q.add(2, 4), q.sub(1, 3), q.mul(3, 4), q.neg(1), q.inv(2),
+            q.from_int(7), q.parse("6/4"), q.format(Fraction(3, 2))] == [
+        6, -2, 12, -1, Fraction(1, 2), 7, Fraction(3, 2), "3/2"]
+    assert [f5.add(2, 4), f5.sub(1, 3), f5.mul(3, 4), f5.neg(1), f5.inv(2),
+            f5.from_int(7), f5.parse("-1"), f5.format(4)] == [
+        1, 3, 2, 4, 3, 2, 4, "4"]

@@ -12,7 +12,9 @@ from scythe.complexes import (
     theta_graph,
     torus_grid,
 )
-from scythe.errors import CyclicMatching, NotACover, NotInvertible
+from scythe.errors import (
+    CyclicMatching, NotACover, NotInvertible, ValidationError,
+)
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix
 from scythe.morse import (
@@ -216,6 +218,18 @@ def test_strict_vs_relaxed_divergence():
     data_relaxed = scythe(relaxed, policy="relaxed")
     assert data_relaxed.matching.pairs == [("e2", "f")]
     assert betti(strict.assemble()).betti[1] == betti(relaxed.assemble()).betti[1] == 3
+
+
+@pytest.mark.parametrize("runner", [scythe, coscythe, iterate_scythe])
+@pytest.mark.parametrize("track", [False, True])
+def test_unknown_policy_is_refused_even_with_no_cells(runner, track):
+    empty = Parametrization(RATIONAL, build_poset([], []), {}, {})
+    for param in (compile_sheaf(constant_sheaf(circle())), empty):
+        before = (len(param.poset), dict(param.maps))
+        with pytest.raises(ValidationError,
+                           match="^unknown pairing policy 'bogus'$"):
+            runner(param, policy="bogus", track_equivalence=track)
+        assert (len(param.poset), dict(param.maps)) == before
 
 
 def test_policies_agree_on_betti():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -102,6 +103,41 @@ def test_nerve_with_triple_overlap_is_two_dimensional():
     assert "A|B|C" in nv.supports
     with pytest.raises(NerveTooBig):
         cohomology_via_cech(cw, cov)
+
+
+def test_cech_precondition_agrees_with_the_nerve_on_random_covers():
+    base = circle_subdivided(8)
+    cells = base.cells()
+    rng = random.Random(12)
+
+    def closed(chosen):
+        return set(chosen).union(*(base.poset.x_minus(c) for c in chosen))
+
+    for _ in range(40):
+        pieces = [closed(rng.sample(cells, rng.randint(1, 6)))
+                  for _ in range(rng.randint(1, 5))]
+        pieces.append(closed(set(cells).difference(*pieces)) or pieces[0])
+        cov = Cover(base, [("P%d" % i, p) for i, p in enumerate(pieces)])
+        top = nerve(cov).dim
+        if top > 1:
+            with pytest.raises(NerveTooBig,
+                               match="^nerve has a %d-simplex;" % top):
+                cohomology_via_cech(base, cov)
+        else:
+            assert cohomology_via_cech(base, cov).betti == [1, 1]
+
+
+def test_deep_cover_is_refused_before_its_nerve_is_built():
+    # sixteen pieces share every cell: the nerve is a 15-simplex with
+    # 2^16 - 1 faces, none of which is needed to refuse it
+    base = circle_subdivided(8)
+    cov = Cover(base, [("P%02d" % i, base.cells()) for i in range(16)])
+    start = time.perf_counter()
+    with pytest.raises(NerveTooBig) as info:
+        cohomology_via_cech(base, cov)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("nerve has a 15-simplex; the decomposition "
+                               "needs dimension <= 1")
 
 
 def test_cech_sheaf_stalks_two_arc():
