@@ -12,7 +12,7 @@ import time
 
 from . import complexes
 from .cohomology import betti
-from .cw import CWComplex
+from .cw import CWComplex, check_face_closed
 from .equivalence import lift_cocycle
 from .errors import ParseError, ScytheError, TheoremPrecondition
 from .field import RATIONAL, fp
@@ -22,15 +22,14 @@ from .nerve import (
     cohomology_via_cech,
     cohomology_via_leray,
     complexity_estimate,
-    nerve,
     validate_fibers,
 )
 from .parametrization import Parametrization
 from .report import build_report, input_parameters
 from .serialize import (
     complex_to_json,
+    document_kind,
     dumps,
-    equivalence_to_json,
     loads,
     parse,
     parse_cover,
@@ -73,6 +72,13 @@ def _load_doc(args, path):
         doc = dict(doc)
         doc["field"] = args.field_spec.to_json()
     return doc
+
+
+def _complex_arg(args, path, command):
+    base = parse(_load_doc(args, path))
+    if not isinstance(base, CWComplex):
+        raise ParseError("%s wants a bare complex document" % command)
+    return base
 
 
 def _pipeline_field(args):
@@ -124,9 +130,7 @@ def _lift_generators(eq, profile):
     lifted = {}
     for n, mat in sorted(profile.generators.items()):
         cols = [lift_cocycle(eq, mat.column(j), n) for j in range(mat.cols)]
-        total = src.rank_c(n)
-        data = [[col[i] for col in cols] for i in range(total)]
-        lifted[n] = Matrix(src.field, total, len(cols), data)
+        lifted[n] = Matrix(src.field, len(cols), src.rank_c(n), cols).transpose()
     return lifted
 
 
@@ -173,11 +177,9 @@ def cmd_reduce(args):
 
 
 def cmd_nerve(args):
-    base = parse(_load_doc(args, args.complex))
-    if not isinstance(base, CWComplex):
-        raise ParseError("nerve wants a bare complex document")
+    base = _complex_arg(args, args.complex, "nerve")
     cover = parse_cover(loads(_read(args.cover)), base)
-    nv = nerve(cover)
+    nv = cover.nerve
     out = complex_to_json(nv.cw)
     out["supports"] = {cid: sorted(cells) for cid, cells in nv.supports.items()}
     _emit(args, out)
@@ -185,25 +187,21 @@ def cmd_nerve(args):
 
 
 def cmd_cech(args):
-    base = parse(_load_doc(args, args.complex))
-    if not isinstance(base, CWComplex):
-        raise ParseError("cech wants a bare complex document")
+    base = _complex_arg(args, args.complex, "cech")
     cover = parse_cover(loads(_read(args.cover)), base)
     field = _pipeline_field(args)
     profile = cohomology_via_cech(
         base, cover, field=field, workers=args.workers,
         reduce_first=not args.no_reduce,
     )
-    nv = nerve(cover)
+    nv = cover.nerve
     estimate = complexity_estimate(base, nv.cw, nv.supports)
     _emit(args, {"profile": profile.to_json(), "estimate": estimate.to_json()})
     return 0
 
 
 def cmd_leray(args):
-    base = parse(_load_doc(args, args.complex))
-    if not isinstance(base, CWComplex):
-        raise ParseError("leray wants a bare complex document")
+    base = _complex_arg(args, args.complex, "leray")
     gamma, fibers = parse_fibers(loads(_read(args.fibers)))
     field = _pipeline_field(args)
     profile = cohomology_via_leray(
@@ -217,25 +215,22 @@ def cmd_leray(args):
 
 def cmd_validate(args):
     doc = loads(_read(args.input))
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "cover" or (kind is None and isinstance(doc, dict) and "pieces" in doc):
+    kind = document_kind(doc)
+    if kind == "cover":
         if not args.base:
             raise ParseError("validating a cover needs --base <complex file>")
-        base = parse(_load_doc(args, args.base))
-        parse_cover(doc, base)
-        kind = "cover"
+        parse_cover(doc, _complex_arg(args, args.base, "validate --base"))
     else:
         obj = parse(doc)
-        if isinstance(obj, tuple):
-            gamma, fibers = obj
-            kind = "fibers"
+        if kind == "fibers":
             if args.base:
-                base = parse(_load_doc(args, args.base))
-                validate_fibers(base, gamma, fibers)
-        else:
-            if isinstance(obj, CellularSheaf):
-                check_sheaf(obj)
-            kind = doc.get("kind") or type(obj).__name__.lower()
+                base = _complex_arg(args, args.base, "validate --base")
+                checked = validate_fibers(base, *obj)
+                for cell in sorted(checked):  # the order leray reduces them
+                    check_face_closed(base, checked[cell])
+        elif isinstance(obj, CellularSheaf):
+            check_sheaf(obj)
+        kind = kind or type(obj).__name__.lower()
     _emit(args, {"ok": True, "kind": kind})
     return 0
 

@@ -87,8 +87,7 @@ def betti(cx, generators=False):
         if generators:
             basis = cocycle_basis(cx, n)
             cols = [basis.matrix.column(j) for j in basis.flagged]
-            data = [[col[i] for col in cols] for i in range(cx.rank_c(n))]
-            gens[n] = Matrix(cx.field, cx.rank_c(n), len(cols), data)
+            gens[n] = Matrix(cx.field, len(cols), cx.rank_c(n), cols).transpose()
     return CohomologyProfile(numbers, gens)
 
 

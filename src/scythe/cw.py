@@ -43,6 +43,23 @@ def incidence_violations(poset, incidence):
     return sorted(key for key, total in sums.items() if total != 0)
 
 
+def check_face_closed(cw, cells):
+    """Raise unless the set cells holds only cells of cw and all their faces.
+
+    Cells are read in sorted order, so the error is the same on every run:
+    UnknownCell for the first unknown cell, or NotASubcomplex for the first
+    cell missing a face, naming the least face it misses.
+    """
+    poset = cw.poset
+    faces = poset.x_minus
+    for cell in sorted(cells):
+        if cell not in poset:
+            raise UnknownCell("no cell %r in the complex" % (cell,))
+        if not faces(cell) <= cells:
+            raise NotASubcomplex("cell %r kept but its face %r dropped"
+                                 % (cell, min(faces(cell) - cells)))
+
+
 def subcomplex(cw, cells):
     """The full subcomplex on a face-closed cell subset.
 
@@ -50,14 +67,7 @@ def subcomplex(cw, cells):
     are identity maps on ids.
     """
     keep = set(cells)
-    for cell in sorted(keep):
-        if cell not in cw.poset:
-            raise UnknownCell("no cell %r in the complex" % (cell,))
-        missing = [f for f in cw.poset.x_minus(cell) if f not in keep]
-        if missing:
-            raise NotASubcomplex(
-                "cell %r kept but its face %r dropped" % (cell, missing[0])
-            )
+    check_face_closed(cw, keep)
     elements = [(c, cw.poset.dim(c)) for c in sorted(keep)]
     incidence = {
         pair: sign

@@ -262,8 +262,7 @@ class EchelonSolver:
             for i, pc in enumerate(self.pivots):
                 vec[pc] = f.neg(self.rref[i][j])
             cols.append(vec)
-        data = [[cols[k][i] for k in range(len(free))] for i in range(self.cols)]
-        return Matrix(f, self.cols, len(free), data)
+        return Matrix(f, len(free), self.cols, cols).transpose()
 
     def solve(self, b):
         """One solution x of A·x = b (free variables zero), or None if none."""

@@ -11,6 +11,7 @@ stalks are written in the flagged bases of the reduced fibers.
 """
 
 from collections import Counter
+from functools import cached_property
 
 from .cohomology import (
     CohomologyProfile,
@@ -19,12 +20,14 @@ from .cohomology import (
     cocycle_basis,
     sheaf_cohomology,
 )
-from .cw import build_cw, subcomplex
+from .cw import build_cw, check_face_closed, subcomplex
 from .equivalence import lift_cocycle, project_cocycle
 from .errors import (
     FiberInclusionViolated,
     NerveTooBig,
     NotACover,
+    NotASubcomplex,
+    UnknownCell,
     ValidationError,
 )
 from .field import RATIONAL
@@ -54,16 +57,10 @@ class Cover:
         if not seen:
             raise NotACover("a cover needs at least one piece")
         for name in sorted(seen):
-            cells = seen[name]
-            for c in sorted(cells):
-                if c not in base.poset:
-                    raise NotACover("piece %r lists unknown cell %r" % (name, c))
-                for f in base.poset.x_minus(c):
-                    if f not in cells:
-                        raise NotACover(
-                            "piece %r is not face-closed: %r misses face %r"
-                            % (name, c, f)
-                        )
+            try:
+                check_face_closed(base, seen[name])
+            except (UnknownCell, NotASubcomplex) as exc:
+                raise NotACover("piece %r: %s" % (name, exc)) from None
         missed = set(base.poset.dims) - frozenset().union(*seen.values())
         if missed:
             raise NotACover("cells not covered: %s" % (sorted(missed),))
@@ -72,6 +69,11 @@ class Cover:
 
     def names(self):
         return list(self.pieces)
+
+    @cached_property
+    def nerve(self):
+        """nerve(self), built on first use and kept: a cover does not change."""
+        return nerve(self)
 
 
 class Nerve:
@@ -166,8 +168,7 @@ def _transport(lifts, big, small, n, rank):
         restricted = [v for c in dst.cells for v in vec[slice(*src.slot(c))]]
         reduced = project_cocycle(small, restricted, n)
         cols.append(class_coordinates(small.dst_complex, reduced, n))
-    data = [[col[i] for col in cols] for i in range(rank)]
-    return Matrix(small.field, rank, len(cols), data)
+    return Matrix(small.field, len(cols), rank, cols).transpose()
 
 
 def _degree_sheaf(cw, equivalences, profiles, n, field):
@@ -212,7 +213,7 @@ def cech_sheaf(cover, n, field=RATIONAL, workers=1):
     move their generators by cocycle transport.  workers is accepted and
     selects nothing; stalks are computed in order.
     """
-    nv = nerve(cover)
+    nv = cover.nerve
     equivalences, profiles = _stalk_tables(cover.base, nv.supports, field)
     sheaf = _degree_sheaf(nv.cw, equivalences, profiles, n, field)
     return SheafOverNerve(n, sheaf, dict(nv.supports))
@@ -259,7 +260,7 @@ def cohomology_via_cech(X, cover, field=RATIONAL, workers=1, reduce_first=True):
             "nerve has a %d-simplex; the decomposition needs dimension <= 1"
             % top
         )
-    nv = nerve(cover)
+    nv = cover.nerve
     return _decompose(base, nv.cw, nv.supports, field, reduce_first)
 
 
@@ -358,7 +359,7 @@ def nerve_theorem_check(cover, field=RATIONAL, workers=1):
 
     workers is accepted and selects nothing; supports are checked in order.
     """
-    nv = nerve(cover)
+    nv = cover.nerve
     names = sorted(nv.supports)
     results = parallel_stalks(
         cover.base, [(nv.supports[name], 0) for name in names],

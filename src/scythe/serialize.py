@@ -21,6 +21,7 @@ from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .matrix import Matrix
 from .nerve import Cover
+from .poset import build_poset
 from .sheaf import CellularSheaf, compile_sheaf
 
 
@@ -363,19 +364,30 @@ def _parse_complex_family(data, kind, path="$"):
         return build_cw(elements, incidence)
     if ranks is None:
         raise ParseError("%s: sheaf documents need a rank on every cell" % path)
-    base = build_cw(elements, incidence)
-    sheaf = CellularSheaf(base, field, ranks, maps)
     if kind == "sheaf":
-        return sheaf
-    if kind in ("parametrization", "reduced"):
-        for pair, sign in incidence.items():
-            if sign != 1:
-                raise ParseError(
-                    "%s: parametrization covers must have incidence 1, "
-                    "got %d on (%s, %s)" % (path, sign, pair[0], pair[1])
-                )
-        return compile_sheaf(sheaf)
-    raise ParseError("%s: unknown kind %r" % (path, kind))
+        return CellularSheaf(build_cw(elements, incidence), field, ranks, maps)
+    for pair, sign in incidence.items():
+        if sign != 1:
+            raise ParseError(
+                "%s: parametrization covers must have incidence 1, "
+                "got %d on (%s, %s)" % (path, sign, pair[0], pair[1])
+            )
+    base = CWComplex(build_poset(elements, incidence), incidence)
+    return compile_sheaf(CellularSheaf(base, field, ranks, maps))
+
+
+def document_kind(data):
+    """The stated kind, else cover, fibers or profile by the keys pieces,
+    fibers or betti, else None: a complex, sheaf or compiled document."""
+    if not isinstance(data, dict):
+        return None
+    kind = data.get("kind")
+    if kind is None:
+        for key, implied in (("pieces", "cover"), ("fibers", "fibers"),
+                             ("betti", "profile")):
+            if key in data:
+                return implied
+    return kind
 
 
 def parse(data):
@@ -383,20 +395,17 @@ def parse(data):
 
     Complex documents come back as CWComplex, sheaf documents as
     CellularSheaf, parametrization/reduced documents as Parametrization,
-    fiber documents as a (graph, fibers) pair.  Parametrization and
-    reduced documents are compiled here, which checks that their maps
-    square to zero (InvalidSheafData when they do not).  Sheaf documents
+    fiber documents as a (graph, fibers) pair, profiles as
+    CohomologyProfile.  Parametrization and reduced documents are
+    compiled here, which checks that their maps square to zero
+    (InvalidSheafData when they do not), in place of the CW sign
+    identity that their all-+1 incidences cannot meet.  Sheaf documents
     get only the structural checks: d-squared is checked once, where the
     sheaf is compiled (compile_sheaf) or validated (check_sheaf).  Cover
     documents need a base complex; use parse_cover.
     """
     _expect(isinstance(data, dict), "top level: expected an object")
-    kind = data.get("kind")
-    if kind is None:
-        if "pieces" in data:
-            kind = "cover"
-        elif "fibers" in data:
-            kind = "fibers"
+    kind = document_kind(data)
     if kind == "cover":
         raise ParseError("cover documents parse against a base complex")
     if kind == "fibers":

@@ -5,7 +5,8 @@ compiling folds the incidence sign into each map and drops the pairs whose
 signed map is zero, so absence always means the zero map downstream.
 """
 
-from .errors import InvalidSheafData, NotASubcomplex, UnknownCell, ValidationError
+from .cw import check_face_closed
+from .errors import InvalidSheafData, UnknownCell, ValidationError
 from .field import RATIONAL
 from .matrix import Matrix
 from .parametrization import Parametrization, d_squared_witnesses
@@ -61,14 +62,7 @@ def skyscraper_sheaf(base, cell, field=RATIONAL):
 def pushforward_constant(base, subcomplex, field=RATIONAL):
     """Constant rank-1 sheaf on a face-closed cell subset, zero outside it."""
     cells = set(subcomplex)
-    for c in cells:
-        if c not in base.poset.dims:
-            raise UnknownCell("no cell %r in the base complex" % (c,))
-        missing = base.poset.x_minus(c) - cells
-        if missing:
-            raise NotASubcomplex(
-                "cell %s is included without its face %s" % (c, sorted(missing)[0])
-            )
+    check_face_closed(base, cells)
     stalks = {c: (1 if c in cells else 0) for c in base.poset.dims}
     one = Matrix.identity(field, 1)
     maps = {}

@@ -15,9 +15,10 @@ from scythe.cli import main
 from scythe.complexes import circle_subdivided, filled_triangle, torus_grid
 from scythe.field import RATIONAL
 from scythe.matrix import Matrix, mat_mul, matvec, try_invert
-from scythe.nerve import Cover
+from scythe.nerve import Cover, nerve
 from scythe.serialize import (
-    complex_to_json, cover_to_json, dumps, loads, parse, sheaf_to_json,
+    complex_to_json, cover_to_json, dumps, loads, param_to_json, parse,
+    sheaf_to_json,
 )
 from scythe.sheaf import CellularSheaf, compile_sheaf, constant_sheaf
 
@@ -357,6 +358,139 @@ def test_compute_rejects_sheaf_that_does_not_square_to_zero(capsys, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
 
+def test_compiled_documents_scythe_writes_are_read_back(capsys, tmp_path):
+    # incidence 1 on every cover: the CW sign identity fails on a surface,
+    # so compiled documents are held to d^2 of their maps instead
+    doc = param_to_json(compile_sheaf(constant_sheaf(filled_triangle())))
+    path = tmp_path / "triangle.json"
+    path.write_text(dumps(doc))
+    assert run_cli(capsys, "compute", str(path)) == (
+        0, dumps({"betti": [1, 0, 0]}), "")
+    assert run_cli(capsys, "validate", str(path)) == (
+        0, dumps({"kind": "parametrization", "ok": True}), "")
+    code, out, _ = run_cli(capsys, "reduce", str(path))
+    assert code == 0
+    reduced = tmp_path / "reduced.json"
+    reduced.write_text(out)
+    assert run_cli(capsys, "compute", str(reduced))[:2] == (
+        0, dumps({"betti": [1]}))  # one critical vertex is left
+
+    doc["covers"][0]["map"] = [["2"]]
+    path.write_text(dumps(doc))
+    want = ("error: compiled coboundary does not square to zero; "
+            "blocks: [(0, 'f', 'u')]\n")
+    for command in ("compute", "reduce", "validate"):
+        assert run_cli(capsys, command, str(path)) == (2, "", want)
+
+
+@pytest.mark.parametrize("flags", [[], ["--generators"], ["--lift"]],
+                         ids=["plain", "generators", "lift"])
+def test_validate_reads_what_compute_writes(capsys, data_dir, tmp_path, flags):
+    code, out, _ = run_cli(capsys, "compute", str(data_dir / "torus.json"),
+                           *flags)
+    assert code == 0
+    path = tmp_path / "profile.json"
+    path.write_text(out)
+    assert run_cli(capsys, "validate", str(path)) == (
+        0, dumps({"kind": "profile", "ok": True}), "")
+
+
+def test_validate_base_checks_the_cells_of_every_fiber(capsys, data_dir,
+                                                       tmp_path):
+    torus = str(data_dir / "torus.json")
+    original = json.loads((data_dir / "torus_reeb.json").read_text())
+    edits = [(lambda cells: cells + ["zzz"],
+              "error: no cell 'zzz' in the complex\n"),
+             (lambda cells: [c for c in cells if c != "v0000"],
+              "error: cell 'h0000' kept but its face 'v0000' dropped\n")]
+    for edit, want in edits:
+        doc = json.loads(json.dumps(original))
+        doc["fibers"]["u0"] = edit(doc["fibers"]["u0"])
+        path = tmp_path / "fibers.json"
+        path.write_text(dumps(doc))
+        assert run_cli(capsys, "leray", torus, str(path)) == (2, "", want)
+        assert run_cli(capsys, "validate", str(path), "--base", torus) == (
+            2, "", want)
+    sheaf = tmp_path / "sheaf.json"
+    sheaf.write_text(dumps(sheaf_to_json(constant_sheaf(torus_grid(2, 2)))))
+    for doc in ("torus_reeb.json", "two_arc_cover.json"):
+        assert run_cli(capsys, "validate", str(data_dir / doc),
+                       "--base", str(sheaf)) == (
+            2, "", "error: validate --base wants a bare complex document\n")
+
+
+# each run prints the first offending cell and face of a cell set; the
+# cells are read in sorted order, so the line must not follow the hash seed
+HASH_SEED_PROBE = """
+import contextlib, io, json, sys
+from scythe.cli import main
+from scythe.complexes import torus_grid
+from scythe.cw import subcomplex
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(code, err.getvalue(), end="")
+try:
+    subcomplex(torus_grid(2, 2), {"q0000"})
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_face_closure_errors_do_not_follow_the_hash_seed(data_dir, tmp_path):
+    torus = tmp_path / "torus.json"
+    torus.write_text(dumps(complex_to_json(torus_grid(2, 2))))
+    cover = tmp_path / "cover.json"
+    cover.write_text(dumps({"kind": "cover", "pieces": [
+        {"name": "A", "cells": ["q0000"]},
+        {"name": "B", "cells": torus_grid(2, 2).cells()}]}))
+    runs = json.dumps([
+        ["compute", str(data_dir / "torus.json"),
+         "--sheaf", "pushforward:q0000,q0101,h0202"],
+        ["nerve", str(torus), str(cover)]])
+    src = str(pathlib.Path(scythe.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE, runs],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "2 error: cell 'h0202' kept but its face 'v0202' dropped\n"
+        "2 error: piece 'A': cell 'q0000' kept but its face 'h0000' dropped\n"
+        "NotASubcomplex cell 'q0000' kept but its face 'h0000' dropped\n"
+    }
+
+
+def test_cech_builds_its_nerve_once(capsys, data_dir, tmp_path):
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is nerve.__code__:
+            calls.append(frame)
+
+    circle8 = str(data_dir / "circle8.json")
+    base = circle_subdivided(8)
+    deep = tmp_path / "deep.json"
+    deep.write_text(dumps(cover_to_json(
+        Cover(base, [("P%02d" % i, base.cells()) for i in range(3)]))))
+    for cover, want in ((data_dir / "two_arc_cover.json", (0, 1)),
+                        (deep, (3, 0))):
+        calls.clear()
+        sys.setprofile(count)
+        try:
+            code = main(["cech", circle8, str(cover)])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert (code, len(calls)) == want
+
+
 @pytest.mark.parametrize("payload, message", [
     (b'{"kind": "complex", "cells": [{"id": "u", "dim": '
      + b"9" * 4301 + b'}], "covers": []}', "not JSON: Exceeds the limit"),
@@ -434,3 +568,16 @@ def test_console_script(data_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"betti": [1, 2, 1]}
+
+
+def test_cli_digests_match_the_committed_listing():
+    # a change that alters CLI bytes on purpose edits tests/cli_digests.txt
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = str(pathlib.Path(scythe.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_digests.py")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = (root / "tests" / "cli_digests.txt").read_text().splitlines()
+    assert proc.stdout.splitlines() == want

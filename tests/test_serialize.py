@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from scythe.cohomology import betti, sheaf_cohomology
 from scythe.complexes import (
     circle,
+    filled_triangle,
     genus2_reeb,
+    genus2_surface,
     three_arc_cover_cells,
     torus_grid,
     torus_reeb,
@@ -41,6 +44,8 @@ from scythe.sheaf import (
     constant_sheaf,
     pushforward_constant,
 )
+
+from randgen import random_parametrization, random_simplicial
 
 
 def test_dumps_is_canonical():
@@ -396,6 +401,38 @@ def test_parametrization_rejects_signed_incidence():
     doc["covers"][0]["incidence"] = 1
     back = parse(doc)
     assert betti(back.assemble()).betti == [1, 0]
+
+
+def random_surfaces(count):
+    """Random simplicial complexes of dimension at least two, seeded."""
+    rng = random.Random(13)
+    found = []
+    while len(found) < count:
+        cw = random_simplicial(rng)
+        if cw.poset.max_dim() >= 2:
+            found.append((cw, random.Random(len(found))))
+    return found
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5), fp(2)],
+                         ids=["Q", "F5", "F2"])
+def test_compiled_documents_of_surfaces_read_back(field):
+    # incidence 1 on every cover breaks the CW sign identity of a surface;
+    # the reader checks d^2 of the maps instead
+    params = [compile_sheaf(constant_sheaf(cw, 1, field))
+              for cw in (filled_triangle(), torus_grid(2, 2), genus2_surface())]
+    params += [random_parametrization(rng, cw, field)
+               for cw, rng in random_surfaces(12)]
+    for param in params:
+        doc = param_to_json(param)
+        assert dumps(param_to_json(parse(doc))) == dumps(doc)
+        data = scythe(param.copy())
+        back = parse(reduced_to_json(data))
+        assert dumps(param_to_json(back)) == dumps(param_to_json(data.reduced))
+    doc = param_to_json(params[0])
+    doc["covers"][0]["incidence"] = -1
+    with pytest.raises(ParseError, match="must have incidence 1"):
+        parse(doc)
 
 
 def test_field_handling():
