@@ -104,7 +104,7 @@ def _build_sheaf(cw, spec, field):
 
 def _obtain_param(args):
     obj = parse(_load_doc(args, args.input))
-    spec = getattr(args, "sheaf", None)
+    spec = args.sheaf
     if isinstance(obj, CWComplex):
         return compile_sheaf(_build_sheaf(obj, spec, _pipeline_field(args)))
     if isinstance(obj, CellularSheaf):
@@ -136,25 +136,15 @@ def _lift_generators(eq, profile):
 
 def cmd_compute(args):
     param = _obtain_param(args)
-    top = param.max_dim()
     eq = None
-    if args.no_reduce:
-        cx = param.assemble()
-    else:
+    if not args.no_reduce:
         runner = iterate_scythe if args.iterate else scythe
-        data = runner(param, track_equivalence=args.lift)
-        eq = data.equivalence
-        cx = eq.dst_complex if eq is not None else param.assemble()
-    want_gens = args.generators or args.lift
-    profile = betti(cx, generators=want_gens)
-    while len(profile.betti) < top + 1:
-        profile.betti.append(0)
-    out = profile.to_json()
-    if args.lift and eq is not None:
-        out["generators"] = {
-            str(n): m.to_json() for n, m in sorted(_lift_generators(eq, profile).items())
-        }
-    _emit(args, out)
+        eq = runner(param, track_equivalence=args.lift).equivalence
+    cx = eq.dst_complex if eq is not None else param.assemble()
+    profile = betti(cx, generators=args.generators or args.lift)
+    if eq is not None:
+        profile.generators = _lift_generators(eq, profile)
+    _emit(args, profile.to_json())
     return 0
 
 
@@ -214,20 +204,22 @@ def cmd_leray(args):
 
 
 def cmd_validate(args):
-    doc = loads(_read(args.input))
+    doc = _load_doc(args, args.input)
     kind = document_kind(doc)
-    if kind == "cover":
-        if not args.base:
+    if args.base is None:
+        if kind == "cover":
             raise ParseError("validating a cover needs --base <complex file>")
+    elif kind not in ("cover", "fibers"):
+        raise ParseError("--base only applies to cover and fiber documents")
+    if kind == "cover":
         parse_cover(doc, _complex_arg(args, args.base, "validate --base"))
     else:
         obj = parse(doc)
-        if kind == "fibers":
-            if args.base:
-                base = _complex_arg(args, args.base, "validate --base")
-                checked = validate_fibers(base, *obj)
-                for cell in sorted(checked):  # the order leray reduces them
-                    check_face_closed(base, checked[cell])
+        if args.base is not None:
+            base = _complex_arg(args, args.base, "validate --base")
+            checked = validate_fibers(base, *obj)
+            for cell in sorted(checked):  # the order leray reduces them
+                check_face_closed(base, checked[cell])
         elif isinstance(obj, CellularSheaf):
             check_sheaf(obj)
         kind = kind or type(obj).__name__.lower()
@@ -265,74 +257,75 @@ def cmd_bench(args):
     return 0
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=None, metavar="rational|fp:<p>")
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--iterate", action="store_true")
-    common.add_argument("--no-reduce", dest="no_reduce", action="store_true")
-    common.add_argument("--equivalence", action="store_true")
-    common.add_argument("--generators", action="store_true")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("-o", "--output", default=None)
+# Every flag of the CLI, once: its option strings and argparse keywords.
+FLAGS = {
+    "field": (["--field"], dict(metavar="rational|fp:<p>")),
+    "sheaf": (["--sheaf"], dict(
+        metavar="constant[:r]|skyscraper:<cell>|pushforward:<cells>")),
+    "iterate": (["--iterate"], dict(action="store_true")),
+    "no_reduce": (["--no-reduce"], dict(action="store_true")),
+    "generators": (["--generators"], dict(action="store_true")),
+    "lift": (["--lift"], dict(
+        action="store_true", help="emit generators in original-complex coordinates")),
+    "equivalence": (["--equivalence"], dict(action="store_true")),
+    "policy": (["--policy"], dict(choices=("strict", "relaxed"), default="strict")),
+    "workers": (["--workers"], dict(type=int, default=1)),
+    "seed": (["--seed"], dict(type=int, default=0)),
+    "base": (["--base"], dict(help="complex file for covers and fiber assignments")),
+    "output": (["-o", "--output"], dict()),
+}
 
+# Each subcommand: its handler, positionals, help line and the flags it
+# reads, which are all it accepts.  A tuple in a row holds flags that
+# exclude each other.
+COMMANDS = {
+    "compute": (cmd_compute, ["input"],
+                "betti numbers of a complex, sheaf, or parametrization",
+                ["field", "sheaf", ("iterate", "no_reduce"), "generators",
+                 "lift", "output"]),
+    "reduce": (cmd_reduce, ["input"],
+               "reduce a parametrization, write it with its matching",
+               ["field", "sheaf", "iterate", "equivalence", "policy", "output"]),
+    "nerve": (cmd_nerve, ["complex", "cover"], "nerve of a cover, with supports",
+              ["output"]),
+    "cech": (cmd_cech, ["complex", "cover"],
+             "cohomology through the Čech decomposition",
+             ["field", "no_reduce", "workers", "output"]),
+    "leray": (cmd_leray, ["complex", "fibers"],
+              "cohomology through a Reeb-graph fibering",
+              ["field", "no_reduce", "workers", "output"]),
+    "bench": (cmd_bench, [], "time reductions on growing synthetic families",
+              ["field", "seed", "output"]),
+    "validate": (cmd_validate, ["input"], "parse and validate a document",
+                 ["field", "base", "output"]),
+}
+
+
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="scythe",
         description="Sheaf cohomology through discrete Morse reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", parents=[common],
-                       help="betti numbers of a complex, sheaf, or parametrization")
-    p.add_argument("input")
-    p.add_argument("--sheaf", default=None,
-                   metavar="constant[:r]|skyscraper:<cell>|pushforward:<cells>")
-    p.add_argument("--lift", action="store_true",
-                   help="emit generators in original-complex coordinates")
-    p.set_defaults(fn=cmd_compute)
-
-    p = sub.add_parser("reduce", parents=[common],
-                       help="reduce a parametrization, write it with its matching")
-    p.add_argument("input")
-    p.add_argument("--sheaf", default=None)
-    p.add_argument("--policy", choices=("strict", "relaxed"), default="strict")
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("nerve", parents=[common],
-                       help="nerve of a cover, with supports")
-    p.add_argument("complex")
-    p.add_argument("cover")
-    p.set_defaults(fn=cmd_nerve)
-
-    p = sub.add_parser("cech", parents=[common],
-                       help="cohomology through the Čech decomposition")
-    p.add_argument("complex")
-    p.add_argument("cover")
-    p.set_defaults(fn=cmd_cech)
-
-    p = sub.add_parser("leray", parents=[common],
-                       help="cohomology through a Reeb-graph fibering")
-    p.add_argument("complex")
-    p.add_argument("fibers")
-    p.set_defaults(fn=cmd_leray)
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="time reductions on growing synthetic families")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="parse and validate a document")
-    p.add_argument("input")
-    p.add_argument("--base", default=None,
-                   help="complex file for covers and fiber assignments")
-    p.set_defaults(fn=cmd_validate)
+    for command, (fn, positionals, text, row) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in positionals:
+            p.add_argument(name)
+        for entry in row:
+            alone = isinstance(entry, str)
+            group = p if alone else p.add_mutually_exclusive_group()
+            for flag in [entry] if alone else entry:
+                names, kwargs = FLAGS[flag]
+                group.add_argument(*names, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.field_spec = _field_flag(args.field) if args.field else None
+        field = getattr(args, "field", None)
+        args.field_spec = _field_flag(field) if field else None
         return args.fn(args)
     except TheoremPrecondition as exc:
         sys.stderr.write("theorem precondition failed: %s\n" % exc)

@@ -41,17 +41,13 @@ class CohomologyProfile:
 def sheaf_cohomology(sheaf, reduce_first=True):
     """Betti profile of a cellular sheaf, via a reduction sweep by default.
 
-    The profile spans degrees 0 through the base complex dimension even
-    when the reduction empties the top degrees.
+    The profile spans degrees 0 through the base complex dimension, as the
+    parametrization keeps its degree range through the reduction.
     """
     param = compile_sheaf(sheaf)
-    top = param.max_dim()
     if reduce_first:
         scythe(param)
-    profile = betti(param.assemble())
-    while len(profile.betti) < top + 1:
-        profile.betti.append(0)
-    return profile
+    return betti(param.assemble())
 
 
 def _ensure_complex(cx):

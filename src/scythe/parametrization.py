@@ -2,7 +2,8 @@
 
 A Parametrization attaches a free module of some rank to each poset element
 and a matrix to each covering pair; missing pairs are zero maps.  assemble
-snapshots the blocks with one layout per dimension, ordering cells by id.
+snapshots the blocks with one layout per degree, ordering cells by id, over
+the degree range fixed when the parametrization was built.
 d-squared, the cocycle test and cocycle transport read the blocks one
 interval at a time; a dense coboundary is stacked only when d(n) is asked
 for, as elimination does.
@@ -39,7 +40,8 @@ class Parametrization:
     """Stalk ranks and covering-pair matrices over a graded poset.
 
     Only the reduction engine may mutate one, and it requires exclusive
-    ownership; everything else treats instances as read-only.
+    ownership; everything else treats instances as read-only.  top is the
+    greatest degree of the poset it was built on; copies keep it.
     """
 
     def __init__(self, field, poset, stalk_rank, maps):
@@ -60,11 +62,14 @@ class Parametrization:
         self.poset = poset
         self.stalk_rank = stalk_rank
         self.maps = maps
+        self.top = poset.max_dim()
 
     def copy(self):
-        return Parametrization(
+        cp = Parametrization(
             self.field, self.poset.copy(), dict(self.stalk_rank), dict(self.maps)
         )
+        cp.top = self.top
+        return cp
 
     def map_of(self, x, y):
         """The matrix attached to (x, y); absent covers give the zero map."""
@@ -78,15 +83,15 @@ class Parametrization:
         return Layout([(c, self.stalk_rank[c]) for c in cells])
 
     def max_dim(self):
-        return self.poset.max_dim()
+        return self.top
 
     def max_stalk_rank(self):
         """Largest stalk rank, the parameter d of the complexity bound."""
         return max(self.stalk_rank.values(), default=0)
 
     def assemble(self):
-        """Snapshot the layouts and covering-pair blocks as a CochainComplex."""
-        layouts = {n: self.layout(n) for n in range(self.max_dim() + 1)}
+        """The layouts of degrees 0..top and the blocks, as a CochainComplex."""
+        layouts = {n: self.layout(n) for n in range(self.top + 1)}
         return CochainComplex(self.field, layouts, dict(self.maps))
 
 

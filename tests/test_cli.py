@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import scythe
-from scythe.cli import main
+from scythe.cli import build_parser, main
 from scythe.complexes import circle_subdivided, filled_triangle, torus_grid
 from scythe.field import RATIONAL
 from scythe.matrix import Matrix, mat_mul, matvec, try_invert
@@ -419,11 +420,151 @@ def test_validate_base_checks_the_cells_of_every_fiber(capsys, data_dir,
             2, "", "error: validate --base wants a bare complex document\n")
 
 
+# the option strings each subcommand accepts; a new flag edits this table
+FLAG_ROWS = {
+    "compute": ["--field", "--sheaf", "--iterate", "--no-reduce",
+                "--generators", "--lift", "-o", "--output"],
+    "reduce": ["--field", "--sheaf", "--iterate", "--equivalence", "--policy",
+               "-o", "--output"],
+    "nerve": ["-o", "--output"],
+    "cech": ["--field", "--no-reduce", "--workers", "-o", "--output"],
+    "leray": ["--field", "--no-reduce", "--workers", "-o", "--output"],
+    "bench": ["--field", "--seed", "-o", "--output"],
+    "validate": ["--field", "--base", "-o", "--output"],
+}
+POSITIONALS = {"compute": ["torus.json"], "reduce": ["torus.json"],
+               "nerve": ["circle8.json", "two_arc_cover.json"],
+               "cech": ["circle8.json", "two_arc_cover.json"],
+               "leray": ["torus.json", "torus_reeb.json"], "bench": [],
+               "validate": ["torus.json"]}
+# the flags every subcommand once accepted, with a value where one is taken
+SHARED_FLAGS = {"--field": ["fp:5"], "--workers": ["2"], "--iterate": [],
+                "--no-reduce": [], "--equivalence": [], "--generators": [],
+                "--seed": ["4"], "-o": ["out.json"]}
+UNREAD = [(command, flag) for command, row in FLAG_ROWS.items()
+          for flag in SHARED_FLAGS if flag not in row]
+
+
+def test_each_subcommand_accepts_exactly_its_row_of_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        command: [s for a in p._actions for s in a.option_strings
+                  if s not in ("-h", "--help")]
+        for command, p in sub.choices.items()
+    }
+    assert accepted == FLAG_ROWS
+    assert len(UNREAD) == 33
+
+
+@pytest.mark.parametrize("command,flag", UNREAD,
+                         ids=["%s_%s" % pair for pair in UNREAD])
+def test_a_flag_outside_the_row_is_refused(capsys, data_dir, command, flag):
+    argv = [command, *(str(data_dir / a) for a in POSITIONALS[command]),
+            flag, *SHARED_FLAGS[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "usage:" in captured.err and flag in captured.err
+
+
+def test_no_reduce_and_iterate_exclude_each_other(capsys, data_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", str(data_dir / "torus.json"), "--no-reduce",
+              "--iterate"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "not allowed with argument" in err
+
+
+def test_validate_applies_field_as_compute_does(capsys, tmp_path):
+    doc = {"kind": "sheaf",
+           "cells": [{"id": "a", "dim": 0, "rank": 1},
+                     {"id": "b", "dim": 0, "rank": 1},
+                     {"id": "e", "dim": 1, "rank": 1}],
+           "covers": [{"from": "a", "to": "e", "incidence": -1, "map": [["1"]]},
+                      {"from": "b", "to": "e", "incidence": 1,
+                       "map": [["1/2"]]}]}
+    half = tmp_path / "half.json"
+    half.write_text(dumps(doc))
+    assert run_cli(capsys, "validate", str(half))[0] == 0
+    refused = run_cli(capsys, "compute", str(half), "--field", "fp:2")
+    assert refused[0] == 2 and "bad F_2 literal '1/2'" in refused[2]
+    assert run_cli(capsys, "validate", str(half), "--field", "fp:2") == refused
+
+
+def test_validate_refuses_base_where_it_is_not_read(capsys, data_dir, tmp_path):
+    torus = str(data_dir / "torus.json")
+    cw = torus_grid(2, 2)
+    docs = {"complex": complex_to_json(cw),
+            "sheaf": sheaf_to_json(constant_sheaf(cw)),
+            "parametrization": param_to_json(compile_sheaf(constant_sheaf(cw)))}
+    for kind, doc in docs.items():
+        (tmp_path / (kind + ".json")).write_text(dumps(doc))
+    for kind, command in (("reduced", "reduce"), ("profile", "compute")):
+        code, out, _ = run_cli(capsys, command, torus)
+        assert code == 0
+        (tmp_path / (kind + ".json")).write_text(out)
+    want = (2, "", "error: --base only applies to cover and fiber documents\n")
+    for kind in ("complex", "sheaf", "parametrization", "reduced", "profile"):
+        path = str(tmp_path / (kind + ".json"))
+        assert run_cli(capsys, "validate", path)[:2] == (
+            0, dumps({"kind": kind, "ok": True}))
+        assert run_cli(capsys, "validate", path, "--base", torus) == want
+
+
+def test_readme_commands_exit_0(capsys, data_dir):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    block = text.split("```sh\nDATA=", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("scythe ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        argv = [a.replace("$DATA", str(data_dir)) for a in argv]
+        assert run_cli(capsys, *argv)[0] == 0, argv
+
+
+def _support_sheaves(data_dir):
+    """--sheaf specs on torus.json whose reduction empties some degree."""
+    cells = json.loads((data_dir / "torus.json").read_text())["cells"]
+    ring = ",".join(sorted(c["id"] for c in cells
+                           if c["id"][0] in "vw" and c["id"][3:5] == "00"))
+    return [["--sheaf", "skyscraper:q0000"], ["--sheaf", "pushforward:" + ring]]
+
+
+@pytest.mark.parametrize("mode", ["--generators", "--lift"])
+def test_results_span_every_degree_reduced_or_not(capsys, data_dir, tmp_path,
+                                                  mode):
+    triangle = tmp_path / "filled_triangle.json"
+    triangle.write_text(dumps(complex_to_json(filled_triangle())))
+    runs = [[str(triangle)]] + [[str(data_dir / "torus.json"), *spec]
+                                for spec in _support_sheaves(data_dir)]
+    for argv in runs:
+        reduced = json.loads(run_cli(capsys, "compute", *argv, mode)[1])
+        direct = json.loads(run_cli(capsys, "compute", *argv, mode,
+                                    "--no-reduce")[1])
+        assert reduced["betti"] == direct["betti"]
+        assert len(reduced["betti"]) == 3
+        assert sorted(reduced["generators"]) == sorted(direct["generators"])
+        assert sorted(direct["generators"]) == ["0", "1", "2"]
+
+
+def test_lift_bytes_ignore_no_reduce_on_filled_triangle(capsys, tmp_path):
+    triangle = tmp_path / "filled_triangle.json"
+    triangle.write_text(dumps(complex_to_json(filled_triangle())))
+    reduced = run_cli(capsys, "compute", str(triangle), "--lift")
+    assert reduced[0] == 0
+    assert run_cli(capsys, "compute", str(triangle), "--lift",
+                   "--no-reduce") == reduced
+
+
 # each run prints the first offending cell and face of a cell set; the
 # cells are read in sorted order, so the line must not follow the hash seed
 HASH_SEED_PROBE = """
 import contextlib, io, json, sys
-from scythe.cli import main
+from scythe.cli import build_parser, main
 from scythe.complexes import torus_grid
 from scythe.cw import subcomplex
 for argv in json.loads(sys.argv[1]):

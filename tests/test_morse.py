@@ -117,6 +117,18 @@ def test_reduce_pair_errors():
         reduce_pair(bad, "x", "y")
 
 
+@pytest.mark.parametrize("runner", [scythe, iterate_scythe])
+def test_reduction_keeps_the_degree_range(runner):
+    param = compile_sheaf(constant_sheaf(filled_triangle()))
+    runner(param)
+    assert param.poset.max_dim() == 0  # the edges and the face are gone
+    cx = param.assemble()
+    assert cx.top == 2 and sorted(cx.layouts) == [0, 1, 2]
+    assert cx.rank_c(1) == cx.rank_c(2) == 0
+    assert param.max_dim() == param.copy().max_dim() == 2
+    assert betti(cx).betti == [1, 0, 0]
+
+
 @pytest.mark.parametrize("runner", [scythe, coscythe, iterate_scythe])
 def test_runs_preserve_cohomology_on_fixtures(runner):
     for param in fixture_params():
