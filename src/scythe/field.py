@@ -158,9 +158,16 @@ class FieldSpec:
 
 
 def _q_inv(a):
-    if a == 0:
+    """The inverse of a nonzero rational.
+
+    A unit int is its own inverse and another int n gives Fraction(1, n),
+    so inverting +-1 builds no Fraction.
+    """
+    if not a:
         raise ZeroDivisionError("inverse of zero")
-    return _integral(1 / Fraction(a))
+    if type(a) is int:
+        return a if a == 1 or a == -1 else Fraction(1, a)
+    return _integral(Fraction(a.denominator, a.numerator))
 
 
 def _q_from_int(n):

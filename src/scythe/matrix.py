@@ -3,12 +3,14 @@
 Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
 cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
-rank-1 stalk), so mat_mul, sub and try_invert answer that shape directly,
-try_invert with one field inverse and no echelon form.  A Matrix built
-from outside has its grid checked against its shape; the results of the
-kernels here (zeros, identity, add, sub, neg, transpose, mat_mul,
-try_invert) are built with _built, which skips that re-check of a grid
-they shaped themselves.
+rank-1 stalk) or 2x2, so try_invert answers both in closed form, with one
+field inverse and no echelon form, and mat_mul and mul_sub answer the 1x1
+shape as scalars.  A reduction step corrects each surviving block with one
+fused mul_sub, c - a.b, which builds no product matrix and reports a zero
+result as None.  A Matrix built from outside has its grid checked against
+its shape; the results of the kernels here (zeros, identity, add, sub,
+neg, transpose, mat_mul, mul_sub, try_invert) are built with _built, which
+skips that re-check of a grid they shaped themselves.
 """
 
 from .errors import SolveFailed
@@ -91,8 +93,6 @@ class Matrix:
     def sub(self, other):
         _check_same_shape(self, other)
         f = self.field
-        if self.rows == 1 and self.cols == 1:
-            return _built(f, 1, 1, [[f.sub(self.data[0][0], other.data[0][0])]])
         data = [
             [f.sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
@@ -154,6 +154,48 @@ def mat_mul(a, b):
     return _built(f, a.rows, b.cols, out)
 
 
+def mul_sub(c, a, b):
+    """c - a.b as a new Matrix, or None when it is zero.
+
+    A c of None stands for the zero map of a's rows and b's columns.  The
+    product is subtracted entry by entry as it is formed, skipping zero
+    entries of either factor, so no matrix holds a.b itself.
+    """
+    f = a.field
+    if f is not b.field and f != b.field:
+        raise ValueError("field mismatch")
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions %d vs %d" % (a.cols, b.rows))
+    if c is not None:
+        if c.field is not f and c.field != f:
+            raise ValueError("field mismatch")
+        if c.rows != a.rows or c.cols != b.cols:
+            raise ValueError("shape mismatch %dx%d vs %dx%d"
+                             % (c.rows, c.cols, a.rows, b.cols))
+    sub, mul = f.sub, f.mul
+    if a.rows == 1 and a.cols == 1 and b.cols == 1:
+        v = f.zero if c is None else c.data[0][0]
+        x = a.data[0][0]
+        y = b.data[0][0]
+        if x and y:
+            v = sub(v, mul(x, y))
+        return _built(f, 1, 1, [[v]]) if v else None
+    if c is None:
+        z = f.zero
+        out = [[z] * b.cols for _ in range(a.rows)]
+    else:
+        out = [row[:] for row in c.data]
+    for arow, orow in zip(a.data, out):
+        for aik, brow in zip(arow, b.data):
+            if aik:
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        orow[j] = sub(orow[j], mul(aik, bkj))
+    if any(map(any, out)):
+        return _built(f, a.rows, b.cols, out)
+    return None
+
+
 def matvec(a, vec):
     """Apply a to a coordinate vector given as a plain list."""
     if len(vec) != a.cols:
@@ -178,15 +220,30 @@ def try_invert(a):
     """Exact two-sided inverse, or None when the matrix has none.
 
     Non-square input also yields None; the caller decides whether that is
-    exceptional.  A 1x1 matrix is inverted entrywise.  A larger square
-    matrix of full rank reduces to the identity, so its echelon transform
-    is the inverse.
+    exceptional.  A 1x1 matrix is inverted entrywise and a 2x2 one
+    [[p, q], [r, s]] as det^-1 . [[s, -q], [-r, p]] with det = ps - qr.  A
+    larger square matrix of full rank reduces to the identity, so its
+    echelon transform is the inverse.
     """
     if a.rows != a.cols:
         return None
+    f = a.field
     if a.rows == 1:
         v = a.data[0][0]
-        return _built(a.field, 1, 1, [[a.field.inv(v)]]) if v else None
+        return _built(f, 1, 1, [[f.inv(v)]]) if v else None
+    if a.rows == 2:
+        (p, q), (r, s) = a.data
+        mul, neg, z = f.mul, f.neg, f.zero
+        det = mul(p, s) if p and s else z
+        if q and r:
+            det = f.sub(det, mul(q, r))
+        if not det:
+            return None
+        d = f.inv(det)
+        return _built(f, 2, 2, [
+            [mul(d, s) if s else z, neg(mul(d, q)) if q else z],
+            [neg(mul(d, r)) if r else z, mul(d, p) if p else z],
+        ])
     ech = EchelonSolver(a)
     if ech.rank != a.rows:
         return None

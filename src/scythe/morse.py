@@ -17,7 +17,7 @@ from collections import deque
 import heapq
 
 from .errors import CyclicMatching, NotACover, NotInvertible, ValidationError
-from .matrix import mat_mul, try_invert
+from .matrix import mat_mul, mul_sub, try_invert
 from . import equivalence as _equiv
 
 
@@ -91,34 +91,41 @@ def _reduce_pair(param, x, y, inv):
     it stood, up[z] = F_xz for z above x and down[w] = F_wy for w below y.
     """
     poset = param.poset
+    maps = param.maps
+    get = maps.get
     up = {}
-    for z in sorted(poset.x_plus(x) - {y}):
-        fxz = param.maps.get((x, z))
-        if fxz is not None:
-            up[z] = fxz
+    for z in sorted(poset.up[x]):
+        if z != y:
+            fxz = get((x, z))
+            if fxz is not None:
+                up[z] = fxz
     down = {}
-    for w in sorted(poset.x_minus(y) - {x}):
-        fwy = param.maps.get((w, y))
-        if fwy is not None:
-            down[w] = fwy
-    step = _equiv.StepMaps(x, y, poset.dim(x), poset.dim(y), inv, up, down)
-    corrections = [(z, mat_mul(fxz, inv)) for z, fxz in up.items()]
+    for w in sorted(poset.down[y]):
+        if w != x:
+            fwy = get((w, y))
+            if fwy is not None:
+                down[w] = fwy
+    step = _equiv.StepMaps(x, y, poset.dims[x], poset.dims[y], inv, up, down)
+    # a step with nothing below y corrects no block, so it forms no F_xz.inv
+    corrections = ([(z, mat_mul(fxz, inv)) for z, fxz in up.items()]
+                   if down else [])
     for w, fwy in down.items():
+        above = poset.up[w]
         for z, head in corrections:
-            updated = param.map_of(w, z).sub(mat_mul(head, fwy))
-            if updated.is_zero():
-                if poset.has_cover(w, z):
+            updated = mul_sub(get((w, z)), head, fwy)
+            if updated is None:
+                if z in above:
                     poset.remove_cover(w, z)
-                    param.maps.pop((w, z), None)
+                    maps.pop((w, z), None)
             else:
-                if not poset.has_cover(w, z):
+                if z not in above:
                     poset.add_cover(w, z)
-                param.maps[(w, z)] = updated
+                maps[(w, z)] = updated
     for dead in (x, y):
-        for t in poset.x_plus(dead):
-            param.maps.pop((dead, t), None)
-        for s in poset.x_minus(dead):
-            param.maps.pop((s, dead), None)
+        for t in poset.up[dead]:
+            maps.pop((dead, t), None)
+        for s in poset.down[dead]:
+            maps.pop((s, dead), None)
         poset.remove_element(dead)
         del param.stalk_rank[dead]
     return step

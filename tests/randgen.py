@@ -10,6 +10,7 @@ blocks, and the expected Betti numbers are just the sums over summands.
 import random
 from fractions import Fraction
 
+from scythe.complexes import torus_grid
 from scythe.cw import CWComplex, build_cw
 from scythe.matrix import Matrix, mat_mul, try_invert
 from scythe.sheaf import (
@@ -117,6 +118,12 @@ def random_sheaf(rng, base, field, max_rank=3):
             else:
                 summands.append(pushforward_constant(base, sub, field))
 
+    return conjugated_sum(rng, base, field, summands), summands
+
+
+def conjugated_sum(rng, base, field, summands):
+    """Direct sum of sheaves on base, conjugated by random stalk bases."""
+    cells = sorted(base.cells())
     stalks = {c: sum(s.stalk_rank[c] for s in summands) for c in cells}
     maps = {}
     for pair in base.incidence:
@@ -138,9 +145,46 @@ def random_sheaf(rng, base, field, max_rank=3):
     twisted = {}
     for (s, t), m in maps.items():
         twisted[(s, t)] = mat_mul(basis[t], mat_mul(m, inverse[s]))
-    return CellularSheaf(base, field, stalks, twisted), summands
+    return CellularSheaf(base, field, stalks, twisted)
 
 
 def random_parametrization(rng, base, field, max_rank=3):
     sheaf, _ = random_sheaf(rng, base, field, max_rank)
     return compile_sheaf(sheaf)
+
+
+def twisted_torus_sum(rng, rows, cols, kinds, field):
+    """conjugated_sum of basic sheaves on torus_grid(rows, cols).
+
+    kinds names the summands: ("constant",), ("skyscraper", k) on a random
+    k-cell, ("cell", k) pushed forward from the closure of a random k-cell,
+    and ("row",) or ("column",) pushed forward from a random grid circle.
+    """
+    cw = torus_grid(rows, cols)
+
+    def tag(i, j):
+        return "%02d%02d" % (i % rows, j % cols)
+
+    def summand(kind):
+        if kind[0] == "constant":
+            return constant_sheaf(cw, 1, field)
+        if kind[0] == "row":
+            i = rng.randrange(rows)
+            cells = {p + tag(i, j) for j in range(cols) for p in "vh"}
+            return pushforward_constant(cw, cells, field)
+        if kind[0] == "column":
+            j = rng.randrange(cols)
+            cells = {p + tag(i, j) for i in range(rows) for p in "vw"}
+            return pushforward_constant(cw, cells, field)
+        cell = rng.choice(cw.poset.elements_of_dim(kind[1]))
+        if kind[0] == "skyscraper":
+            return skyscraper_sheaf(cw, cell, field)
+        closure, stack = set(), [cell]
+        while stack:
+            c = stack.pop()
+            if c not in closure:
+                closure.add(c)
+                stack.extend(cw.poset.x_minus(c))
+        return pushforward_constant(cw, closure, field)
+
+    return conjugated_sum(rng, cw, field, [summand(kind) for kind in kinds])

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from scythe.errors import NotInvertible, ParseError, SolveFailed
 from scythe.field import RATIONAL, FieldSpec, fp
-from scythe.matrix import EchelonSolver, Matrix, mat_mul, matvec, try_invert
+from scythe.matrix import (
+    EchelonSolver, Matrix, mat_mul, matvec, mul_sub, try_invert,
+)
 
 from oracles import ref_product, ref_rank, ref_solve
 
@@ -345,6 +347,86 @@ def test_one_by_one_add_sub_neg_match_plain_arithmetic(p, x, y, q):
     assert a.sub(b).data == [[reduce(x - y)]]
     assert a.neg().data == [[reduce(-x)]]
     assert mat_mul(a, b).data == [[reduce(x * y)]]
+
+
+# the correction kernel's shapes: 1x1 beside everything up to 3x3x3
+_MUL_SUB_SHAPES = st.one_of(
+    st.just((1, 1, 1)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+@pytest.mark.parametrize("p", [None, 5, 2])
+@given(_MUL_SUB_SHAPES, st.sampled_from(["none", "drawn", "product"]),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_mul_sub_matches_sub_of_product(p, shape, c_kind, data):
+    # c is absent, arbitrary, or exactly a.b, so zero results are common
+    r, k, c = shape
+    f = _field_of(p)
+    if p is None:
+        grids = _grids
+    else:
+        grids = lambda rows, cols: _fp_grids(rows, cols, p)  # noqa: E731
+    a = Matrix(f, r, k, [list(row) for row in data.draw(grids(r, k))])
+    b = Matrix(f, k, c, [list(row) for row in data.draw(grids(k, c))])
+    if c_kind == "none":
+        cm = None
+    elif c_kind == "product":
+        cm = mat_mul(a, b)
+    else:
+        cm = Matrix(f, r, c, [list(row) for row in data.draw(grids(r, c))])
+    want = (cm or Matrix.zeros(f, r, c)).sub(mat_mul(a, b))
+    got = mul_sub(cm, a, b)
+    if want.is_zero():
+        assert got is None
+    else:
+        assert got == want
+        assert (got.rows, got.cols) == (r, c)
+
+
+def test_mul_sub_refuses_mismatched_operands():
+    f = RATIONAL
+    a, b = Matrix.identity(f, 2), Matrix.zeros(f, 2, 3)
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mul_sub(None, b, a)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mul_sub(Matrix.zeros(f, 3, 2), a, b)
+    with pytest.raises(ValueError, match="field mismatch"):
+        mul_sub(None, a, Matrix.zeros(fp(5), 2, 3))
+    with pytest.raises(ValueError, match="field mismatch"):
+        mul_sub(Matrix.zeros(fp(5), 2, 3), a, b)
+
+
+@pytest.mark.parametrize("p", [None, 5, 2])
+@pytest.mark.parametrize("grid", [
+    [[1, 2], [2, 4]], [[0, 1], [1, 0]], [[0, 1], [0, 1]], [[1, 1], [0, 1]],
+    [[2, 0], [0, 3]], [[0, 0], [0, 0]], [[3, 1], [1, 2]],
+])
+def test_two_by_two_inverse_is_closed_form(p, grid):
+    f = _field_of(p)
+    m = Matrix.from_rows(f, grid)
+    det = f.sub(f.mul(m.data[0][0], m.data[1][1]),
+                f.mul(m.data[0][1], m.data[1][0]))
+    inv = try_invert(m)
+    if not det:
+        assert inv is None
+    else:
+        assert mat_mul(m, inv) == Matrix.identity(f, 2)
+        assert mat_mul(inv, m) == Matrix.identity(f, 2)
+
+
+def test_rational_inverse_table():
+    inv = RATIONAL.inv
+    assert inv(-1) == -1 and type(inv(-1)) is int
+    assert inv(1) == 1 and type(inv(1)) is int
+    assert inv(4) == Fraction(1, 4)
+    assert inv(-4) == Fraction(-1, 4)
+    assert inv(Fraction(1, 3)) == 3 and type(inv(Fraction(1, 3))) is int
+    assert inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            inv(zero)
 
 
 @pytest.mark.parametrize("build", [

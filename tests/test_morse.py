@@ -15,6 +15,7 @@ from scythe.complexes import (
 from scythe.errors import (
     CyclicMatching, NotACover, NotInvertible, ValidationError,
 )
+from scythe import matrix
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix
 from scythe.morse import (
@@ -33,7 +34,9 @@ from scythe.poset import build_poset
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from oracles import ref_betti
-from randgen import random_parametrization, random_simplicial
+from randgen import (
+    random_parametrization, random_simplicial, twisted_torus_sum,
+)
 
 FIXTURES = [interval, circle, filled_triangle, theta_graph,
             lambda: circle_subdivided(6), lambda: torus_grid(3, 4),
@@ -46,12 +49,26 @@ def fixture_params(field=RATIONAL):
 
 
 def assert_consistent(param):
-    """Stalk ranks, maps and poset describe the same live cells and covers."""
+    """Stalk ranks, maps and poset describe the same live cells and covers,
+    and no stored block is zero."""
     poset = param.poset
     assert set(param.stalk_rank) == set(poset.dims)
     for (x, y), m in param.maps.items():
-        assert poset.has_cover(x, y)
+        assert poset.has_cover(x, y), (x, y)
         assert (m.rows, m.cols) == (param.stalk_rank[y], param.stalk_rank[x])
+        assert not m.is_zero(), (x, y)
+
+
+# the summands of the twisted sums: rank-2 and rank-3 stalks, fill-in,
+# and corrections that cancel to zero
+TWISTED_SUMS = (
+    (("constant",), ("skyscraper", 1)),
+    (("constant",), ("row",), ("cell", 2)),
+    (("constant",), ("constant",)),
+    (("constant",), ("column",), ("skyscraper", 0)),
+    (("constant",), ("constant",), ("skyscraper", 2)),
+    (("row",), ("column",), ("cell", 1)),
+)
 
 
 class _ConsistencyCheck:
@@ -315,6 +332,41 @@ def test_oracle_equals_replay_on_random_instances():
         assert set(blocks) == set(replay.maps)
         for key, blk in blocks.items():
             assert blk.data == replay.maps[key].data
+
+
+@pytest.mark.parametrize("runner", [scythe, coscythe, iterate_scythe])
+def test_sweeps_keep_their_invariants(runner):
+    rng = random.Random(15)
+    for field in (RATIONAL, fp(5)):
+        for kinds in TWISTED_SUMS:
+            param = compile_sheaf(twisted_torus_sum(rng, 6, 6, kinds, field))
+            data = runner(param, observer=_ConsistencyCheck(param))
+            assert data.matching.pairs
+            assert_consistent(param)
+    done = 0
+    while done < 20:
+        base = random_simplicial(rng, max_vertices=5, max_cells=12)
+        field = fp(5) if done % 3 else RATIONAL
+        param = random_parametrization(rng, base, field)
+        data = runner(param, observer=_ConsistencyCheck(param))
+        if data.matching.pairs:
+            done += 1
+        assert_consistent(param)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
+def test_rank_two_sweep_builds_no_echelon_form(field, monkeypatch):
+    # every block is 2x2, so every inverse is the closed form
+    param = compile_sheaf(constant_sheaf(torus_grid(4, 4), 2, field))
+
+    def refuse(a):
+        raise AssertionError("EchelonSolver built during the sweep")
+
+    monkeypatch.setattr(matrix, "EchelonSolver", refuse)
+    data = scythe(param)
+    monkeypatch.undo()
+    assert data.matching.pairs
+    assert betti(param.assemble()).betti == [2, 4, 2]
 
 
 def test_fp_reduction_matches_reference():
