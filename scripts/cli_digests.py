@@ -8,8 +8,9 @@ file names, so two checkouts compare with one diff:
     diff before.txt after.txt
 
 The commands run in-process over the fixtures shipped in scythe/data and
-over a few malformed documents and a cover whose nerve is too big, written
-to a temporary directory.  A run that succeeds has its stdout hashed; the
+over a few malformed documents, a compiled document whose maps do not
+square to zero and a cover whose nerve is too big, written to a temporary
+directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -65,11 +66,22 @@ MALFORMED = {
     "bad_covers_null.json": (("covers",), None),
 }
 
+# a compiled document of a square a < x, y < f with +1 on every cover and
+# every map [["1"]]: every block is an identity, yet d^2 from a to f is 2,
+# so compute and validate must exit 2 naming the block (0, 'f', 'a')
+SQUARE = "bad_square_parametrization.json"
+SQUARE_DOC = {
+    "kind": "parametrization",
+    "cells": [{"id": c, "dim": d, "rank": 1}
+              for c, d in (("a", 0), ("x", 1), ("y", 1), ("f", 2))],
+    "covers": [{"from": s, "to": t, "incidence": 1, "map": [["1"]]}
+               for s, t in (("a", "x"), ("a", "y"), ("x", "f"), ("y", "f"))]}
+
 # twelve identical whole-circle pieces of circle8.json: the nerve is an
 # 11-simplex, so cech exits 3 with the NerveTooBig text
 DEEP_COVER = "deep_cover.json"
 CIRCLE8_CELLS = ["%s%02d" % (kind, i) for kind in "ve" for i in range(8)]
-WRITTEN = {DEEP_COVER, *MALFORMED}
+WRITTEN = {DEEP_COVER, SQUARE, *MALFORMED}
 
 
 def commands():
@@ -98,6 +110,8 @@ def commands():
         yield ["compute", name]
         yield ["validate", name]
     yield ["cech", "circle8.json", DEEP_COVER]
+    yield ["compute", SQUARE]
+    yield ["validate", SQUARE]
 
 
 def write_documents(directory):
@@ -108,6 +122,7 @@ def write_documents(directory):
             target = target[key]
         target[path[-1]] = value
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+    (directory / SQUARE).write_text(json.dumps(SQUARE_DOC), encoding="utf-8")
     pieces = [{"name": "P%02d" % i, "cells": CIRCLE8_CELLS} for i in range(12)]
     (directory / DEEP_COVER).write_text(
         json.dumps({"kind": "cover", "pieces": pieces}), encoding="utf-8")

@@ -2,19 +2,28 @@
 
 Incidence values live in {+1, -1}; a zero incidence is recorded by leaving
 the covering pair out entirely.  Construction checks the codimension-two
-identity: over each sigma < tau with dim tau = dim sigma + 2,
+identity and reports every pair that breaks it; a face-closed subcomplex
+inherits it.  Over each sigma < tau with dim tau = dim sigma + 2,
 
     sum over lambda with sigma < lambda < tau of [sigma:lambda][lambda:tau] = 0.
 """
 
 from .errors import IncidenceIdentityViolation, NotASubcomplex, UnknownCell, ValidationError
-from .poset import build_poset
+from .poset import GradedPoset, build_poset
 
 
 class CWComplex:
     """A graded poset plus the incidence sign of every covering pair."""
 
     def __init__(self, poset, incidence):
+        for (sigma, tau), sign in incidence.items():
+            if sign not in (1, -1):
+                raise ValidationError(
+                    "incidence [%s:%s] must be +1 or -1, got %r" % (sigma, tau, sign)
+                )
+        bad = incidence_violations(poset, incidence)
+        if bad:
+            raise IncidenceIdentityViolation(bad)
         self.poset = poset
         self.incidence = incidence
 
@@ -64,34 +73,22 @@ def subcomplex(cw, cells):
     """The full subcomplex on a face-closed cell subset.
 
     Cell ids carry over unchanged, so inclusions into the ambient complex
-    are identity maps on ids.
+    are identity maps on ids, and nothing checked in cw is checked again.
     """
     keep = set(cells)
     check_face_closed(cw, keep)
-    elements = [(c, cw.poset.dim(c)) for c in sorted(keep)]
     incidence = {
         pair: sign
         for pair, sign in cw.incidence.items()
         if pair[0] in keep and pair[1] in keep
     }
-    return CWComplex(build_poset(elements, incidence.keys()), incidence)
+    sub = object.__new__(CWComplex)
+    sub.poset = GradedPoset({c: cw.poset.dims[c] for c in sorted(keep)}, incidence)
+    sub.incidence = incidence
+    return sub
 
 
 def build_cw(elements, signed_incidence):
-    """Assemble a CWComplex from cells and {covering pair: sign}.
-
-    Every listed pair becomes a cover of the underlying poset; the identity
-    above is enforced and all violating pairs are reported at once.
-    """
-    incidence = {}
-    for (sigma, tau), sign in signed_incidence.items():
-        if sign not in (1, -1):
-            raise ValidationError(
-                "incidence [%s:%s] must be +1 or -1, got %r" % (sigma, tau, sign)
-            )
-        incidence[(sigma, tau)] = sign
-    poset = build_poset(elements, incidence.keys())
-    bad = incidence_violations(poset, incidence)
-    if bad:
-        raise IncidenceIdentityViolation(bad)
-    return CWComplex(poset, incidence)
+    """A CWComplex on cells (id, dim) whose covers are the keys of {pair: sign}."""
+    incidence = dict(signed_incidence)
+    return CWComplex(build_poset(elements, incidence), incidence)

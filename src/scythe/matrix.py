@@ -8,9 +8,9 @@ field inverse and no echelon form, and mat_mul and mul_sub answer the 1x1
 shape as scalars.  A reduction step corrects each surviving block with one
 fused mul_sub, c - a.b, which builds no product matrix and reports a zero
 result as None.  A Matrix built from outside has its grid checked against
-its shape; the results of the kernels here (zeros, identity, add, sub,
-neg, transpose, mat_mul, mul_sub, try_invert) are built with _built, which
-skips that re-check of a grid they shaped themselves.
+its shape; the kernels here (zeros, identity, add, sub, neg, transpose,
+mat_mul, mul_sub, try_invert) and the JSON reader, which checks each row,
+build with _built, which skips the re-check of a grid they shaped.
 """
 
 from .errors import SolveFailed

@@ -9,7 +9,7 @@ interval at a time; a dense coboundary is stacked only when d(n) is asked
 for, as elimination does.
 """
 
-from .errors import ValidationError
+from .errors import InvalidSheafData
 from .matrix import Matrix, matvec_add
 
 
@@ -41,23 +41,12 @@ class Parametrization:
 
     Only the reduction engine may mutate one, and it requires exclusive
     ownership; everything else treats instances as read-only.  top is the
-    greatest degree of the poset it was built on; copies keep it.
+    greatest degree of the poset it was built on; copies keep it.  The
+    constructor checks the blocks, which compile_sheaf and copy (_built) skip.
     """
 
     def __init__(self, field, poset, stalk_rank, maps):
-        for x in poset.dims:
-            if stalk_rank.get(x, None) is None or stalk_rank[x] < 0:
-                raise ValidationError("missing or negative rank for %r" % (x,))
-        for (x, y), m in maps.items():
-            if not poset.has_cover(x, y):
-                raise ValidationError("map on non-covering pair (%s, %s)" % (x, y))
-            if m.rows != stalk_rank[y] or m.cols != stalk_rank[x]:
-                raise ValidationError(
-                    "map (%s, %s) has shape %dx%d, stalks demand %dx%d"
-                    % (x, y, m.rows, m.cols, stalk_rank[y], stalk_rank[x])
-                )
-            if m.field != field:
-                raise ValidationError("map (%s, %s) over the wrong field" % (x, y))
+        check_blocks(field, poset, stalk_rank, maps)
         self.field = field
         self.poset = poset
         self.stalk_rank = stalk_rank
@@ -65,7 +54,7 @@ class Parametrization:
         self.top = poset.max_dim()
 
     def copy(self):
-        cp = Parametrization(
+        cp = _built(
             self.field, self.poset.copy(), dict(self.stalk_rank), dict(self.maps)
         )
         cp.top = self.top
@@ -93,6 +82,36 @@ class Parametrization:
         """The layouts of degrees 0..top and the blocks, as a CochainComplex."""
         layouts = {n: self.layout(n) for n in range(self.top + 1)}
         return CochainComplex(self.field, layouts, dict(self.maps))
+
+
+def check_blocks(field, poset, stalk_rank, maps):
+    """Raise InvalidSheafData unless every element has a rank >= 0 and every
+    map sits on a cover, has the shape its ranks demand and is over field."""
+    for x in poset.dims:
+        r = stalk_rank.get(x)
+        if r is None or r < 0:
+            raise InvalidSheafData("missing or negative stalk rank on %r" % (x,))
+    for (x, y), m in maps.items():
+        if not poset.has_cover(x, y):
+            raise InvalidSheafData("map on non-covering pair (%s, %s)" % (x, y))
+        if m.rows != stalk_rank[y] or m.cols != stalk_rank[x]:
+            raise InvalidSheafData(
+                "map (%s, %s) has shape %dx%d, stalks demand %dx%d"
+                % (x, y, m.rows, m.cols, stalk_rank[y], stalk_rank[x])
+            )
+        if m.field is not field and m.field != field:
+            raise InvalidSheafData("map (%s, %s) over the wrong field" % (x, y))
+
+
+def _built(field, poset, stalk_rank, maps):
+    """A Parametrization over blocks checked where they were made: no re-check."""
+    param = object.__new__(Parametrization)
+    param.field = field
+    param.poset = poset
+    param.stalk_rank = stalk_rank
+    param.maps = maps
+    param.top = poset.max_dim()
+    return param
 
 
 class CochainComplex:

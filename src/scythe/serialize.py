@@ -15,14 +15,14 @@ path and message only when they raise.
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import matrix, parametrization
 from .cohomology import CohomologyProfile
 from .cw import CWComplex, build_cw
 from .errors import ParseError
 from .field import RATIONAL, FieldSpec
-from .matrix import Matrix
 from .nerve import Cover
-from .poset import build_poset
-from .sheaf import CellularSheaf, compile_sheaf
+from .poset import GradedPoset, build_poset
+from .sheaf import CellularSheaf, check_d_squared
 
 
 def dumps(obj):
@@ -242,7 +242,7 @@ def parse_field(obj):
 
 # The readers below run once per cell, cover and matrix entry, so each
 # check is a plain test and its path and message are formatted only in
-# the branch that raises.
+# the branch that raises; a grid checked here is not checked again.
 
 def _parse_matrix(field, grid, rows, cols, path):
     if not isinstance(grid, list):
@@ -264,7 +264,7 @@ def _parse_matrix(field, grid, rows, cols, path):
             except ParseError as exc:
                 raise ParseError("%s[%d][%d]: %s" % (path, r, c, exc))
         data.append(parsed)
-    return Matrix(field, rows, cols, data)
+    return matrix._built(field, rows, cols, data)
 
 
 def _parse_cells(data, path):
@@ -372,8 +372,10 @@ def _parse_complex_family(data, kind, path="$"):
                 "%s: parametrization covers must have incidence 1, "
                 "got %d on (%s, %s)" % (path, sign, pair[0], pair[1])
             )
-    base = CWComplex(build_poset(elements, incidence), incidence)
-    return compile_sheaf(CellularSheaf(base, field, ranks, maps))
+    poset = build_poset(elements, incidence)
+    maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
+    check_d_squared(field, maps, poset.dims)
+    return parametrization._built(field, GradedPoset(poset.dims, maps), ranks, maps)
 
 
 def document_kind(data):
@@ -396,12 +398,12 @@ def parse(data):
     Complex documents come back as CWComplex, sheaf documents as
     CellularSheaf, parametrization/reduced documents as Parametrization,
     fiber documents as a (graph, fibers) pair, profiles as
-    CohomologyProfile.  Parametrization and reduced documents are
-    compiled here, which checks that their maps square to zero
-    (InvalidSheafData when they do not), in place of the CW sign
-    identity that their all-+1 incidences cannot meet.  Sheaf documents
-    get only the structural checks: d-squared is checked once, where the
-    sheaf is compiled (compile_sheaf) or validated (check_sheaf).  Cover
+    CohomologyProfile.  The reader checks structure: ids, dims, ranks,
+    covers and matrix shapes.  Complex and sheaf documents meet the CW sign
+    identity, which CWComplex checks; d-squared of a sheaf is checked once,
+    where it is compiled (compile_sheaf) or validated (check_sheaf).
+    Parametrization and reduced documents, whose incidences are all +1,
+    have d-squared of their maps checked here (InvalidSheafData).  Cover
     documents need a base complex; use parse_cover.
     """
     _expect(isinstance(data, dict), "top level: expected an object")

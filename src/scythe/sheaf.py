@@ -9,27 +9,15 @@ from .cw import check_face_closed
 from .errors import InvalidSheafData, UnknownCell, ValidationError
 from .field import RATIONAL
 from .matrix import Matrix
-from .parametrization import Parametrization, d_squared_witnesses
+from .parametrization import _built, check_blocks, d_squared_witnesses
+from .poset import GradedPoset
 
 
 class CellularSheaf:
     """Stalk ranks and restriction matrices over the cells of a CWComplex."""
 
     def __init__(self, base, field, stalk_rank, restriction):
-        for cell in base.poset.dims:
-            r = stalk_rank.get(cell)
-            if r is None or r < 0:
-                raise InvalidSheafData("missing or negative stalk rank on %r" % (cell,))
-        for (s, t), m in restriction.items():
-            if not base.poset.has_cover(s, t):
-                raise InvalidSheafData(
-                    "restriction on non-covering pair (%s, %s)" % (s, t)
-                )
-            if m.rows != stalk_rank[t] or m.cols != stalk_rank[s]:
-                raise InvalidSheafData(
-                    "restriction (%s, %s) has shape %dx%d, stalks demand %dx%d"
-                    % (s, t, m.rows, m.cols, stalk_rank[t], stalk_rank[s])
-                )
+        check_blocks(field, base.poset, stalk_rank, restriction)
         self.base = base
         self.field = field
         self.stalk_rank = stalk_rank
@@ -79,23 +67,35 @@ def check_sheaf(sheaf):
     """Fold incidence signs into the restrictions and check d-squared.
 
     Returns the signed maps, keyed by covering pair, with the maps that
-    vanish dropped.  Raises InvalidSheafData unless, over every sigma < tau
-    two dimensions apart, the signed maps along the paths through the
-    cells between them sum to zero; the cost is linear in the covers.
+    vanish dropped; each distinct restriction is signed and zero-tested
+    once, so a constant sheaf shares one -I.  When every cover carries an
+    identity block, each codimension-two sum is I times a sign sum that
+    CWComplex holds to zero, so the walk of check_d_squared is skipped.
     """
     base = sheaf.base
+    signed = {}
     maps = {}
+    walk = len(sheaf.restriction) != len(base.incidence)
     for pair, raw in sheaf.restriction.items():
-        signed = raw if base.incidence[pair] == 1 else raw.neg()
-        if not signed.is_zero():
-            maps[pair] = signed
-    witnesses = d_squared_witnesses(sheaf.field, maps, base.poset.dims)
+        key = (id(raw), base.incidence[pair])
+        if key not in signed:
+            signed[key] = None if raw.is_zero() else raw if key[1] == 1 else raw.neg()
+            walk = walk or raw != Matrix.identity(raw.field, raw.rows)
+        if signed[key] is not None:
+            maps[pair] = signed[key]
+    if walk:
+        check_d_squared(sheaf.field, maps, base.poset.dims)
+    return maps
+
+
+def check_d_squared(field, maps, dims):
+    """Raise InvalidSheafData naming each block where maps fail d^2 = 0."""
+    witnesses = d_squared_witnesses(field, maps, dims)
     if witnesses:
         raise InvalidSheafData(
             "compiled coboundary does not square to zero; blocks: %r"
             % (witnesses,)
         )
-    return maps
 
 
 def compile_sheaf(sheaf):
@@ -103,13 +103,9 @@ def compile_sheaf(sheaf):
 
     Signed maps that vanish are dropped with their covering pair, so the
     resulting poset records only the pairs that actually carry a map.  The
-    signed maps are checked to square to zero per codimension-two interval
-    (see check_sheaf) before anything is built; nothing is assembled.
+    signed maps are checked to square to zero (see check_sheaf); the blocks,
+    checked when the sheaf was built, are not checked again.
     """
-    base = sheaf.base
     maps = check_sheaf(sheaf)
-    poset = base.poset.copy()
-    for pair in base.incidence:
-        if pair not in maps:
-            poset.remove_cover(*pair)
-    return Parametrization(sheaf.field, poset, dict(sheaf.stalk_rank), maps)
+    poset = GradedPoset(dict(sheaf.base.poset.dims), maps)
+    return _built(sheaf.field, poset, dict(sheaf.stalk_rank), maps)

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from scythe.cw import build_cw, incidence_violations, subcomplex
+from scythe.cw import CWComplex, build_cw, incidence_violations, subcomplex
 from scythe.errors import (
     DanglingId,
     IncidenceIdentityViolation,
@@ -12,6 +14,8 @@ from scythe.errors import (
 from scythe.poset import build_poset
 
 from scythe.complexes import filled_triangle, interval, torus_grid
+
+from randgen import random_face_closed, random_simplicial
 
 
 def test_build_poset_basics():
@@ -72,6 +76,46 @@ def test_incidence_identity_enforced():
     with pytest.raises(IncidenceIdentityViolation) as err:
         build_cw(elements, bad)
     assert err.value.pairs
+
+
+def test_hand_built_complex_lists_every_sign_violation():
+    # a square whose face takes [ab:f] = -1: the two paths from a to f and
+    # the two from b to f no longer cancel, those from c and d still do
+    elements = [("a", 0), ("b", 0), ("c", 0), ("d", 0),
+                ("ab", 1), ("bc", 1), ("cd", 1), ("da", 1), ("f", 2)]
+    incidence = {
+        ("a", "ab"): -1, ("b", "ab"): 1,
+        ("b", "bc"): -1, ("c", "bc"): 1,
+        ("c", "cd"): -1, ("d", "cd"): 1,
+        ("d", "da"): -1, ("a", "da"): 1,
+        ("ab", "f"): -1, ("bc", "f"): 1, ("cd", "f"): 1, ("da", "f"): 1,
+    }
+    poset = build_poset(elements, incidence)
+    with pytest.raises(IncidenceIdentityViolation) as err:
+        CWComplex(poset, incidence)
+    assert err.value.pairs == [("a", "f"), ("b", "f")]
+    assert str(err.value) == "incidence identity fails for: (a, f), (b, f)"
+    with pytest.raises(ValidationError, match=r"^incidence \[a:ab\] must be"):
+        CWComplex(poset, {**incidence, ("a", "ab"): 2})
+
+
+def test_subcomplex_is_build_cw_over_its_cells():
+    rng = random.Random(31)
+    bases = [torus_grid(3, 4), filled_triangle()]
+    bases += [random_simplicial(rng) for _ in range(40)]
+    for base in bases:
+        for _ in range(3):
+            cells = random_face_closed(rng, base)
+            sub = subcomplex(base, cells)
+            ref = build_cw(
+                [(c, base.dim(c)) for c in cells],
+                {pair: sign for pair, sign in base.incidence.items()
+                 if pair[0] in cells and pair[1] in cells},
+            )
+            assert sub.poset.dims == ref.poset.dims
+            assert sub.poset.up == ref.poset.up
+            assert sub.poset.down == ref.poset.down
+            assert sub.incidence == ref.incidence
 
 
 def test_cw_accessors():

@@ -20,7 +20,7 @@ from scythe.complexes import (
 )
 from scythe.cli import main
 from scythe.cw import CWComplex
-from scythe.errors import ParseError, ValidationError
+from scythe.errors import InvalidSheafData, ParseError, ValidationError
 from scythe.field import RATIONAL, fp
 from scythe.morse import scythe
 from scythe.nerve import Cover
@@ -401,6 +401,31 @@ def test_parametrization_rejects_signed_incidence():
     doc["covers"][0]["incidence"] = 1
     back = parse(doc)
     assert betti(back.assemble()).betti == [1, 0]
+
+
+def square_param_doc(kind, maps):
+    cells = [("a", 0), ("x", 1), ("y", 1), ("f", 2)]
+    covers = [("a", "x"), ("a", "y"), ("x", "f"), ("y", "f")]
+    return {"kind": kind,
+            "cells": [{"id": c, "dim": d, "rank": 1} for c, d in cells],
+            "covers": [{"from": s, "to": t, "incidence": 1, "map": [[m]]}
+                       for (s, t), m in zip(covers, maps)]}
+
+
+@pytest.mark.parametrize("kind", ["parametrization", "reduced"])
+def test_compiled_document_of_identity_blocks_is_walked(kind):
+    # +1 on all four maps of a square: both paths from a to f give 1, so
+    # d^2 is 2 there, although every block is an identity
+    with pytest.raises(InvalidSheafData) as err:
+        parse(square_param_doc(kind, ["1", "1", "1", "1"]))
+    assert str(err.value) == ("compiled coboundary does not square to zero; "
+                              "blocks: [(0, 'f', 'a')]")
+    param = parse(square_param_doc(kind, ["1", "-1", "1", "1"]))
+    assert betti(param.assemble()).betti == [0, 0, 0]
+    # a zero map drops its cover
+    param = parse(square_param_doc(kind, ["0", "0", "1", "1"]))
+    assert sorted(param.maps) == [("x", "f"), ("y", "f")]
+    assert not param.poset.has_cover("a", "x")
 
 
 def random_surfaces(count):

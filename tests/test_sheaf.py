@@ -3,11 +3,24 @@ import re
 
 import pytest
 
-from scythe.complexes import circle, filled_triangle, interval, torus_grid
+import scythe.sheaf
+from scythe.complexes import (
+    circle,
+    filled_triangle,
+    genus2_surface,
+    interval,
+    torus_grid,
+)
+from scythe.cw import incidence_violations
 from scythe.errors import InvalidSheafData, NotASubcomplex, UnknownCell
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix
-from scythe.parametrization import Parametrization, verify_d_squared
+from scythe.parametrization import (
+    Parametrization,
+    d_squared_witnesses,
+    verify_d_squared,
+)
+from scythe.poset import build_poset
 from scythe.sheaf import (
     CellularSheaf,
     compile_sheaf,
@@ -17,7 +30,7 @@ from scythe.sheaf import (
 )
 
 from oracles import ref_d_squared_witnesses
-from randgen import random_sheaf, random_simplicial
+from randgen import random_sheaf, random_simplicial, twisted_torus_sum
 
 
 def test_constant_sheaf_shape():
@@ -38,6 +51,25 @@ def test_sheaf_validation():
     with pytest.raises(InvalidSheafData):
         CellularSheaf(tri, RATIONAL, stalks,
                       {("u", "uv"): Matrix.zeros(RATIONAL, 2, 1)})
+    with pytest.raises(InvalidSheafData, match="over the wrong field"):
+        CellularSheaf(tri, RATIONAL, stalks,
+                      {("u", "uv"): Matrix.identity(fp(5), 1)})
+
+
+@pytest.mark.parametrize("ranks, maps, message", [
+    ({"u": 1, "v": 1}, {},
+     "missing or negative stalk rank on 'e'"),
+    ({"u": 1, "v": 1, "e": 1}, {("u", "v"): Matrix.identity(RATIONAL, 1)},
+     "map on non-covering pair (u, v)"),
+    ({"u": 1, "v": 1, "e": 1}, {("u", "e"): Matrix.zeros(RATIONAL, 2, 1)},
+     "map (u, e) has shape 2x1, stalks demand 1x1"),
+    ({"u": 1, "v": 1, "e": 1}, {("u", "e"): Matrix.identity(fp(5), 1)},
+     "map (u, e) over the wrong field"),
+], ids=["rank", "cover", "shape", "field"])
+def test_parametrization_built_from_outside_checks_its_blocks(ranks, maps,
+                                                              message):
+    with pytest.raises(InvalidSheafData, match="^%s$" % re.escape(message)):
+        Parametrization(RATIONAL, interval().poset.copy(), ranks, maps)
 
 
 def test_skyscraper_needs_known_cell():
@@ -157,3 +189,82 @@ def test_random_sheaves_compile():
             else:
                 assert compile_sheaf(candidate).maps == cx.blocks
     assert broken >= 5
+
+
+def _fixtures_and_random_complexes(seed, count):
+    rng = random.Random(seed)
+    bases = [interval(), circle(), filled_triangle(), torus_grid(3, 4),
+             genus2_surface()]
+    return bases + [random_simplicial(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
+def test_constant_d_squared_fails_exactly_where_the_sign_identity_does(field):
+    # compile skips the walk on identity blocks because of this equivalence;
+    # a flipped sign cannot live in a CWComplex, so the flipped bases are
+    # built as bare posets and walked
+    rng = random.Random(41)
+    broken = 0
+    for cw in _fixtures_and_random_complexes(43, 30):
+        pairs = sorted(cw.incidence)
+        for flip in [None] + rng.sample(pairs, min(2, len(pairs))):
+            incidence = dict(cw.incidence)
+            if flip is not None:
+                incidence[flip] = -incidence[flip]
+            poset = build_poset([(c, cw.dim(c)) for c in cw.cells()], incidence)
+            violations = incidence_violations(poset, incidence)
+            broken += bool(violations)
+            for rank in (1, 2):
+                ident = Matrix.identity(field, rank)
+                maps = {pair: ident if sign == 1 else ident.neg()
+                        for pair, sign in incidence.items()}
+                witnesses = d_squared_witnesses(field, maps, poset.dims)
+                assert (witnesses == []) == (violations == [])
+                assert sorted((s, t) for _, t, s in witnesses) == violations
+    assert broken >= 20
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5), fp(2)],
+                         ids=["Q", "F5", "F2"])
+def test_compiling_a_constant_sheaf_without_the_walk_matches_the_walk(field):
+    for cw in _fixtures_and_random_complexes(47, 20):
+        for rank in (0, 1, 2):
+            sheaf = constant_sheaf(cw, rank, field)
+            ref = _unchecked_param(sheaf)
+            assert d_squared_witnesses(field, ref.maps, ref.poset.dims) == []
+            param = compile_sheaf(sheaf)
+            assert list(param.maps.items()) == list(ref.maps.items())
+            assert param.poset.dims == ref.poset.dims
+            assert param.poset.up == ref.poset.up
+            assert param.poset.down == ref.poset.down
+            assert param.stalk_rank == ref.stalk_rank
+            assert param.top == ref.top
+
+
+def test_compile_walks_d_squared_only_off_identity_blocks(monkeypatch):
+    calls = []
+    walk = scythe.sheaf.d_squared_witnesses
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(scythe.sheaf, "d_squared_witnesses", counted)
+    torus = torus_grid(6, 6)
+    for rank, field in ((1, RATIONAL), (2, RATIONAL), (1, fp(5))):
+        compile_sheaf(constant_sheaf(torus, rank, field))
+    assert calls == []
+    twisted = twisted_torus_sum(random.Random(5), 6, 6,
+                                [("constant",), ("row",)], RATIONAL)
+    compile_sheaf(twisted)
+    assert len(calls) == 1
+    compile_sheaf(skyscraper_sheaf(torus, torus.cells()[0]))
+    assert len(calls) == 2
+    # identity blocks on all covers but one: the missing map is zero, so
+    # the sums around it are no longer sign sums
+    constant = constant_sheaf(torus, 1)
+    maps = dict(constant.restriction)
+    del maps[min(maps)]
+    with pytest.raises(InvalidSheafData, match="does not square to zero"):
+        compile_sheaf(CellularSheaf(torus, RATIONAL, constant.stalk_rank, maps))
+    assert len(calls) == 3
