@@ -8,9 +8,9 @@ file names, so two checkouts compare with one diff:
     diff before.txt after.txt
 
 The commands run in-process over the fixtures shipped in scythe/data and
-over a few malformed documents, a compiled document whose maps do not
-square to zero and a cover whose nerve is too big, written to a temporary
-directory.  A run that succeeds has its stdout hashed; the
+over a few malformed documents, complex documents that break one poset or
+sign check each, a compiled document whose maps do not square to zero and
+a cover whose nerve is too big, written to a temporary directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -66,6 +66,29 @@ MALFORMED = {
     "bad_covers_null.json": (("covers",), None),
 }
 
+# a triangle complex a, b, c < ab, bc, ac < f and edits that each break one
+# check of its cells, covers or signs: the reader's poset checks and the CW
+# sign identity, reported for complex documents
+TRIANGLE = {"kind": "complex",
+            "cells": [{"id": c, "dim": d} for c, d in (
+                ("a", 0), ("b", 0), ("c", 0), ("ab", 1), ("bc", 1), ("ac", 1),
+                ("f", 2))],
+            "covers": [{"from": s, "to": t, "incidence": i} for s, t, i in (
+                ("a", "ab", -1), ("b", "ab", 1), ("b", "bc", -1),
+                ("c", "bc", 1), ("a", "ac", -1), ("c", "ac", 1),
+                ("ab", "f", 1), ("bc", "f", 1), ("ac", "f", -1))]}
+POSET_FAULTS = {
+    "bad_duplicate_id.json":
+        lambda doc: doc["cells"].append({"id": "a", "dim": 0}),
+    "bad_dangling_endpoint.json":
+        lambda doc: doc["covers"][0].update({"from": "zz"}),
+    "bad_nongraded_cover.json":
+        lambda doc: doc["covers"].append(
+            {"from": "a", "to": "f", "incidence": 1}),
+    "bad_sign_identity.json":
+        lambda doc: doc["covers"][6].update(incidence=-1),
+}
+
 # a compiled document of a square a < x, y < f with +1 on every cover and
 # every map [["1"]]: every block is an identity, yet d^2 from a to f is 2,
 # so compute and validate must exit 2 naming the block (0, 'f', 'a')
@@ -81,7 +104,7 @@ SQUARE_DOC = {
 # 11-simplex, so cech exits 3 with the NerveTooBig text
 DEEP_COVER = "deep_cover.json"
 CIRCLE8_CELLS = ["%s%02d" % (kind, i) for kind in "ve" for i in range(8)]
-WRITTEN = {DEEP_COVER, SQUARE, *MALFORMED}
+WRITTEN = {DEEP_COVER, SQUARE, *MALFORMED, *POSET_FAULTS}
 
 
 def commands():
@@ -112,6 +135,9 @@ def commands():
     yield ["cech", "circle8.json", DEEP_COVER]
     yield ["compute", SQUARE]
     yield ["validate", SQUARE]
+    for name in POSET_FAULTS:
+        yield ["compute", name]
+        yield ["validate", name]
 
 
 def write_documents(directory):
@@ -121,6 +147,10 @@ def write_documents(directory):
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+    for name, edit in POSET_FAULTS.items():
+        doc = copy.deepcopy(TRIANGLE)
+        edit(doc)
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
     (directory / SQUARE).write_text(json.dumps(SQUARE_DOC), encoding="utf-8")
     pieces = [{"name": "P%02d" % i, "cells": CIRCLE8_CELLS} for i in range(12)]

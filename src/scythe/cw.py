@@ -21,9 +21,7 @@ class CWComplex:
                 raise ValidationError(
                     "incidence [%s:%s] must be +1 or -1, got %r" % (sigma, tau, sign)
                 )
-        bad = incidence_violations(poset, incidence)
-        if bad:
-            raise IncidenceIdentityViolation(bad)
+        _check_identity(poset, incidence)
         self.poset = poset
         self.incidence = incidence
 
@@ -40,16 +38,39 @@ class CWComplex:
         return self.incidence.get((sigma, tau), 0)
 
 
+def _check_identity(poset, incidence):
+    bad = incidence_violations(poset, incidence)
+    if bad:
+        raise IncidenceIdentityViolation(bad)
+
+
+def _signed(poset, incidence):
+    """A CWComplex over incidences its caller held to +-1 (the JSON reader):
+    the sign identity is checked, the signs are not checked again."""
+    _check_identity(poset, incidence)
+    return _new(poset, incidence)
+
+
+def _new(poset, incidence):
+    cw = object.__new__(CWComplex)
+    cw.poset = poset
+    cw.incidence = incidence
+    return cw
+
+
 def incidence_violations(poset, incidence):
     """All (sigma, tau) pairs two dimensions apart whose sign sums are nonzero."""
-    sums = {}
-    for sigma in poset.dims:
-        for lam in poset.x_plus(sigma):
+    up = poset.up
+    bad = []
+    for sigma, lams in up.items():
+        sums = {}
+        for lam in lams:
             s1 = incidence[(sigma, lam)]
-            for tau in poset.x_plus(lam):
-                key = (sigma, tau)
-                sums[key] = sums.get(key, 0) + s1 * incidence[(lam, tau)]
-    return sorted(key for key, total in sums.items() if total != 0)
+            for tau in up[lam]:
+                sums[tau] = sums.get(tau, 0) + s1 * incidence[(lam, tau)]
+        if any(sums.values()):
+            bad.extend((sigma, tau) for tau, total in sums.items() if total)
+    return sorted(bad)
 
 
 def check_face_closed(cw, cells):
@@ -82,10 +103,8 @@ def subcomplex(cw, cells):
         for pair, sign in cw.incidence.items()
         if pair[0] in keep and pair[1] in keep
     }
-    sub = object.__new__(CWComplex)
-    sub.poset = GradedPoset({c: cw.poset.dims[c] for c in sorted(keep)}, incidence)
-    sub.incidence = incidence
-    return sub
+    dims = {c: cw.poset.dims[c] for c in sorted(keep)}
+    return _new(GradedPoset(dims, incidence), incidence)
 
 
 def build_cw(elements, signed_incidence):

@@ -3,14 +3,15 @@
 Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
 cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
-rank-1 stalk) or 2x2, so try_invert answers both in closed form, with one
-field inverse and no echelon form, and mat_mul and mul_sub answer the 1x1
-shape as scalars.  A reduction step corrects each surviving block with one
-fused mul_sub, c - a.b, which builds no product matrix and reports a zero
-result as None.  A Matrix built from outside has its grid checked against
-its shape; the kernels here (zeros, identity, add, sub, neg, transpose,
-mat_mul, mul_sub, try_invert) and the JSON reader, which checks each row,
-build with _built, which skips the re-check of a grid they shaped.
+rank-1 stalk), 2x2 or 3x3, so try_invert answers these in closed form,
+with one field inverse and no echelon form, and mat_mul and mul_sub answer
+the 1x1 shape as scalars.  A reduction step corrects each surviving block
+with one fused mul_sub, c - a.b, which builds no product matrix and
+reports a zero result as None.  A Matrix built from outside has its grid
+checked against its shape; the kernels here (zeros, identity, add, sub,
+neg, transpose, mat_mul, mul_sub, try_invert) and the JSON reader, which
+checks each row, build with _built, which skips the re-check of a grid
+they shaped.
 """
 
 from .errors import SolveFailed
@@ -220,10 +221,12 @@ def try_invert(a):
     """Exact two-sided inverse, or None when the matrix has none.
 
     Non-square input also yields None; the caller decides whether that is
-    exceptional.  A 1x1 matrix is inverted entrywise and a 2x2 one
-    [[p, q], [r, s]] as det^-1 . [[s, -q], [-r, p]] with det = ps - qr.  A
-    larger square matrix of full rank reduces to the identity, so its
-    echelon transform is the inverse.
+    exceptional.  Up to 3x3 the inverse is the adjugate over the
+    determinant, with one field inverse and no echelon form: a 1x1 matrix
+    is inverted entrywise, a 2x2 one [[p, q], [r, s]] as
+    det^-1 . [[s, -q], [-r, p]] with det = ps - qr, and a 3x3 one from its
+    nine 2x2 cofactors.  A larger square matrix of full rank reduces to the
+    identity, so its echelon transform is the inverse.
     """
     if a.rows != a.cols:
         return None
@@ -244,10 +247,31 @@ def try_invert(a):
             [mul(d, s) if s else z, neg(mul(d, q)) if q else z],
             [neg(mul(d, r)) if r else z, mul(d, p) if p else z],
         ])
+    if a.rows == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a.data
+        adj = [[_det2(f, t, u, w, x), _det2(f, r, q, x, w), _det2(f, q, r, t, u)],
+               [_det2(f, u, s, x, v), _det2(f, p, r, v, x), _det2(f, r, p, u, s)],
+               [_det2(f, s, t, v, w), _det2(f, q, p, w, v), _det2(f, p, q, s, t)]]
+        det = f.zero
+        for e, c in ((p, adj[0][0]), (q, adj[1][0]), (r, adj[2][0])):
+            if e and c:
+                det = f.add(det, f.mul(e, c))
+        if not det:
+            return None
+        d = f.inv(det)
+        mul, z = f.mul, f.zero
+        return _built(f, 3, 3, [[mul(d, c) if c else z for c in row]
+                                for row in adj])
     ech = EchelonSolver(a)
     if ech.rank != a.rows:
         return None
     return _built(a.field, a.rows, a.cols, ech.transform)
+
+
+def _det2(f, p, q, r, s):
+    """ps - qr, skipping products with a zero factor."""
+    d = f.mul(p, s) if p and s else f.zero
+    return f.sub(d, f.mul(q, r)) if q and r else d
 
 
 class EchelonSolver:

@@ -55,11 +55,9 @@ class GradedPoset:
         return max((len(s) for s in self.up.values()), default=0)
 
     def copy(self):
-        cp = GradedPoset.__new__(GradedPoset)
-        cp.dims = dict(self.dims)
-        cp.up = {x: set(s) for x, s in self.up.items()}
-        cp.down = {x: set(s) for x, s in self.down.items()}
-        return cp
+        return _indexed(dict(self.dims),
+                        {x: set(s) for x, s in self.up.items()},
+                        {x: set(s) for x, s in self.down.items()})
 
     def has_cover(self, x, y):
         return x in self.up and y in self.up[x]
@@ -91,19 +89,42 @@ def build_poset(elements, covers):
     dims = {}
     for x, d in elements:
         if x in dims:
-            raise ValidationError("duplicate element id %r" % (x,))
+            raise duplicate_id(x)
         if not isinstance(d, int) or d < 0:
             raise ValidationError("dimension of %r must be a nonneg integer" % (x,))
         dims[x] = d
     cov = set()
     for x, y in covers:
-        if x not in dims:
-            raise DanglingId("cover endpoint %r not declared" % (x,))
-        if y not in dims:
-            raise DanglingId("cover endpoint %r not declared" % (y,))
-        if dims[y] != dims[x] + 1:
-            raise NonGradedCover(
-                "cover (%s, %s) spans dims %d -> %d" % (x, y, dims[x], dims[y])
-            )
+        dx = dims.get(x)
+        if dx is None or dims.get(y) != dx + 1:
+            raise cover_fault(dims, x, y)
         cov.add((x, y))
     return GradedPoset(dims, cov)
+
+
+# The two checks below are made by build_poset and by the JSON reader,
+# which indexes its cells and covers in its own loops; both raise these.
+
+def duplicate_id(x, error=ValidationError):
+    """The error for an element id declared twice."""
+    return error("duplicate element id %r" % (x,))
+
+
+def cover_fault(dims, x, y):
+    """The error for a cover (x, y) with an undeclared endpoint or whose
+    dimensions do not differ by one; call it only for such a cover."""
+    for end in (x, y):
+        if end not in dims:
+            return DanglingId("cover endpoint %r not declared" % (end,))
+    return NonGradedCover(
+        "cover (%s, %s) spans dims %d -> %d" % (x, y, dims[x], dims[y])
+    )
+
+
+def _indexed(dims, up, down):
+    """A GradedPoset over adjacency sets its caller built from checked covers."""
+    poset = GradedPoset.__new__(GradedPoset)
+    poset.dims = dims
+    poset.up = up
+    poset.down = down
+    return poset

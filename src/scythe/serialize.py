@@ -9,7 +9,11 @@ indent=2, sort_keys=True) plus a newline, but json has no C path for
 indent and would encode every matrix entry in pure Python; plain ints are
 written with int.__repr__.  Parse errors carry a JSON-ish path to the
 offending spot; the readers of cells, covers and matrices format that
-path and message only when they raise.
+path and message only when they raise.  A complex, sheaf or compiled
+document is read in one pass that makes each check once: each distinct
+entry string is parsed once, equal map grids share one Matrix, and the
+poset is indexed by the cell and cover loops themselves (see the readers'
+notes below).
 """
 
 import json
@@ -17,12 +21,12 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import matrix, parametrization
 from .cohomology import CohomologyProfile
-from .cw import CWComplex, build_cw
+from .cw import CWComplex, _signed
 from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .nerve import Cover
-from .poset import GradedPoset, build_poset
-from .sheaf import CellularSheaf, check_d_squared
+from .poset import _indexed, cover_fault, duplicate_id
+from .sheaf import _built as _built_sheaf, check_d_squared
 
 
 def dumps(obj):
@@ -240,38 +244,70 @@ def parse_field(obj):
     return FieldSpec.from_json(obj)
 
 
-# The readers below run once per cell, cover and matrix entry, so each
-# check is a plain test and its path and message are formatted only in
-# the branch that raises; a grid checked here is not checked again.
+# The readers below run once per cell, cover and map entry, so each check
+# is a plain test and its path and message are formatted only in the
+# branch that raises.  A document is read in one pass, each fact once:
+# - an entry string is parsed once per document, and later equal strings
+#   reuse its element.  Only str entries are remembered: True, 1 and 1.0
+#   are equal and hash alike, so a looser memo would vouch for a bool or a
+#   float;
+# - equal map grids share one immutable Matrix, so check_sheaf signs and
+#   zero-tests it once.  Only a grid that was read as a list of lists of
+#   str is remembered, with its column count (the grid [] fits any), and a
+#   later grid reuses it only when it equals that grid as a list, so "1",
+#   ["1"] or [[1.0]] never stand for [["1"]];
+# - the cell loop indexes the dimensions and the cover loop the up and
+#   down sets, making the checks of build_poset (duplicate ids, dangling
+#   endpoints, grading) with its texts.  Such a fault is raised only after
+#   the document's structure and kind are checked, as a build_poset call
+#   after the reading would raise it.
 
-def _parse_matrix(field, grid, rows, cols, path):
+def _parse_matrix(field, entries, grid, rows, cols, path, i):
     if not isinstance(grid, list):
-        raise ParseError("%s: expected an array of rows" % path)
+        raise ParseError("%s.covers[%d].map: expected an array of rows"
+                         % (path, i))
     if len(grid) != rows:
-        raise ParseError("%s: expected %d rows, got %d" % (path, rows, len(grid)))
-    parse = field.parse
+        raise ParseError("%s.covers[%d].map: expected %d rows, got %d"
+                         % (path, i, rows, len(grid)))
+    known = entries.__getitem__
     data = []
     for r, row in enumerate(grid):
         if not isinstance(row, list) or len(row) != cols:
-            raise ParseError("%s[%d]: expected %d entries" % (path, r, cols))
-        parsed = []
-        for c, value in enumerate(row):
-            if not isinstance(value, (str, int)) or isinstance(value, bool):
-                raise ParseError("%s[%d][%d]: expected an element string"
-                                 % (path, r, c))
-            try:
-                parsed.append(parse(value))
-            except ParseError as exc:
-                raise ParseError("%s[%d][%d]: %s" % (path, r, c, exc))
-        data.append(parsed)
+            raise ParseError("%s.covers[%d].map[%d]: expected %d entries"
+                             % (path, i, r, cols))
+        try:
+            data.append(list(map(known, row)))
+        except (KeyError, TypeError):  # an entry not read before
+            data.append(_parse_row(field, entries, row, path, i, r))
     return matrix._built(field, rows, cols, data)
 
 
+def _parse_row(field, entries, row, path, i, r):
+    parsed = []
+    for c, value in enumerate(row):
+        if type(value) is str and value in entries:
+            parsed.append(entries[value])
+            continue
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
+            raise ParseError("%s.covers[%d].map[%d][%d]: expected an element "
+                             "string" % (path, i, r, c))
+        try:
+            element = field.parse(value)
+        except ParseError as exc:
+            raise ParseError("%s.covers[%d].map[%d][%d]: %s"
+                             % (path, i, r, c, exc))
+        if type(value) is str:
+            entries[value] = element
+        parsed.append(element)
+    return parsed
+
+
 def _parse_cells(data, path):
+    """The dims and ranks of the cells, and the first id declared twice."""
     raw = _get(data, "cells", path)
     if not isinstance(raw, list):
         raise ParseError("%s.cells: expected an array" % path)
-    elements = []
+    dims = {}
     ranks = {}
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -285,33 +321,46 @@ def _parse_cells(data, path):
         if "dim" not in entry:
             raise ParseError("%s.cells[%d]: missing 'dim'" % (path, i))
         dim = entry["dim"]
-        if not _is_int(dim) or dim < 0:
+        if type(dim) is not int and not _is_int(dim) or dim < 0:
             raise _bad_int("%s.cells[%d].dim" % (path, i), dim, 0)
-        elements.append((cid, dim))
+        dims[cid] = dim
         if "rank" in entry:
             rank = entry["rank"]
-            if not _is_int(rank) or rank < 0:
+            if type(rank) is not int and not _is_int(rank) or rank < 0:
                 raise _bad_int("%s.cells[%d].rank" % (path, i), rank, 0)
             ranks[cid] = rank
-    if ranks and len(ranks) != len(elements):
+    duplicate = None
+    if len(dims) != len(raw):  # some id is declared twice: find the first
         seen = set()
-        for cid, _ in elements:
-            if cid in seen:
-                raise ParseError("duplicate element id %r" % (cid,))
-            seen.add(cid)
+        for entry in raw:
+            if entry["id"] in seen:
+                duplicate = entry["id"]
+                break
+            seen.add(entry["id"])
+    if ranks and len(ranks) != len(raw):
+        if duplicate is not None:
+            raise duplicate_id(duplicate, ParseError)
         raise ParseError(
             "%s.cells: some cells carry ranks and some do not" % path
         )
-    return elements, (ranks or None)
+    return dims, (ranks or None), duplicate
 
 
-def _parse_covers(data, field, ranks, path):
+def _parse_covers(data, field, dims, ranks, path):
+    """The incidences, the up and down sets of the graded covers, the maps,
+    and the error of the first cover that is not graded, if any."""
     raw = data.get("covers", [])
     if not isinstance(raw, list):
         raise ParseError("%s.covers: expected an array" % path)
     incidence = {}
+    up = {x: set() for x in dims}
+    down = {x: set() for x in dims}
     maps = {}
+    fault = None
+    dim_of = dims.get
     rank_of = (ranks or {}).get
+    entries = {}
+    grids = {}
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ParseError("%s.covers[%d]: expected an object" % (path, i))
@@ -327,7 +376,7 @@ def _parse_covers(data, field, ranks, path):
         if "incidence" not in entry:
             raise ParseError("%s.covers[%d]: missing 'incidence'" % (path, i))
         sign = entry["incidence"]
-        if not _is_int(sign):
+        if type(sign) is not int and not _is_int(sign):
             raise _bad_int("%s.covers[%d].incidence" % (path, i), sign)
         if sign not in (1, -1):
             raise ParseError("%s.covers[%d].incidence: expected +1 or -1"
@@ -336,24 +385,43 @@ def _parse_covers(data, field, ranks, path):
             raise ParseError("%s.covers[%d]: duplicate cover (%s, %s)"
                              % (path, i, s, t))
         incidence[(s, t)] = sign
+        ds = dim_of(s)
+        if ds is not None and dim_of(t) == ds + 1:
+            up[s].add(t)
+            down[t].add(s)
+        elif fault is None:
+            fault = cover_fault(dims, s, t)
         if "map" in entry:
             if ranks is None:
                 raise ParseError("%s.covers[%d].map: maps need cell ranks"
                                  % (path, i))
-            if rank_of(s) is None or rank_of(t) is None:
+            rows = rank_of(t)
+            cols = rank_of(s)
+            if rows is None or cols is None:
                 raise ParseError("%s.covers[%d]: cover endpoints missing "
                                  "from cells" % (path, i))
-            maps[(s, t)] = _parse_matrix(
-                field, entry["map"], rank_of(t), rank_of(s),
-                "%s.covers[%d].map" % (path, i)
-            )
-    return incidence, maps
+            grid = entry["map"]
+            try:
+                key = (tuple(map(tuple, grid)), cols)  # [] has any cols
+                seen = grids.get(key)
+            except TypeError:  # not a grid of hashable entries
+                key = seen = None
+            if seen is not None and seen[0] == grid and seen[1].rows == rows:
+                m = seen[1]
+            else:
+                m = _parse_matrix(field, entries, grid, rows, cols, path, i)
+                if key is not None and all(type(v) is str
+                                           for row in key[0] for v in row):
+                    grids[key] = (grid, m)
+            maps[(s, t)] = m
+    return incidence, up, down, maps, fault
 
 
 def _parse_complex_family(data, kind, path="$"):
     field = parse_field(data.get("field"))
-    elements, ranks = _parse_cells(data, path)
-    incidence, maps = _parse_covers(data, field, ranks, path)
+    dims, ranks, duplicate = _parse_cells(data, path)
+    incidence, up, down, maps, fault = _parse_covers(data, field, dims, ranks,
+                                                     path)
     if kind is None:
         kind = "sheaf" if ranks is not None or maps else "complex"
     if kind == "complex":
@@ -361,21 +429,30 @@ def _parse_complex_family(data, kind, path="$"):
             raise ParseError(
                 "%s: complex documents carry no ranks or maps" % path
             )
-        return build_cw(elements, incidence)
-    if ranks is None:
+    elif ranks is None:
         raise ParseError("%s: sheaf documents need a rank on every cell" % path)
-    if kind == "sheaf":
-        return CellularSheaf(build_cw(elements, incidence), field, ranks, maps)
-    for pair, sign in incidence.items():
-        if sign != 1:
-            raise ParseError(
-                "%s: parametrization covers must have incidence 1, "
-                "got %d on (%s, %s)" % (path, sign, pair[0], pair[1])
-            )
-    poset = build_poset(elements, incidence)
+    elif kind != "sheaf":
+        for pair, sign in incidence.items():
+            if sign != 1:
+                raise ParseError(
+                    "%s: parametrization covers must have incidence 1, "
+                    "got %d on (%s, %s)" % (path, sign, pair[0], pair[1])
+                )
+    if duplicate is not None:
+        raise duplicate_id(duplicate)
+    if fault is not None:
+        raise fault
+    if kind in ("complex", "sheaf"):
+        base = _signed(_indexed(dims, up, down), incidence)
+        if kind == "complex":
+            return base
+        return _built_sheaf(base, field, ranks, maps)
     maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
-    check_d_squared(field, maps, poset.dims)
-    return parametrization._built(field, GradedPoset(poset.dims, maps), ranks, maps)
+    check_d_squared(field, maps, dims)
+    for s, t in incidence.keys() - maps.keys():  # covers with no nonzero map
+        up[s].discard(t)
+        down[t].discard(s)
+    return parametrization._built(field, _indexed(dims, up, down), ranks, maps)
 
 
 def document_kind(data):
@@ -398,12 +475,20 @@ def parse(data):
     Complex documents come back as CWComplex, sheaf documents as
     CellularSheaf, parametrization/reduced documents as Parametrization,
     fiber documents as a (graph, fibers) pair, profiles as
-    CohomologyProfile.  The reader checks structure: ids, dims, ranks,
-    covers and matrix shapes.  Complex and sheaf documents meet the CW sign
-    identity, which CWComplex checks; d-squared of a sheaf is checked once,
-    where it is compiled (compile_sheaf) or validated (check_sheaf).
+    CohomologyProfile.  The reader checks structure once: ids, dims, ranks,
+    covers (declared, graded, signed +-1) and map shapes, with the texts
+    and error classes of build_poset for the poset's faults.  Complex and
+    sheaf documents then meet the CW sign identity, which the reader's
+    CWComplex checks without re-checking the signs; a sheaf's blocks are
+    not checked again by CellularSheaf.  d-squared of a sheaf is checked
+    once, where it is compiled (compile_sheaf) or validated (check_sheaf).
     Parametrization and reduced documents, whose incidences are all +1,
-    have d-squared of their maps checked here (InvalidSheafData).  Cover
+    have d-squared of their maps checked here (InvalidSheafData).
+
+    Within one document each distinct entry string is parsed once, and
+    equal map grids that are lists of lists of str become one shared,
+    immutable Matrix; a grid in any other form (a string, non-list rows,
+    bool, float or int entries) is read and checked as written.  Cover
     documents need a base complex; use parse_cover.
     """
     _expect(isinstance(data, dict), "top level: expected an object")

@@ -9,7 +9,8 @@ from .cw import check_face_closed
 from .errors import InvalidSheafData, UnknownCell, ValidationError
 from .field import RATIONAL
 from .matrix import Matrix
-from .parametrization import _built, check_blocks, d_squared_witnesses
+from . import parametrization
+from .parametrization import check_blocks, d_squared_witnesses
 from .poset import GradedPoset
 
 
@@ -22,6 +23,16 @@ class CellularSheaf:
         self.field = field
         self.stalk_rank = stalk_rank
         self.restriction = restriction
+
+
+def _built(base, field, stalk_rank, restriction):
+    """A CellularSheaf over blocks checked where they were read: no re-check."""
+    sheaf = object.__new__(CellularSheaf)
+    sheaf.base = base
+    sheaf.field = field
+    sheaf.stalk_rank = stalk_rank
+    sheaf.restriction = restriction
+    return sheaf
 
 
 def constant_sheaf(base, rank=1, field=RATIONAL):
@@ -108,4 +119,4 @@ def compile_sheaf(sheaf):
     """
     maps = check_sheaf(sheaf)
     poset = GradedPoset(dict(sheaf.base.poset.dims), maps)
-    return _built(sheaf.field, poset, dict(sheaf.stalk_rank), maps)
+    return parametrization._built(sheaf.field, poset, dict(sheaf.stalk_rank), maps)

@@ -153,6 +153,18 @@ def random_parametrization(rng, base, field, max_rank=3):
     return compile_sheaf(sheaf)
 
 
+# the summands of the twisted sums that the benchmark's surface_direct
+# workload reads as sheaf documents
+TWISTED_SUMS = (
+    (("constant",), ("skyscraper", 1)),
+    (("constant",), ("row",), ("cell", 2)),
+    (("constant",), ("constant",)),
+    (("constant",), ("column",), ("skyscraper", 0)),
+    (("constant",), ("constant",), ("skyscraper", 2)),
+    (("row",), ("column",), ("cell", 1)),
+)
+
+
 def twisted_torus_sum(rng, rows, cols, kinds, field):
     """conjugated_sum of basic sheaves on torus_grid(rows, cols).
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scythe import matrix
 from scythe.errors import NotInvertible, ParseError, SolveFailed
 from scythe.field import RATIONAL, FieldSpec, fp
 from scythe.matrix import (
@@ -402,18 +403,29 @@ def test_mul_sub_refuses_mismatched_operands():
 @pytest.mark.parametrize("grid", [
     [[1, 2], [2, 4]], [[0, 1], [1, 0]], [[0, 1], [0, 1]], [[1, 1], [0, 1]],
     [[2, 0], [0, 3]], [[0, 0], [0, 0]], [[3, 1], [1, 2]],
+    # 3x3: a permutation, unitriangular, singular over every field, det 5,
+    # det 2, zero, and det 25 (a Fraction inverse over Q)
+    [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 2, 3], [0, 1, 4], [0, 0, 1]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 1, 0], [1, 3, 0], [0, 0, 1]],
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[2, 0, 1], [1, 3, 0], [0, 1, 4]],
 ])
-def test_two_by_two_inverse_is_closed_form(p, grid):
+def test_two_by_two_inverse_is_closed_form(p, grid, monkeypatch):
     f = _field_of(p)
     m = Matrix.from_rows(f, grid)
-    det = f.sub(f.mul(m.data[0][0], m.data[1][1]),
-                f.mul(m.data[0][1], m.data[1][0]))
+    n = len(grid)
+
+    def refuse(a):
+        raise AssertionError("EchelonSolver built for a %dx%d inverse" % (n, n))
+
+    monkeypatch.setattr(matrix, "EchelonSolver", refuse)
     inv = try_invert(m)
-    if not det:
+    monkeypatch.undo()
+    if ref_rank(grid, p) < n:
         assert inv is None
     else:
-        assert mat_mul(m, inv) == Matrix.identity(f, 2)
-        assert mat_mul(inv, m) == Matrix.identity(f, 2)
+        assert mat_mul(m, inv) == Matrix.identity(f, n)
+        assert mat_mul(inv, m) == Matrix.identity(f, n)
 
 
 def test_rational_inverse_table():

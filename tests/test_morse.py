@@ -35,7 +35,7 @@ from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from oracles import ref_betti
 from randgen import (
-    random_parametrization, random_simplicial, twisted_torus_sum,
+    TWISTED_SUMS, random_parametrization, random_simplicial, twisted_torus_sum,
 )
 
 FIXTURES = [interval, circle, filled_triangle, theta_graph,
@@ -61,16 +61,6 @@ def assert_consistent(param):
 
 # the summands of the twisted sums: rank-2 and rank-3 stalks, fill-in,
 # and corrections that cancel to zero
-TWISTED_SUMS = (
-    (("constant",), ("skyscraper", 1)),
-    (("constant",), ("row",), ("cell", 2)),
-    (("constant",), ("constant",)),
-    (("constant",), ("column",), ("skyscraper", 0)),
-    (("constant",), ("constant",), ("skyscraper", 2)),
-    (("row",), ("column",), ("cell", 1)),
-)
-
-
 class _ConsistencyCheck:
     """Observer asserting consistency between reductions of a sweep."""
 
@@ -354,19 +344,19 @@ def test_sweeps_keep_their_invariants(runner):
         assert_consistent(param)
 
 
-@pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("field", [RATIONAL, fp(5), fp(2)], ids=["Q", "F5", "F2"])
 def test_rank_two_sweep_builds_no_echelon_form(field, monkeypatch):
-    # every block is 2x2, so every inverse is the closed form
-    param = compile_sheaf(constant_sheaf(torus_grid(4, 4), 2, field))
-
+    # every block is 2x2, or 3x3 at rank 3, so every inverse is closed form
     def refuse(a):
         raise AssertionError("EchelonSolver built during the sweep")
 
-    monkeypatch.setattr(matrix, "EchelonSolver", refuse)
-    data = scythe(param)
-    monkeypatch.undo()
-    assert data.matching.pairs
-    assert betti(param.assemble()).betti == [2, 4, 2]
+    for rank in (2, 3):
+        param = compile_sheaf(constant_sheaf(torus_grid(4, 4), rank, field))
+        monkeypatch.setattr(matrix, "EchelonSolver", refuse)
+        data = scythe(param)
+        monkeypatch.undo()
+        assert data.matching.pairs
+        assert betti(param.assemble()).betti == [rank, 2 * rank, rank]
 
 
 def test_fp_reduction_matches_reference():

@@ -22,6 +22,7 @@ from scythe.cli import main
 from scythe.cw import CWComplex
 from scythe.errors import InvalidSheafData, ParseError, ValidationError
 from scythe.field import RATIONAL, fp
+from scythe.matrix import Matrix
 from scythe.morse import scythe
 from scythe.nerve import Cover
 from scythe.serialize import (
@@ -45,7 +46,9 @@ from scythe.sheaf import (
     pushforward_constant,
 )
 
-from randgen import random_parametrization, random_simplicial
+from randgen import (
+    TWISTED_SUMS, random_parametrization, random_simplicial, twisted_torus_sum,
+)
 
 
 def test_dumps_is_canonical():
@@ -391,6 +394,75 @@ def test_duplicate_cell_id_is_reported_in_both_kinds(capsys, tmp_path):
         code = main(["compute", str(path)])
         assert (code,) + tuple(capsys.readouterr()) == (
             2, "", "error: duplicate element id 'u'\n")
+
+
+# a later map repeating the accepted [["1"]] or [[1]] of cover 0 in another
+# form: the reader remembers entries and grids only as str, and True, 1 and
+# 1.0 are equal, so none of these may borrow what cover 0 left behind
+REPEATED_ONE = [
+    ("bool", [[True]], "$.covers[1].map[0][0]: expected an element string"),
+    ("float", [[1.0]], "$.covers[1].map[0][0]: expected an element string"),
+    ("string", "1", "$.covers[1].map: expected an array of rows"),
+    ("string-row", ["1"], "$.covers[1].map[0]: expected 1 entries"),
+    ("object-row", [{"1": 0}], "$.covers[1].map[0]: expected 1 entries"),
+    ("int", [[1]], None),
+]
+
+
+@pytest.mark.parametrize("first", [[["1"]], [[1]]], ids=["str", "int"])
+@pytest.mark.parametrize("grid, message", [c[1:] for c in REPEATED_ONE],
+                         ids=[c[0] for c in REPEATED_ONE])
+def test_a_repeated_map_is_checked_as_written(first, grid, message):
+    doc = good_sheaf_doc()
+    doc["covers"][0]["map"] = first
+    doc["covers"][1]["map"] = grid
+    if message is not None:
+        with pytest.raises(ParseError) as caught:
+            parse(doc)
+        assert str(caught.value) == message
+        return
+    back = parse(doc)
+    want = parse(good_sheaf_doc())
+    assert back.restriction == want.restriction
+    assert dumps(sheaf_to_json(back)) == dumps(sheaf_to_json(want))
+
+
+def test_a_repeated_map_is_checked_against_its_ranks():
+    doc = good_sheaf_doc()
+    doc["cells"].append({"id": "w", "dim": 1, "rank": 2})
+    doc["covers"].append({"from": "u", "to": "w", "incidence": 1,
+                          "map": [["1"]]})
+    with pytest.raises(ParseError) as caught:
+        parse(doc)
+    assert str(caught.value) == "$.covers[2].map: expected 2 rows, got 1"
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
+def test_twisted_sum_documents_read_entry_by_entry(field):
+    # the maps parse reads, in order and by value, are those of reading
+    # every entry of every map with FieldSpec.parse; equal grids share one
+    # Matrix, and compiling gives the maps of the sheaf read entry by entry
+    rng = random.Random(17)
+    for kinds in TWISTED_SUMS:
+        doc = loads(dumps(sheaf_to_json(
+            twisted_torus_sum(rng, 6, 6, kinds, field))))
+        ranks = {c["id"]: c["rank"] for c in doc["cells"]}
+        want = {}
+        for cover in doc["covers"]:
+            rows, cols = ranks[cover["to"]], ranks[cover["from"]]
+            want[(cover["from"], cover["to"])] = Matrix(field, rows, cols, [
+                [field.parse(v) for v in row] for row in cover["map"]])
+        back = parse(doc)
+        assert list(back.restriction) == list(want)
+        assert back.restriction == want
+        grids = {(json.dumps(c["map"]), ranks[c["from"]])
+                 for c in doc["covers"]}  # [] is a map of any source rank
+        assert len({id(m) for m in back.restriction.values()}) == len(grids)
+        reference = compile_sheaf(
+            CellularSheaf(back.base, field, back.stalk_rank, want))
+        compiled = compile_sheaf(back)
+        assert list(compiled.maps) == list(reference.maps)
+        assert compiled.maps == reference.maps
 
 
 def test_parametrization_rejects_signed_incidence():
