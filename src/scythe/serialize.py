@@ -283,6 +283,8 @@ def _parse_matrix(field, entries, grid, rows, cols, path, i):
 
 
 def _parse_row(field, entries, row, path, i, r):
+    """A row with an entry not read before, checked and parsed entry by
+    entry; its str entries are remembered."""
     parsed = []
     for c, value in enumerate(row):
         if type(value) is str and value in entries:
