@@ -11,8 +11,9 @@ every run's result and, for every metric, each side's median and
 quartiles, the relative change of the medians, the gap between the
 medians against the before side's quartile spread, and how many pairs the
 after side won.  What "won" means per metric (lower or higher is better)
-is read from the after checkout's BENCHMARK.json.  Progress goes to
-stderr.  Standard library only.
+is read from the after checkout's BENCHMARK.json.  It also records each
+side's line count of src/scythe/*.py and their difference.  Progress goes
+to stderr.  Standard library only.
 """
 
 import argparse
@@ -47,6 +48,17 @@ def revision(root):
     except OSError:
         return None
     return out.stdout.strip() or None
+
+
+def source_lines(root):
+    """Total line count of root's src/scythe/*.py."""
+    pkg = os.path.join(root, "src", "scythe")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                total += sum(1 for _ in fh)
+    return total
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -118,8 +130,12 @@ def main(argv=None):
         "command": ["python3", "perfbench/run.py", "--seconds",
                     str(args.seconds), "--trace", str(args.trace)],
         "revisions": {side: revision(root) for side, root in roots.items()},
+        "source_lines": {side: source_lines(root)
+                         for side, root in roots.items()},
         "workloads": {},
     }
+    lines = doc["source_lines"]
+    lines["change"] = lines["after"] - lines["before"]
     turn = 0
     for workload in args.workload:
         pairs = []

@@ -1,9 +1,9 @@
 """Regular CW complexes as graded posets with signed incidence numbers.
 
-Incidence values live in {+1, -1}; a zero incidence is recorded by leaving
-the covering pair out entirely.  Construction checks the codimension-two
-identity and reports every pair that breaks it; a face-closed subcomplex
-inherits it.  Over each sigma < tau with dim tau = dim sigma + 2,
+Incidence values live in {+1, -1} and sit on exactly the covering pairs of
+the poset.  Construction checks both, then the codimension-two identity,
+reporting every pair that breaks it; a face-closed subcomplex inherits all
+three.  Over each sigma < tau with dim tau = dim sigma + 2,
 
     sum over lambda with sigma < lambda < tau of [sigma:lambda][lambda:tau] = 0.
 """
@@ -16,11 +16,14 @@ class CWComplex:
     """A graded poset plus the incidence sign of every covering pair."""
 
     def __init__(self, poset, incidence):
-        for (sigma, tau), sign in incidence.items():
-            if sign not in (1, -1):
-                raise ValidationError(
-                    "incidence [%s:%s] must be +1 or -1, got %r" % (sigma, tau, sign)
-                )
+        _check_signs(incidence)
+        covers = {(x, y) for x, ys in poset.up.items() for y in ys}
+        stray = covers.symmetric_difference(incidence)
+        if stray:
+            pair = min(stray)
+            what = ("cover (%s, %s) has no incidence" if pair in covers
+                    else "incidence [%s:%s] on a pair that is not a cover")
+            raise ValidationError(what % pair)
         _check_identity(poset, incidence)
         self.poset = poset
         self.incidence = incidence
@@ -38,6 +41,14 @@ class CWComplex:
         return self.incidence.get((sigma, tau), 0)
 
 
+def _check_signs(incidence):
+    for (sigma, tau), sign in incidence.items():
+        if sign not in (1, -1):
+            raise ValidationError(
+                "incidence [%s:%s] must be +1 or -1, got %r" % (sigma, tau, sign)
+            )
+
+
 def _check_identity(poset, incidence):
     bad = incidence_violations(poset, incidence)
     if bad:
@@ -45,8 +56,9 @@ def _check_identity(poset, incidence):
 
 
 def _signed(poset, incidence):
-    """A CWComplex over incidences its caller held to +-1 (the JSON reader):
-    the sign identity is checked, the signs are not checked again."""
+    """A CWComplex over incidences its caller held to +-1 and to the covers
+    of poset (the JSON reader, build_cw): the sign identity is checked, the
+    rest is not checked again."""
     _check_identity(poset, incidence)
     return _new(poset, incidence)
 
@@ -95,19 +107,21 @@ def subcomplex(cw, cells):
 
     Cell ids carry over unchanged, so inclusions into the ambient complex
     are identity maps on ids, and nothing checked in cw is checked again.
+    Since cw's incidences sit on exactly its covers, the kept covers are
+    the faces of the kept cells, read in sorted order.
     """
     keep = set(cells)
     check_face_closed(cw, keep)
-    incidence = {
-        pair: sign
-        for pair, sign in cw.incidence.items()
-        if pair[0] in keep and pair[1] in keep
-    }
-    dims = {c: cw.poset.dims[c] for c in sorted(keep)}
+    poset, kept = cw.poset, sorted(keep)
+    incidence = {(f, c): cw.incidence[(f, c)]
+                 for c in kept for f in sorted(poset.down[c])}
+    dims = {c: poset.dims[c] for c in kept}
     return _new(GradedPoset(dims, incidence), incidence)
 
 
 def build_cw(elements, signed_incidence):
     """A CWComplex on cells (id, dim) whose covers are the keys of {pair: sign}."""
     incidence = dict(signed_incidence)
-    return CWComplex(build_poset(elements, incidence), incidence)
+    poset = build_poset(elements, incidence)
+    _check_signs(incidence)
+    return _signed(poset, incidence)

@@ -4,10 +4,10 @@ The engine repeatedly picks a critical seed cell, then breadth-first
 searches its neighborhood for covering pairs (x, y) whose map is invertible
 and removes them, correcting the surviving maps so cohomology is untouched.
 Each removal returns its step record: the pair, the inverse of its map and
-the blocks around it as they stood.  A tracked sweep keeps those records
-as the equivalence and multiplies nothing more.  A dual top-down sweep and
-an iterated mode are provided, together with a gradient-path oracle used
-to cross-check the reduction.
+the blocks around it as they stood.  Their list is all a run records: the
+matching is read off it at the end, a tracked run keeps it as the
+equivalence, and no poset is copied.  A dual top-down sweep and an
+iterated mode are provided, with a gradient-path oracle to cross-check.
 
 Policy and direction are decided once, when a run and a sweep start; the
 per-cell loop tests neither.
@@ -39,22 +39,13 @@ class Matching:
         return out
 
 
-class PassRecord:
-    """One reduction sweep: the poset as it stood beforehand, and its matching."""
-
-    def __init__(self, poset_before, matching):
-        self.poset_before = poset_before
-        self.matching = matching
-
-
 class MorseData:
     """Result of a reduction: the mutated parametrization and its bookkeeping."""
 
-    def __init__(self, matching, reduced, equivalence=None, passes=None):
+    def __init__(self, matching, reduced, equivalence=None):
         self.matching = matching
         self.reduced = reduced
         self.equivalence = equivalence
-        self.passes = passes if passes is not None else []
 
     def critical_counts(self):
         """Cells surviving per dimension, the m_k of the complexity bound."""
@@ -153,12 +144,12 @@ def _pairing_candidate(param, critical, y, behind, orient, strict):
 
 
 def _sweep(param, upward, strict, steps, observer):
-    """One full reduction sweep in the given direction; returns its Matching.
+    """One full reduction sweep in the given direction.
 
     The direction is resolved once, here: partners are sought behind each
     dequeued cell, the cells ahead of it are queued, and seeds are visited
-    in one sorted pass, dimension descending for the dual sweep.  When
-    steps is a list, each removal appends its StepMaps record to it.
+    in one sorted pass, dimension descending for the dual sweep.  Each
+    removal appends its StepMaps record to the list steps.
     """
     poset = param.poset
     dims = poset.dims
@@ -169,7 +160,6 @@ def _sweep(param, upward, strict, steps, observer):
         ahead, behind, sign = poset.x_minus, poset.x_plus, -1
         orient = lambda partner, y: (y, partner)
     critical = set()
-    matching = Matching()
     for _, c in sorted([(sign * d, x) for x, d in dims.items()]):
         if c not in dims or c in critical:
             continue
@@ -203,40 +193,32 @@ def _sweep(param, upward, strict, steps, observer):
             comeback = sorted(ahead(y))
             if observer is not None:
                 observer.pair(x, top)
-            step = _reduce_pair(param, x, top, inv)
-            if steps is not None:
-                steps.append(step)
-            matching.pairs.append((x, top))
+            steps.append(_reduce_pair(param, x, top, inv))
             enqueue(comeback)
-    matching.critical = set(dims)
-    return matching
 
 
 def _run(param, upward, policy, track_equivalence, observer, until_stable):
     """Sweep param once, or until_stable until a sweep removes nothing.
 
-    Each sweep starts with every surviving cell non-critical again; passes
-    holds one PassRecord per sweep and the matching every removed pair in
-    order.  An unknown policy is refused before anything is read.
+    Each sweep starts with every surviving cell non-critical again and
+    appends its steps to the run's one list; the matching's pairs are read
+    off that list at the end.  An unknown policy is refused before
+    anything is read.
     """
     if policy not in ("strict", "relaxed"):
         raise ValidationError("unknown pairing policy %r" % (policy,))
     strict = policy == "strict"
     src = param.assemble() if track_equivalence else None
-    steps = [] if track_equivalence else None
-    passes = []
-    pairs = []
+    steps = []
     while True:
-        before = len(param.poset)
-        snapshot = param.poset.copy()
-        matching = _sweep(param, upward, strict, steps, observer)
-        passes.append(PassRecord(snapshot, matching))
-        pairs.extend(matching.pairs)
-        if not until_stable or len(param.poset) == before:
+        done = len(steps)
+        _sweep(param, upward, strict, steps, observer)
+        if not until_stable or len(steps) == done:
             break
+    matching = Matching([(s.x, s.y) for s in steps], param.poset.dims)
     eq = (_equiv.Equivalence(src, steps, param.assemble())
           if track_equivalence else None)
-    return MorseData(Matching(pairs, param.poset.dims), param, eq, passes)
+    return MorseData(matching, param, eq)
 
 
 def scythe(param, policy="strict", track_equivalence=False, observer=None):
@@ -247,7 +229,8 @@ def scythe(param, policy="strict", track_equivalence=False, observer=None):
     F_xy is invertible; policy="relaxed" instead asks for a unique
     invertible partner among possibly many non-critical faces (the emitted
     matching then lives on the reduced order, and the monotone-removal
-    guarantee of the strict reading is not asserted).
+    guarantee of the strict reading is not asserted).  To check the
+    matching, copy param.poset first: the run keeps no copy of it.
     """
     return _run(param, True, policy, track_equivalence, observer, False)
 

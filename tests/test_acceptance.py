@@ -31,9 +31,6 @@ from scythe.morse import (
     morse_coboundary_oracle,
     reduce_pair,
     scythe,
-    verify_acyclic,
-    verify_matching_axioms,
-    verify_monotone_removal,
 )
 from scythe.nerve import (
     Cover,
@@ -52,7 +49,9 @@ from scythe.sheaf import (
 
 from conftest import ACCEPTANCE_LINES
 from test_equivalence import check_laws
-from test_morse import FIXTURES, fixture_params
+from test_morse import (
+    FIXTURES, assert_passes_legal, checked_run, fixture_params,
+)
 from randgen import random_parametrization, random_simplicial
 
 RUNNERS = [scythe, coscythe, iterate_scythe]
@@ -83,13 +82,13 @@ def criterion(num, slug):
     return wrap
 
 
-def assert_legal(data, runner, pristine_unused=None):
-    for rec in data.passes:
-        assert verify_matching_axioms(rec.matching, rec.poset_before)
-        assert verify_acyclic(rec.matching, rec.poset_before)
-        assert verify_monotone_removal(rec.matching, rec.poset_before,
-                                       top_down=runner is coscythe)
+def run_legal(runner, param, **kw):
+    """runner(param, **kw), with every pass checked against the poset as it
+    stood before that pass (see checked_run)."""
+    data, passes = checked_run(runner, param, **kw)
+    assert_passes_legal(passes, runner)
     LEGALITY["instances"] += 1
+    return data
 
 
 @criterion(1, "standard-sheaf-suite")
@@ -134,10 +133,9 @@ def test_reduction_preserves_betti_on_500_random():
         assert len(param.poset) <= 20
         before = betti(param.assemble()).betti
         runner = RUNNERS[count % 3]
-        data = runner(param)
+        run_legal(runner, param)
         after = betti(param.assemble()).betti
         assert after + [0] * (len(before) - len(after)) == before
-        assert_legal(data, runner)
     assert time.perf_counter() - start < 60.0
 
 
@@ -150,8 +148,7 @@ def test_oracle_equals_replay_on_100_random():
         field = fp(5) if done % 3 == 0 else RATIONAL
         param = random_parametrization(rng, base, field)
         pristine = param.copy()
-        data = scythe(param)
-        assert_legal(data, scythe)
+        data = run_legal(scythe, param)
         if not data.matching.pairs:
             continue
         done += 1
@@ -169,9 +166,8 @@ def test_equivalence_laws_on_fixtures_and_100_random():
     for runner in RUNNERS:
         for param in fixture_params():
             orig = param.copy().assemble()
-            data = runner(param, track_equivalence=True)
+            data = run_legal(runner, param, track_equivalence=True)
             check_laws(orig, data.equivalence.dst_complex, data.equivalence)
-            assert_legal(data, runner)
     rng = random.Random(97)
     for count in range(100):
         base = random_simplicial(rng)
@@ -179,9 +175,8 @@ def test_equivalence_laws_on_fixtures_and_100_random():
         param = random_parametrization(rng, base, field)
         orig = param.copy().assemble()
         runner = RUNNERS[count % 3]
-        data = runner(param, track_equivalence=True)
+        data = run_legal(runner, param, track_equivalence=True)
         check_laws(orig, data.equivalence.dst_complex, data.equivalence)
-        assert_legal(data, runner)
 
 
 @criterion(5, "matching-legality")
@@ -189,8 +184,7 @@ def test_matchings_are_legal_on_fixtures():
     # random instances get the same scan inline in criteria 2 through 4
     for runner in RUNNERS:
         for param in fixture_params():
-            data = runner(param)
-            assert_legal(data, runner)
+            run_legal(runner, param)
     assert LEGALITY["instances"] >= 3 * len(FIXTURES)
 
 

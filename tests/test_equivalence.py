@@ -20,6 +20,7 @@ from scythe.morse import coscythe, iterate_scythe, scythe
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from oracles import ref_coboundary, ref_fold
+from test_morse import assert_passes_legal, checked_run
 from randgen import random_parametrization, random_simplicial
 
 FIXTURES = [interval, circle, filled_triangle, theta_graph,
@@ -273,8 +274,9 @@ def test_cocycle_guard_matches_dense_oracle():
 
 def test_iterate_composes_across_passes():
     param = compile_sheaf(constant_sheaf(genus2_surface()))
-    data = iterate_scythe(param, track_equivalence=True)
-    assert len(data.passes) >= 2
+    data, passes = checked_run(iterate_scythe, param, track_equivalence=True)
+    assert len(passes) >= 2
+    assert_passes_legal(passes, iterate_scythe)
     eq = data.equivalence
     check_laws(eq.src_complex, eq.dst_complex, eq)
     assert eq.dst_complex.rank_c(1) == 4

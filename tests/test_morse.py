@@ -30,7 +30,7 @@ from scythe.morse import (
     verify_monotone_removal,
 )
 from scythe.parametrization import Parametrization
-from scythe.poset import build_poset
+from scythe.poset import GradedPoset, build_poset
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from oracles import ref_betti
@@ -46,6 +46,48 @@ FIXTURES = [interval, circle, filled_triangle, theta_graph,
 def fixture_params(field=RATIONAL):
     for make in FIXTURES:
         yield compile_sheaf(constant_sheaf(make(), 1, field))
+
+
+def replay_scythe(param, policy="strict"):
+    """scythe passes on param until one removes nothing, each as the pair
+    (poset before the pass, the pass's matching)."""
+    passes = []
+    while True:
+        before = param.poset.copy()
+        matching = scythe(param, policy=policy).matching
+        passes.append((before, matching))
+        if not matching.pairs:
+            return passes
+
+
+def checked_run(runner, param, **kw):
+    """runner(param, **kw) and its passes as (poset before, matching).
+
+    A scythe or coscythe run is one pass, whose poset is copied here first.
+    An iterate_scythe run must equal replay_scythe on a copy of param:
+    the same pairs in the same order, the same reduced cells and maps;
+    the replay's passes are returned.
+    """
+    if runner is not iterate_scythe:
+        before = param.poset.copy()
+        data = runner(param, **kw)
+        return data, [(before, data.matching)]
+    replay = param.copy()
+    passes = replay_scythe(replay, kw.get("policy", "strict"))
+    data = runner(param, **kw)
+    assert data.matching.pairs == [p for _, m in passes for p in m.pairs]
+    assert param.poset.dims == replay.poset.dims
+    assert param.maps == replay.maps
+    return data, passes
+
+
+def assert_passes_legal(passes, runner):
+    """The three legality checks of each pass against its own poset."""
+    for before, matching in passes:
+        assert verify_matching_axioms(matching, before)
+        assert verify_acyclic(matching, before)
+        assert verify_monotone_removal(matching, before,
+                                       top_down=runner is coscythe)
 
 
 def assert_consistent(param):
@@ -140,17 +182,12 @@ def test_reduction_keeps_the_degree_range(runner):
 def test_runs_preserve_cohomology_on_fixtures(runner):
     for param in fixture_params():
         before = betti(param.assemble()).betti
-        pristine = param.copy()
-        data = runner(param)
+        data, passes = checked_run(runner, param)
         after = betti(param.assemble()).betti
         while len(after) < len(before):
             after.append(0)
         assert after == before
-        for rec in data.passes:
-            assert verify_matching_axioms(rec.matching, rec.poset_before)
-            assert verify_acyclic(rec.matching, rec.poset_before)
-            assert verify_monotone_removal(rec.matching, rec.poset_before,
-                                           top_down=runner is coscythe)
+        assert_passes_legal(passes, runner)
 
 
 def test_scythe_reaches_small_complex():
@@ -163,10 +200,65 @@ def test_scythe_reaches_small_complex():
 
 def test_iterate_reaches_perfect_complex():
     param = compile_sheaf(constant_sheaf(genus2_surface()))
-    data = iterate_scythe(param)
+    data, passes = checked_run(iterate_scythe, param)
     assert data.critical_counts() == [1, 4, 1]
     assert param.maps == {}
-    assert len(data.passes) >= 2
+    assert len(passes) >= 2
+    assert_passes_legal(passes, iterate_scythe)
+
+
+@pytest.mark.parametrize("policy", ["strict", "relaxed"])
+def test_iterate_equals_replayed_scythe_passes(policy):
+    rng = random.Random(23)
+    params = list(fixture_params())
+    for count in range(40):
+        field = fp(5) if count % 2 else RATIONAL
+        params.append(random_parametrization(rng, random_simplicial(rng), field))
+    for param in params:
+        data, passes = checked_run(iterate_scythe, param, policy=policy)
+        assert data.matching.critical == set(param.poset.dims)
+        if policy == "strict":
+            assert_passes_legal(passes, iterate_scythe)
+
+
+class _PairLog:
+    """Observer recording the pairs in the order the sweep removes them."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def select(self, c):
+        pass
+
+    def enqueue(self, e):
+        pass
+
+    def dequeue(self, y):
+        pass
+
+    def pair(self, x, y):
+        self.pairs.append((x, y))
+
+
+@pytest.mark.parametrize("runner", [scythe, coscythe, iterate_scythe])
+@pytest.mark.parametrize("track", [False, True])
+def test_runs_list_pairs_in_removal_order_and_copy_nothing(runner, track,
+                                                           monkeypatch):
+    params = list(fixture_params())
+
+    def refuse(self):
+        raise AssertionError("a reduction copied %r" % (self,))
+
+    monkeypatch.setattr(GradedPoset, "copy", refuse)
+    monkeypatch.setattr(Parametrization, "copy", refuse)
+    for param in params:
+        log = _PairLog()
+        data = runner(param, track_equivalence=track, observer=log)
+        assert data.matching.pairs == log.pairs
+        assert data.matching.critical == set(param.poset.dims)
+        if track:
+            steps = data.equivalence.steps
+            assert data.matching.pairs == [(s.x, s.y) for s in steps]
 
 
 def test_matching_records_original_pairs():

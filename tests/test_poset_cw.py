@@ -16,6 +16,7 @@ from scythe.poset import build_poset
 from scythe.complexes import filled_triangle, interval, torus_grid
 
 from randgen import random_face_closed, random_simplicial
+from test_morse import FIXTURES
 
 
 def test_build_poset_basics():
@@ -99,13 +100,30 @@ def test_hand_built_complex_lists_every_sign_violation():
         CWComplex(poset, {**incidence, ("a", "ab"): 2})
 
 
+def test_hand_built_complex_refuses_an_incidence_off_the_covers():
+    poset = build_poset([("a", 0), ("b", 0), ("e", 1)], [("a", "e"), ("b", "e")])
+    with pytest.raises(ValidationError,
+                       match=r"^incidence \[a:b\] on a pair that is not a cover$"):
+        CWComplex(poset, {("a", "e"): -1, ("b", "e"): 1, ("a", "b"): 1})
+
+
+def test_hand_built_complex_refuses_a_cover_without_incidence():
+    poset = build_poset([("a", 0), ("b", 0), ("e", 1)], [("a", "e"), ("b", "e")])
+    with pytest.raises(ValidationError, match=r"^cover \(b, e\) has no incidence$"):
+        CWComplex(poset, {("a", "e"): -1})
+    # with both faults the least pair is named
+    with pytest.raises(ValidationError, match=r"^incidence \[a:b\] on a pair"):
+        CWComplex(poset, {("a", "e"): -1, ("a", "b"): 1})
+
+
 def test_subcomplex_is_build_cw_over_its_cells():
     rng = random.Random(31)
     bases = [torus_grid(3, 4), filled_triangle()]
     bases += [random_simplicial(rng) for _ in range(40)]
+    bases += [make() for make in FIXTURES]
     for base in bases:
-        for _ in range(3):
-            cells = random_face_closed(rng, base)
+        picks = [random_face_closed(rng, base) for _ in range(3)]
+        for cells in picks + [set(base.cells())]:
             sub = subcomplex(base, cells)
             ref = build_cw(
                 [(c, base.dim(c)) for c in cells],
@@ -116,6 +134,9 @@ def test_subcomplex_is_build_cw_over_its_cells():
             assert sub.poset.up == ref.poset.up
             assert sub.poset.down == ref.poset.down
             assert sub.incidence == ref.incidence
+            # built cell by cell in sorted order, whatever the set order
+            assert list(sub.incidence) == sorted(ref.incidence,
+                                                 key=lambda p: (p[1], p[0]))
 
 
 def test_cw_accessors():
