@@ -204,6 +204,7 @@ def test_iterate_reaches_perfect_complex():
     assert data.critical_counts() == [1, 4, 1]
     assert param.maps == {}
     assert len(passes) >= 2
+    assert sum(1 for _, matching in passes if matching.pairs) >= 2
     assert_passes_legal(passes, iterate_scythe)
 
 
