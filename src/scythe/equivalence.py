@@ -7,12 +7,14 @@ a full reduction's equivalence is the composite of its steps in removal
 order.  Cocycles are transported by replaying the steps on cell-indexed
 vectors.  When psi/phi/Theta are first asked for (the written equivalence
 document and the law checks), the steps are folded once into sparse rows
-and columns, kept as {coordinate: value} dicts; each call then densifies
-one matrix.
+and columns, kept as {coordinate: value} dicts.  The document is written
+straight from the fold: each row starts as the one shared zero string and
+only its nonzero entries are formatted (serialize.equivalence_to_json).
+Only psi_matrix, phi_matrix and theta_matrix densify into field elements.
 """
 
 from .errors import NotACocycle
-from .matrix import Matrix, mat_mul, matvec, matvec_add
+from .matrix import Matrix, matvec, matvec_add, mul_sub
 from .parametrization import is_cocycle
 
 
@@ -57,32 +59,60 @@ class Equivalence:
             self._folded = _fold(self.field, self.src_complex.layouts, self.steps)
         return self._folded
 
+    def psi_rows(self, n, zero, entry):
+        """The rows of psi^n: zero where the fold holds no entry, entry(v)
+        where it holds v."""
+        psi = self._maps()[0].get(n, {})
+        vecs = [r for c in self.dst_complex.layout(n).cells for r in psi[c]]
+        return _rows(vecs, self.src_complex.rank_c(n), zero, entry)
+
+    def phi_rows(self, n, zero, entry):
+        """The rows of phi^n, scattered from the fold's columns."""
+        phi = self._maps()[1].get(n, {})
+        cols = [v for c in self.dst_complex.layout(n).cells for v in phi[c]]
+        rows = [[zero] * len(cols) for _ in range(self.src_complex.rank_c(n))]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][j] = entry(v)
+        return rows
+
+    def theta_rows(self, n, zero, entry):
+        """The rows of Theta^n, one per coordinate of C^{n-1}."""
+        theta = self._maps()[2].get(n, {})
+        vecs = [theta.get(i, {}) for i in range(self.src_complex.rank_c(n - 1))]
+        return _rows(vecs, self.src_complex.rank_c(n), zero, entry)
+
     def psi_matrix(self, n):
         """Dense projection C^n(original) -> C^n(reduced)."""
-        psi = self._maps()[0].get(n, {})
-        rows = [r for c in self.dst_complex.layout(n).cells for r in psi[c]]
-        return _densify(self.field, rows, self.src_complex.rank_c(n))
+        return self._matrix(self.psi_rows(n, self.field.zero, _same),
+                            self.src_complex.rank_c(n))
 
     def phi_matrix(self, n):
         """Dense lift C^n(reduced) -> C^n(original)."""
-        phi = self._maps()[1].get(n, {})
-        cols = [v for c in self.dst_complex.layout(n).cells for v in phi[c]]
-        return _densify(self.field, cols, self.src_complex.rank_c(n)).transpose()
+        return self._matrix(self.phi_rows(n, self.field.zero, _same),
+                            self.dst_complex.rank_c(n))
 
     def theta_matrix(self, n):
         """Dense homotopy C^n(original) -> C^{n-1}(original)."""
-        theta = self._maps()[2].get(n, {})
-        rows = [theta.get(i, {}) for i in range(self.src_complex.rank_c(n - 1))]
-        return _densify(self.field, rows, self.src_complex.rank_c(n))
+        return self._matrix(self.theta_rows(n, self.field.zero, _same),
+                            self.src_complex.rank_c(n))
+
+    def _matrix(self, rows, width):
+        return Matrix(self.field, len(rows), width, rows)
 
 
-def _densify(field, vecs, width):
-    """The matrix whose rows are the {coordinate: value} dicts vecs."""
-    data = [[field.zero] * width for _ in vecs]
-    for row, vec in zip(data, vecs):
+def _same(v):
+    return v
+
+
+def _rows(vecs, width, zero, entry):
+    """Rows of width entries, one per {coordinate: value} dict of vecs:
+    entry(value) at its coordinates and the one shared zero elsewhere."""
+    rows = [[zero] * width for _ in vecs]
+    for row, vec in zip(rows, vecs):
         for i, v in vec.items():
-            row[i] = v
-    return Matrix(field, len(vecs), width, data)
+            row[i] = entry(v)
+    return rows
 
 
 def _fold(field, layouts, steps):
@@ -122,12 +152,16 @@ def _apply_step(f, psi, phi, theta, step):
         for i, coeff in col.items():
             _axpy(f, rows.setdefault(i, {}), coeff, mid)
     for z, fxz in step.up.items():
-        blk = mat_mul(fxz, step.inv).neg()
+        blk = mul_sub(None, fxz, step.inv)  # -F_xz.inv, None when zero
+        if blk is None:
+            continue
         for row_z, blk_row in zip(psi[ky][z], blk.data):
             for coeff, row_y in zip(blk_row, rows_y):
                 _axpy(f, row_z, coeff, row_y)
     for w, fwy in step.down.items():
-        blk = mat_mul(step.inv, fwy).neg()
+        blk = mul_sub(None, step.inv, fwy)  # -inv.F_wy, None when zero
+        if blk is None:
+            continue
         for j, col_w in enumerate(phi[kx][w]):
             for blk_row, col_x in zip(blk.data, cols_x):
                 _axpy(f, col_w, blk_row[j], col_x)

@@ -118,8 +118,9 @@ class CochainComplex:
     """Covering-pair blocks of a complex with the layouts indexing them.
 
     blocks maps (lower cell, upper cell) to its matrix; absent pairs are
-    zero blocks.  The dense coboundary d^n is stacked from the blocks on
-    first request and cached with the echelons in _cache.
+    zero blocks.  The dense coboundary d^n and the blocks indexed by their
+    lower cell are built on first request and cached with the echelons in
+    _cache.
     """
 
     def __init__(self, field, layouts, blocks):
@@ -151,29 +152,40 @@ class CochainComplex:
             self._cache[key] = Matrix(self.field, dst.total, src.total, data)
         return self._cache[key]
 
+    def blocks_from(self):
+        """{cell x: [(y, F_xy), ...]}, the blocks leaving each cell."""
+        out = self._cache.get("from")
+        if out is None:
+            out = self._cache["from"] = {}
+            for (x, y), m in self.blocks.items():
+                out.setdefault(x, []).append((y, m))
+        return out
+
 
 def is_cocycle(cx, vec, n):
     """Whether d^n vec = 0, summed over the covering-pair blocks of cx.
 
-    Only the blocks leaving cells where vec is nonzero are applied; no
-    coboundary matrix is read.  Raises ValueError unless vec has the rank
-    of C^n.
+    Only the blocks leaving cells where vec is nonzero are applied, read
+    from the complex's index of blocks by lower cell; no coboundary matrix
+    is read.  Raises ValueError unless vec has the rank of C^n.
     """
     layout = cx.layout(n)
     if len(vec) != layout.total:
         raise ValueError(
             "vector length %d, C^%d has rank %d" % (len(vec), n, layout.total)
         )
-    f = cx.field
+    z = cx.field.zero
+    leaving = cx.blocks_from()
     image = {}
-    for (x, y), m in cx.blocks.items():
-        off = layout.offsets.get(x)
-        if off is None:
+    for x, off in layout.offsets.items():
+        out = leaving.get(x)
+        if out is None:
             continue
-        part = vec[off:off + m.cols]
+        part = vec[off:off + layout.ranks[x]]
         if not any(part):
             continue
-        matvec_add(m, part, image.setdefault(y, [f.zero] * m.rows))
+        for y, m in out:
+            matvec_add(m, part, image.setdefault(y, [z] * m.rows))
     return not any(any(acc) for acc in image.values())
 
 

@@ -7,7 +7,10 @@ keys, two-space indent, trailing newline) so equal objects give equal bytes.
 The writer is hand-written: its bytes are those of json.dumps(obj,
 indent=2, sort_keys=True) plus a newline, but json has no C path for
 indent and would encode every matrix entry in pure Python; plain ints are
-written with int.__repr__.  Parse errors carry a JSON-ish path to the
+written with int.__repr__, and a row of strings that need no escape is
+written with one join.  The --equivalence document's rows are built from
+the sparse fold of the reduction steps, zeros as one shared string, with
+no dense matrix of field elements.  Parse errors carry a JSON-ish path to the
 offending spot; the readers of cells, covers and matrices format that
 path and message only when they raise.  A complex, sheaf or compiled
 document is read in one pass that makes each check once: each distinct
@@ -34,9 +37,13 @@ def dumps(obj):
 
     The bytes equal json.dumps(obj, indent=2, sort_keys=True) + "\n".  json
     takes its pure-Python encoder whenever indent is set, one generator
-    step per value, so this writer does the layout itself: a list made
-    only of strings, which is every matrix row, is one join over
-    encode_basestring_ascii, a plain int is int.__repr__ (what json's
+    step per value, so this writer does the layout itself.  A list made
+    only of strings, which is every matrix row, is joined once with no
+    separator; when that text is printable ASCII with no '"' or '\\', no
+    item needs an escape (encode_basestring_ascii escapes exactly those two
+    and everything outside 0x20-0x7E), so the row is written with one join
+    that puts each item in quotes, and otherwise as one join over
+    encode_basestring_ascii.  A plain int is int.__repr__ (what json's
     encoder calls for it; bools are not plain ints and stay true/false),
     and other scalars go through json.dumps.
     """
@@ -58,17 +65,23 @@ def _write(obj, newline, out):
             return
         inner = newline + "  "
         try:
+            text = "".join(obj)
+        except TypeError:
+            text = None  # not all strings
+        if text is None:
+            opener = "["
+            for item in obj:
+                out.append(opener + inner)
+                _write(item, inner, out)
+                opener = ","
+            out.append(newline + "]")
+        elif (text.isascii() and text.isprintable() and '"' not in text
+                and "\\" not in text):  # each item's JSON form is "item"
+            out.append("[" + inner + '"' + ('",' + inner + '"').join(obj)
+                       + '"' + newline + "]")
+        else:
             out.append("[" + inner + ("," + inner).join(map(_quote, obj))
                        + newline + "]")
-            return
-        except TypeError:
-            pass  # not all strings
-        opener = "["
-        for item in obj:
-            out.append(opener + inner)
-            _write(item, inner, out)
-            opener = ","
-        out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -162,13 +175,20 @@ def param_to_json(param):
 
 
 def equivalence_to_json(eq):
-    """Dense psi/phi/theta matrices by dimension, with their cell orders."""
+    """Dense psi/phi/theta matrices by dimension, with their cell orders.
+
+    Each row is built from the sparse fold: the one shared zero string,
+    with only the nonzero entries formatted; no matrix of field elements
+    is made.
+    """
     layouts = eq.src_complex.layouts
     top = max(layouts) if layouts else 0
-    out = {
-        "psi": {str(n): eq.psi_matrix(n).to_json() for n in range(top + 1)},
-        "phi": {str(n): eq.phi_matrix(n).to_json() for n in range(top + 1)},
-        "theta": {str(n): eq.theta_matrix(n).to_json()
+    f = eq.field
+    zero, entry = f.format(f.zero), f.format
+    return {
+        "psi": {str(n): eq.psi_rows(n, zero, entry) for n in range(top + 1)},
+        "phi": {str(n): eq.phi_rows(n, zero, entry) for n in range(top + 1)},
+        "theta": {str(n): eq.theta_rows(n, zero, entry)
                   for n in range(1, top + 1)},
         "source_cells": {
             str(n): list(layouts[n].cells) for n in sorted(layouts)
@@ -177,7 +197,6 @@ def equivalence_to_json(eq):
             str(n): list(eq.dst_complex.layout(n).cells) for n in range(top + 1)
         },
     }
-    return out
 
 
 def reduced_to_json(morse_data, equivalence=None):

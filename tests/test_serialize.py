@@ -122,6 +122,27 @@ def test_dumps_writes_bools_and_ints_as_json_does(value):
     assert dumps(value) == json_oracle(value)
 
 
+class Text(str):
+    """A str subclass: dumps writes its characters, as json does."""
+
+
+PLAIN_ROW = ["0", "1/2", "-3", "4"]
+ODD_ENTRIES = {
+    "quote": '"', "backslash": "\\", "newline": "\n", "nul": "\x00",
+    "del": "\x7f", "e-acute": "\u00e9", "lone-surrogate": "\ud800",
+    "empty": "", "str-subclass": Text("1/2"), "space": " ",
+}
+
+
+@pytest.mark.parametrize("row", [
+    row for entry in ODD_ENTRIES.values()
+    for row in ([entry], PLAIN_ROW[:2] + [entry] + PLAIN_ROW[2:])
+], ids=[name + where for name in ODD_ENTRIES for where in ("", "-mixed")])
+def test_dumps_writes_rows_of_strings_as_json_does(row):
+    for value in (row, [row, PLAIN_ROW], {"psi": {"0": [PLAIN_ROW, row]}}):
+        assert dumps(value) == json_oracle(value)
+
+
 def test_dumps_refuses_an_int_past_the_digit_limit_as_json_does(digit_limit):
     for value in (10 ** 4300, [1, 10 ** 4300], {"n": -10 ** 4300}):
         assert outcome(dumps, value) is outcome(json_oracle, value) is ValueError
@@ -212,6 +233,47 @@ def test_reduced_document():
     assert eqdoc["source_cells"]["1"] == ["e", "f"]
     back = parse(doc)
     assert betti(back.assemble()).betti == [1, 1]
+
+
+def rescaled(rng, sheaf):
+    """sheaf in stalk bases scaled by random diagonals of 1, 2 and 3, so
+    that over Q its inverted blocks are not integral."""
+    f = sheaf.field
+    scale = {c: [f.from_int(rng.randint(1, 3)) for _ in range(r)]
+             for c, r in sheaf.stalk_rank.items()}
+    maps = {}
+    for (s, t), m in sheaf.restriction.items():
+        maps[(s, t)] = Matrix(f, m.rows, m.cols, [
+            [f.mul(f.mul(a, v), f.inv(b)) for v, b in zip(row, scale[s])]
+            for a, row in zip(scale[t], m.data)
+        ])
+    return CellularSheaf(sheaf.base, f, sheaf.stalk_rank, maps)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
+def test_equivalence_document_matches_the_dense_oracle(field):
+    rng = random.Random(19)
+    sheaves = [constant_sheaf(torus_grid(3, 3), rank=2, field=field)]
+    sheaves += [rescaled(rng, twisted_torus_sum(rng, 3, 3, kinds, field))
+                for kinds in (TWISTED_SUMS[2], TWISTED_SUMS[5])]
+    fractions = 0
+    for sheaf in sheaves:
+        data = scythe(compile_sheaf(sheaf), track_equivalence=True)
+        eq = data.equivalence
+        eqdoc = equivalence_to_json(eq)
+        top = max(eq.src_complex.layouts)
+        assert set(eqdoc["theta"]) == {str(n) for n in range(1, top + 1)}
+        for n in range(top + 1):
+            assert eqdoc["psi"][str(n)] == eq.psi_matrix(n).to_json()
+            assert eqdoc["phi"][str(n)] == eq.phi_matrix(n).to_json()
+            if n:
+                assert eqdoc["theta"][str(n)] == eq.theta_matrix(n).to_json()
+        doc = reduced_to_json(data, eq)
+        text = dumps(doc)
+        assert text == json_oracle(doc)
+        fractions += "/" in json_oracle(eqdoc)
+    # over Q the rescaled sums' equivalences hold non-integral entries
+    assert fractions == (2 if field is RATIONAL else 0)
 
 
 def test_cover_round_trip():
