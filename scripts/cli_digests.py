@@ -9,8 +9,9 @@ file names, so two checkouts compare with one diff:
 
 The commands run in-process over the fixtures shipped in scythe/data and
 over a few malformed documents, complex documents that break one poset or
-sign check each, a compiled document whose maps do not square to zero and
-a cover whose nerve is too big, written to a temporary directory.  A run that succeeds has its stdout hashed; the
+sign check each, a compiled document whose maps do not square to zero,
+a cover whose nerve is too big and two fiber assignments over the torus
+that are not face-closed, written to a temporary directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -104,7 +105,15 @@ SQUARE_DOC = {
 # 11-simplex, so cech exits 3 with the NerveTooBig text
 DEEP_COVER = "deep_cover.json"
 CIRCLE8_CELLS = ["%s%02d" % (kind, i) for kind in "ve" for i in range(8)]
-WRITTEN = {DEEP_COVER, SQUARE, *MALFORMED, *POSET_FAULTS}
+# torus_reeb.json with one fiber that is not face-closed: leray and
+# validate --base exit 2 naming the unknown cell or the dropped face
+FIBER_FAULTS = {
+    "bad_fiber_unknown_cell.json":
+        lambda fibers: fibers["u0"].append("zz"),
+    "bad_fiber_dropped_face.json":
+        lambda fibers: fibers["a0"].remove("v0001"),
+}
+WRITTEN = {DEEP_COVER, SQUARE, *MALFORMED, *POSET_FAULTS, *FIBER_FAULTS}
 
 
 def commands():
@@ -138,6 +147,9 @@ def commands():
     for name in POSET_FAULTS:
         yield ["compute", name]
         yield ["validate", name]
+    for name in FIBER_FAULTS:
+        yield ["leray", "torus.json", name]
+        yield ["validate", name, "--base", "torus.json"]
 
 
 def write_documents(directory):
@@ -156,6 +168,11 @@ def write_documents(directory):
     pieces = [{"name": "P%02d" % i, "cells": CIRCLE8_CELLS} for i in range(12)]
     (directory / DEEP_COVER).write_text(
         json.dumps({"kind": "cover", "pieces": pieces}), encoding="utf-8")
+    reeb = json.loads((DATA / "torus_reeb.json").read_text(encoding="utf-8"))
+    for name, edit in FIBER_FAULTS.items():
+        doc = copy.deepcopy(reeb)
+        edit(doc["fibers"])
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def run(argv, scratch):

@@ -86,7 +86,8 @@ def incidence_violations(poset, incidence):
 
 
 def check_face_closed(cw, cells):
-    """Raise unless the set cells holds only cells of cw and all their faces.
+    """Raise unless the set cells holds only cells of cw and all their faces;
+    return the cells, sorted.
 
     Cells are read in sorted order, so the error is the same on every run:
     UnknownCell for the first unknown cell, or NotASubcomplex for the first
@@ -94,12 +95,14 @@ def check_face_closed(cw, cells):
     """
     poset = cw.poset
     faces = poset.x_minus
-    for cell in sorted(cells):
+    kept = sorted(cells)
+    for cell in kept:
         if cell not in poset:
             raise UnknownCell("no cell %r in the complex" % (cell,))
         if not faces(cell) <= cells:
             raise NotASubcomplex("cell %r kept but its face %r dropped"
                                  % (cell, min(faces(cell) - cells)))
+    return kept
 
 
 def subcomplex(cw, cells):
@@ -110,9 +113,8 @@ def subcomplex(cw, cells):
     Since cw's incidences sit on exactly its covers, the kept covers are
     the faces of the kept cells, read in sorted order.
     """
-    keep = set(cells)
-    check_face_closed(cw, keep)
-    poset, kept = cw.poset, sorted(keep)
+    kept = check_face_closed(cw, set(cells))
+    poset = cw.poset
     incidence = {(f, c): cw.incidence[(f, c)]
                  for c in kept for f in sorted(poset.down[c])}
     dims = {c: poset.dims[c] for c in kept}

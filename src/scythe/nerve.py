@@ -4,10 +4,14 @@ The decomposition theorems here compute H^n of a space from H^0 and H^1 of
 sheaves living on a nerve or Reeb graph.  They are valid only when that base
 is at most one-dimensional, so higher nerves are refused, not approximated.
 Stalk computations are independent tasks; they run in task order in one
-process.  Each fiber (support) is reduced once, keeping its equivalence;
-a restriction H^n(sigma) -> H^n(tau) lifts sigma's reduced generators,
-copies out tau's cells and projects into tau's reduced complex, so sheaf
-stalks are written in the flagged bases of the reduced fibers.
+process.  Each fiber (support) is compiled straight from the base complex,
+in one pass over its cells, as the rank-1 constant sheaf with a shared +I or
+-I block on each kept cover.  It needs no d-squared walk: for +-I blocks d^2
+is the sign identity of the base, which every face-closed subset inherits.
+Each support is reduced once, keeping its equivalence; a restriction
+H^n(sigma) -> H^n(tau) lifts sigma's reduced generators, copies out tau's
+cells and projects into tau's reduced complex, so sheaf stalks are written
+in the flagged bases of the reduced fibers.
 """
 
 from collections import Counter
@@ -20,7 +24,7 @@ from .cohomology import (
     cocycle_basis,
     sheaf_cohomology,
 )
-from .cw import build_cw, check_face_closed, subcomplex
+from .cw import build_cw, check_face_closed
 from .equivalence import lift_cocycle, project_cocycle
 from .errors import (
     FiberInclusionViolated,
@@ -33,7 +37,9 @@ from .errors import (
 from .field import RATIONAL
 from .matrix import Matrix
 from .morse import scythe
-from .sheaf import CellularSheaf, compile_sheaf, constant_sheaf
+from . import parametrization
+from .poset import _indexed
+from .sheaf import CellularSheaf, constant_sheaf
 
 
 class Cover:
@@ -123,28 +129,61 @@ def nerve(cover):
 def parallel_stalks(base, tasks, field=RATIONAL, workers=1):
     """Cohomology profiles of face-closed subsets, one per (cells, degree) task.
 
-    Each subset is reduced before its Betti numbers are taken.  Tasks run
-    in order in one process, so results come back in task order and the
-    first failing task raises.  workers is accepted and selects nothing.
-    Profiles are padded with zeros up to the requested degree so
-    profile.betti[degree] always exists.
+    Each subset's constant sheaf is compiled in one pass (see _support) and
+    reduced before its Betti numbers are taken.  Tasks run in order in one
+    process, so results come back in task order and the first failing task
+    raises.  workers is accepted and selects nothing.  Profiles are padded
+    with zeros up to the requested degree so profile.betti[degree] always
+    exists.
     """
     results = []
     for cells, degree in tasks:
-        piece = subcomplex(base, cells)
-        profile = sheaf_cohomology(constant_sheaf(piece, 1, field))
+        param = _support(base, cells, field)
+        scythe(param)
+        profile = betti(param.assemble())
         while len(profile.betti) <= degree:
             profile.betti.append(0)
         results.append(profile)
     return results
 
 
+def _support(base, cells, field):
+    """compile_sheaf(constant_sheaf(subcomplex(base, cells), 1, field)), built
+    in one pass over the kept cells.
+
+    check_face_closed raises as subcomplex does and hands back the cells
+    sorted; each cell gets rank 1 and its kept covers, and each face f of a
+    cell c, in sorted order, the shared +I or -I block of the sign [f:c].
+    No CWComplex or CellularSheaf is built and nothing is walked for d^2:
+    the blocks are +-I, so d^2 = 0 is the sign identity that base holds and
+    the face-closed cells inherit, as check_sheaf reasons for constant
+    sheaves.
+    """
+    keep = set(cells)
+    kept = check_face_closed(base, keep)
+    poset, incidence = base.poset, base.incidence
+    one = Matrix.identity(field, 1)
+    block = {1: one, -1: one.neg()}
+    dims, up, down, maps = {}, {}, {}, {}
+    for c in kept:
+        dims[c] = poset.dims[c]
+        up[c] = poset.up[c] & keep
+        down[c] = faces = set(poset.down[c])
+        for f in sorted(faces):
+            maps[(f, c)] = block[incidence[(f, c)]]
+    return parametrization._built(field, _indexed(dims, up, down),
+                                  dict.fromkeys(dims, 1), maps)
+
+
 def _stalk_tables(base, supports, field):
-    """Reduction equivalence and reduced Betti profile for every support."""
+    """Reduction equivalence and reduced Betti profile for every support.
+
+    Supports are read in sorted order, each compiled in one pass from base
+    (see _support), so the first failing support raises.
+    """
     equivalences, profiles = {}, {}
     for name in sorted(supports):
-        piece = subcomplex(base, supports[name])
-        param = compile_sheaf(constant_sheaf(piece, 1, field))
+        param = _support(base, supports[name], field)
         eq = scythe(param, track_equivalence=True).equivalence
         equivalences[name], profiles[name] = eq, betti(eq.dst_complex)
     return equivalences, profiles

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from oracles import ref_degree_sheaf
+from randgen import random_face_closed, random_simplicial
 from scythe.cohomology import (
     betti,
     class_coordinates,
@@ -21,7 +22,7 @@ from scythe.complexes import (
     torus_reeb_fine,
     two_arc_cover_cells,
 )
-from scythe.cw import build_cw
+from scythe.cw import build_cw, subcomplex
 from scythe.equivalence import lift_cocycle
 from scythe.errors import (
     FiberInclusionViolated,
@@ -33,6 +34,7 @@ from scythe.errors import (
 )
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix, mat_mul, try_invert
+from scythe.morse import scythe
 from scythe.nerve import (
     Cover,
     cech_sheaf,
@@ -46,6 +48,7 @@ from scythe.nerve import (
     validate_fibers,
     _degree_sheaf,
     _stalk_tables,
+    _support,
 )
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
@@ -267,6 +270,81 @@ def test_parallel_stalks_raises_lowest_index_failure():
             parallel_stalks(t, tasks, workers=workers)
     with pytest.raises(UnknownCell):
         parallel_stalks(t, [(tf["u0"], 0), ({"missing"}, 0)], workers=8)
+    # the one-pass support build fails as subcomplex does: same class, same
+    # text, naming the least offending cell and the least face it misses
+    faults = [
+        ({"missing"}, UnknownCell, "no cell 'missing' in the complex"),
+        ({"q0000"}, NotASubcomplex,
+         "cell 'q0000' kept but its face 'h0000' dropped"),
+        (set(tf["a0"]) - {"v0001"}, NotASubcomplex,
+         "cell 'w0001' kept but its face 'v0001' dropped"),
+        # several faults: the least cell in sorted order decides
+        ({"q0000", "zz", "w0001"}, NotASubcomplex,
+         "cell 'q0000' kept but its face 'h0000' dropped"),
+        (set(tf["u0"]) | {"zz", "q0001"}, NotASubcomplex,
+         "cell 'q0001' kept but its face 'h0001' dropped"),
+        (set(tf["u0"]) | {"zz", "missing"}, UnknownCell,
+         "no cell 'missing' in the complex"),
+    ]
+    for cells, error, text in faults:
+        with pytest.raises(error) as want:
+            subcomplex(t, cells)
+        assert str(want.value) == text
+        for field in (RATIONAL, fp(5)):
+            with pytest.raises(error) as got:
+                _support(t, cells, field)
+            assert str(got.value) == text
+        with pytest.raises(error) as got:
+            parallel_stalks(t, [(tf["u0"], 0), (cells, 0)])
+        assert str(got.value) == text
+
+
+def _support_cases():
+    """(base, cells) for every fixture fiber, every nerve support of the two
+    arc covers, random face closures, the empty set and each whole complex."""
+    cases = []
+    for make in (torus_reeb, genus2_reeb):
+        base, _, fibers = make()
+        cases += [(base, fibers[name]) for name in sorted(fibers)]
+        cases += [(base, set()), (base, set(base.cells()))]
+    for make in (three_arc_cover, two_arc_cover):
+        base, cover = make()
+        supports = cover.nerve.supports
+        cases += [(base, supports[name]) for name in sorted(supports)]
+    rng = random.Random(20)
+    for base in [torus_grid(3, 4), filled_triangle()] + [
+            random_simplicial(rng) for _ in range(30)]:
+        cases += [(base, random_face_closed(rng, base)) for _ in range(3)]
+        cases += [(base, set()), (base, set(base.cells()))]
+    return cases
+
+
+def test_support_is_the_compiled_constant_sheaf_of_the_subcomplex():
+    for base, cells in _support_cases():
+        for field in (RATIONAL, fp(5)):
+            got = _support(base, cells, field)
+            want = compile_sheaf(constant_sheaf(subcomplex(base, cells), 1,
+                                                field))
+            assert list(got.maps.items()) == list(want.maps.items())
+            assert list(got.poset.dims.items()) == list(want.poset.dims.items())
+            assert got.poset.up == want.poset.up
+            assert got.poset.down == want.poset.down
+            assert list(got.stalk_rank.items()) == list(want.stalk_rank.items())
+            assert got.top == want.top
+            assert got.field is field
+            # the base's adjacency is copied, never shared
+            for c in got.poset.dims:
+                assert got.poset.up[c] is not base.poset.up[c]
+                assert got.poset.down[c] is not base.poset.down[c]
+            a = scythe(got, track_equivalence=True)
+            b = scythe(want, track_equivalence=True)
+            assert a.matching.pairs == b.matching.pairs
+            assert list(a.reduced.maps.items()) == list(b.reduced.maps.items())
+            assert a.reduced.poset.dims == b.reduced.poset.dims
+            ra, rb = a.equivalence.dst_complex, b.equivalence.dst_complex
+            assert ra.blocks == rb.blocks
+            assert ({n: lay.cells for n, lay in ra.layouts.items()}
+                    == {n: lay.cells for n, lay in rb.layouts.items()})
 
 
 def test_complexity_estimate_numbers():
