@@ -10,8 +10,9 @@ file names, so two checkouts compare with one diff:
 The commands run in-process over the fixtures shipped in scythe/data and
 over a few malformed documents, complex documents that break one poset or
 sign check each, a compiled document whose maps do not square to zero,
-a cover whose nerve is too big and two fiber assignments over the torus
-that are not face-closed, written to a temporary directory.  A run that succeeds has its stdout hashed; the
+a cover whose nerve is too big, two fiber assignments over the torus
+that are not face-closed and one whose edge fibers overlap, written to a
+temporary directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -113,7 +114,11 @@ FIBER_FAULTS = {
     "bad_fiber_dropped_face.json":
         lambda fibers: fibers["a0"].remove("v0001"),
 }
-WRITTEN = {DEEP_COVER, SQUARE, *MALFORMED, *POSET_FAULTS, *FIBER_FAULTS}
+# torus_reeb.json with every vertex fiber the whole torus and a2 widened to
+# a0 | a2, so the edge fibers a0 and a2 overlap at u0: a valid fibering
+OVERLAP = "overlapping_fibers.json"
+WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, *MALFORMED, *POSET_FAULTS,
+           *FIBER_FAULTS}
 
 
 def commands():
@@ -150,6 +155,9 @@ def commands():
     for name in FIBER_FAULTS:
         yield ["leray", "torus.json", name]
         yield ["validate", name, "--base", "torus.json"]
+    for flags in ([], ["--field", "fp:2"], ["--no-reduce"]):
+        yield ["leray", "torus.json", OVERLAP, *flags]
+    yield ["validate", OVERLAP, "--base", "torus.json"]
 
 
 def write_documents(directory):
@@ -173,6 +181,13 @@ def write_documents(directory):
         doc = copy.deepcopy(reeb)
         edit(doc["fibers"])
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+    torus = json.loads((DATA / "torus.json").read_text(encoding="utf-8"))
+    doc = copy.deepcopy(reeb)
+    fibers = doc["fibers"]
+    for vertex in ("u0", "u1", "u2"):
+        fibers[vertex] = [cell["id"] for cell in torus["cells"]]
+    fibers["a2"] = sorted(set(fibers["a0"]) | set(fibers["a2"]))
+    (directory / OVERLAP).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def run(argv, scratch):

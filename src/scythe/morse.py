@@ -143,13 +143,14 @@ def _pairing_candidate(param, critical, y, behind, orient, strict):
     return hit
 
 
-def _sweep(param, upward, strict, steps, observer):
+def _sweep(param, upward, strict, steps, observer, frozen=()):
     """One full reduction sweep in the given direction.
 
     The direction is resolved once, here: partners are sought behind each
     dequeued cell, the cells ahead of it are queued, and seeds are visited
     in one sorted pass, dimension descending for the dual sweep.  Each
-    removal appends its StepMaps record to the list steps.
+    removal appends its StepMaps record to the list steps.  The cells of
+    frozen start out critical, so they are never paired, queued or seeded.
     """
     poset = param.poset
     dims = poset.dims
@@ -159,7 +160,7 @@ def _sweep(param, upward, strict, steps, observer):
     else:
         ahead, behind, sign = poset.x_minus, poset.x_plus, -1
         orient = lambda partner, y: (y, partner)
-    critical = set()
+    critical = set(frozen)
     for _, c in sorted([(sign * d, x) for x, d in dims.items()]):
         if c not in dims or c in critical:
             continue
@@ -197,12 +198,13 @@ def _sweep(param, upward, strict, steps, observer):
             enqueue(comeback)
 
 
-def _run(param, upward, policy, track_equivalence, observer, until_stable):
+def _run(param, upward, policy, track_equivalence, observer, until_stable,
+         frozen=()):
     """Sweep param once, or until_stable until a sweep removes nothing.
 
-    Each sweep starts with every surviving cell non-critical again and
-    appends its steps to the run's one list; the matching's pairs are read
-    off that list at the end.  An unknown policy is refused before
+    Each sweep starts with every surviving cell outside frozen non-critical
+    again and appends its steps to the run's one list; the matching's pairs
+    are read off that list at the end.  An unknown policy is refused before
     anything is read.
     """
     if policy not in ("strict", "relaxed"):
@@ -212,7 +214,7 @@ def _run(param, upward, policy, track_equivalence, observer, until_stable):
     steps = []
     while True:
         done = len(steps)
-        _sweep(param, upward, strict, steps, observer)
+        _sweep(param, upward, strict, steps, observer, frozen)
         if not until_stable or len(steps) == done:
             break
     matching = Matching([(s.x, s.y) for s in steps], param.poset.dims)

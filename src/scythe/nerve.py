@@ -8,24 +8,20 @@ process.  Each fiber (support) is compiled straight from the base complex,
 in one pass over its cells, as the rank-1 constant sheaf with a shared +I or
 -I block on each kept cover.  It needs no d-squared walk: for +-I blocks d^2
 is the sign identity of the base, which every face-closed subset inherits.
-Each support is reduced once, keeping its equivalence; a restriction
-H^n(sigma) -> H^n(tau) lifts sigma's reduced generators, copies out tau's
-cells and projects into tau's reduced complex, so sheaf stalks are written
-in the flagged bases of the reduced fibers.
+Supports are reduced so that each edge support's reduced complex sits
+inside its endpoints', with the same cells and blocks: a pair outside an
+edge support never corrects a block into it.  A restriction H^n(sigma) ->
+H^n(tau) is then the map induced by copying tau's cells out of sigma's
+reduced complex, in the flagged bases of the reduced fibers.  Supports above
+dimension 1 stay unreduced; only cech_sheaf meets them, on nerves that the
+decomposition refuses.
 """
 
 from collections import Counter
 from functools import cached_property
 
-from .cohomology import (
-    CohomologyProfile,
-    betti,
-    class_coordinates,
-    cocycle_basis,
-    sheaf_cohomology,
-)
+from .cohomology import CohomologyProfile, betti, induced_map, sheaf_cohomology
 from .cw import build_cw, check_face_closed
-from .equivalence import lift_cocycle, project_cocycle
 from .errors import (
     FiberInclusionViolated,
     NerveTooBig,
@@ -36,7 +32,7 @@ from .errors import (
 )
 from .field import RATIONAL
 from .matrix import Matrix
-from .morse import scythe
+from .morse import _run, reduce_pair, scythe
 from . import parametrization
 from .poset import _indexed
 from .sheaf import CellularSheaf, constant_sheaf
@@ -175,60 +171,58 @@ def _support(base, cells, field):
                                   dict.fromkeys(dims, 1), maps)
 
 
-def _stalk_tables(base, supports, field):
-    """Reduction equivalence and reduced Betti profile for every support.
+def _stalk_tables(graph, base, supports, field):
+    """Reduced complex and its Betti profile for the support of every cell
+    of graph, reduced so that each edge's sits inside its endpoints'.
 
-    Supports are read in sorted order, each compiled in one pass from base
-    (see _support), so the first failing support raises.
+    Supports are compiled in sorted order, each in one pass from base (see
+    _support), so the first failing support raises.  Each edge support is
+    swept with the cells it shares with another edge at either endpoint
+    frozen.  Each vertex support replays its edges' pairs, in sorted edge
+    order, through reduce_pair, whose cover and inverse checks assert the
+    nesting, and is swept with all its edges' cells frozen.  A frozen cell is
+    never paired, and a pair (x, y) outside an edge support only corrects
+    blocks (w, z) with z above x, so z outside it too: the edge's reduced
+    complex is the vertex's restricted to its cells, blocks included, and
+    the vertex's lift restricts to the edge's.  Supports of cells above
+    dimension 1 stay unreduced; their cells are frozen in every edge.
     """
-    equivalences, profiles = {}, {}
-    for name in sorted(supports):
-        param = _support(base, supports[name], field)
-        eq = scythe(param, track_equivalence=True).equivalence
-        equivalences[name], profiles[name] = eq, betti(eq.dst_complex)
-    return equivalences, profiles
+    params = {name: _support(base, supports[name], field)
+              for name in sorted(supports)}
+    edges_at = graph.poset.x_plus
+    pairs = {}
+    for tau in graph.poset.elements_of_dim(1):
+        shared = [supports[tau] & supports[e]
+                  for s in graph.poset.x_minus(tau) for e in edges_at(s)
+                  if e != tau]
+        pairs[tau] = _run(params[tau], True, "strict", False, None, False,
+                          frozen=set().union(*shared)).matching.pairs
+    for sigma in graph.poset.elements_of_dim(0):
+        for tau in sorted(edges_at(sigma)):
+            for x, y in pairs[tau]:
+                reduce_pair(params[sigma], x, y)
+        _run(params[sigma], True, "strict", False, None, False,
+             frozen=set().union(*(supports[e] for e in edges_at(sigma))))
+    reduced = {name: param.assemble() for name, param in params.items()}
+    return reduced, {name: betti(cx) for name, cx in reduced.items()}
 
 
 def _entry(profile, n):
     return profile.betti[n] if 0 <= n < len(profile.betti) else 0
 
 
-def _transport(lifts, big, small, n, rank):
-    """Matrix of H^n(big fiber) -> H^n(small fiber) in the reduced bases.
-
-    lifts are big's reduced generators lifted to its fiber; small's fiber is
-    a subcomplex of big's with the same cell ids, so each lift restricts by
-    copying out small's blocks before it is projected and solved for.
-    """
-    src = big.src_complex.layout(n)
-    dst = small.src_complex.layout(n)
-    cols = []
-    for vec in lifts:
-        restricted = [v for c in dst.cells for v in vec[slice(*src.slot(c))]]
-        reduced = project_cocycle(small, restricted, n)
-        cols.append(class_coordinates(small.dst_complex, reduced, n))
-    return Matrix(small.field, len(cols), rank, cols).transpose()
-
-
-def _degree_sheaf(cw, equivalences, profiles, n, field):
+def _degree_sheaf(cw, reduced, profiles, n, field):
     """The sheaf on cw whose stalks are degree-n cohomologies of supports.
 
-    Each support's reduced generators are lifted once, for every cover above.
+    Stalks are in the flagged bases of the reduced supports, and each
+    restriction is the induced map of the copy-out of the smaller reduced
+    complex from the larger (see _stalk_tables).
     """
     ranks = {cell: _entry(profiles[cell], n) for cell in cw.poset.dims}
-    lifts = {}
-    restriction = {}
-    for sigma, tau in cw.poset.covers():
-        if ranks[sigma] == 0 and ranks[tau] == 0:
-            continue
-        big = equivalences[sigma]
-        if sigma not in lifts:
-            basis = cocycle_basis(big.dst_complex, n)
-            lifts[sigma] = [lift_cocycle(big, basis.matrix.column(j), n)
-                            for j in basis.flagged]
-        restriction[(sigma, tau)] = _transport(
-            lifts[sigma], big, equivalences[tau], n, ranks[tau]
-        )
+    restriction = {
+        (sigma, tau): induced_map(reduced[sigma], reduced[tau], None, n)
+        for sigma, tau in cw.poset.covers() if ranks[sigma] or ranks[tau]
+    }
     return CellularSheaf(cw, field, ranks, restriction)
 
 
@@ -249,12 +243,13 @@ def cech_sheaf(cover, n, field=RATIONAL, workers=1):
     """Degree-n cohomology of supports arranged as a sheaf on the nerve.
 
     Stalks are in the reduced supports' flagged bases, and restrictions
-    move their generators by cocycle transport.  workers is accepted and
+    copy the smaller reduced support out of the larger (see _stalk_tables);
+    supports above dimension 1 stay unreduced.  workers is accepted and
     selects nothing; stalks are computed in order.
     """
     nv = cover.nerve
-    equivalences, profiles = _stalk_tables(cover.base, nv.supports, field)
-    sheaf = _degree_sheaf(nv.cw, equivalences, profiles, n, field)
+    reduced, profiles = _stalk_tables(nv.cw, cover.base, nv.supports, field)
+    sheaf = _degree_sheaf(nv.cw, reduced, profiles, n, field)
     return SheafOverNerve(n, sheaf, dict(nv.supports))
 
 
@@ -263,14 +258,15 @@ def _decompose(base, graph, supports, field, reduce_first):
 
     graph is at most one-dimensional, so H^n(base) is H^0 of the degree-n
     sheaf plus H^1 of the degree-(n-1) sheaf, for n up to base's dimension.
-    Each support is reduced once, and every degree sheaf is built from
-    those reductions by cocycle transport.
+    Each support is reduced once, nested in its neighbours (see
+    _stalk_tables), and every degree sheaf copies its restrictions out of
+    those reduced complexes.
     """
-    equivalences, profiles = _stalk_tables(base, supports, field)
+    reduced, profiles = _stalk_tables(graph, base, supports, field)
     out = []
     carry = 0
     for n in range(base.poset.max_dim() + 1):
-        sheaf = _degree_sheaf(graph, equivalences, profiles, n, field)
+        sheaf = _degree_sheaf(graph, reduced, profiles, n, field)
         b0 = b1 = 0
         if any(sheaf.stalk_rank.values()):
             profile = sheaf_cohomology(sheaf, reduce_first=reduce_first)
@@ -339,13 +335,13 @@ def leray_sheaf(X, gamma, fibers, n, field=RATIONAL, workers=1):
     fibers maps every cell of gamma to a face-closed subset of X; each edge
     fiber must sit inside both endpoint fibers, mirroring how preimages of
     open stars shrink as cells grow.  Stalks are in the reduced fibers'
-    flagged bases, and restrictions move their generators by cocycle
-    transport.  workers is accepted and selects nothing; stalks are
-    computed in order.
+    flagged bases, and restrictions copy each edge's reduced fiber out of
+    its endpoints' (see _stalk_tables).  workers is accepted and selects
+    nothing; stalks are computed in order.
     """
     checked = validate_fibers(X, gamma, fibers)
-    equivalences, profiles = _stalk_tables(X, checked, field)
-    sheaf = _degree_sheaf(gamma, equivalences, profiles, n, field)
+    reduced, profiles = _stalk_tables(gamma, X, checked, field)
+    sheaf = _degree_sheaf(gamma, reduced, profiles, n, field)
     return SheafOverNerve(n, sheaf, checked)
 
 

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import random
 import time
 
@@ -23,7 +25,7 @@ from scythe.complexes import (
     two_arc_cover_cells,
 )
 from scythe.cw import build_cw, subcomplex
-from scythe.equivalence import lift_cocycle
+from scythe.equivalence import Equivalence, lift_cocycle
 from scythe.errors import (
     FiberInclusionViolated,
     NerveTooBig,
@@ -46,11 +48,14 @@ from scythe.nerve import (
     nerve_theorem_check,
     parallel_stalks,
     validate_fibers,
-    _degree_sheaf,
     _stalk_tables,
     _support,
 )
 from scythe.sheaf import compile_sheaf, constant_sheaf
+import scythe.morse as morse_module
+
+# the package's attribute nerve is the function, so the module is imported
+nerve_module = importlib.import_module("scythe.nerve")
 
 
 def two_arc_cover():
@@ -382,13 +387,56 @@ def _cech_case(cells):
     return base, nv.cw, nv.supports, lambda n, f: cech_sheaf(cover, n, f)
 
 
+def _torus_reeb_overlap():
+    """torus_reeb with every vertex fiber the whole torus and a2 widened to
+    a0 | a2, so the edge fibers a0 and a2 share a circle at u0."""
+    X, graph, fibers = torus_reeb()
+    whole = set(X.cells())
+    return X, graph, dict(fibers, u0=whole, u1=whole, u2=whole,
+                          a2=fibers["a0"] | fibers["a2"])
+
+
+def _triple_overlap_cells():
+    """The interval under three pieces that all hold u: a 2-simplex nerve."""
+    return interval(), [("A", ["u", "v", "e"]), ("B", ["u"]),
+                        ("C", ["u", "v", "e"])]
+
+
 PIPELINE_CASES = {
     "genus2_reeb": lambda: _leray_case(genus2_reeb),
     "torus_reeb": lambda: _leray_case(torus_reeb),
     "torus_reeb_fine": lambda: _leray_case(torus_reeb_fine),
+    "torus_reeb_overlap": lambda: _leray_case(_torus_reeb_overlap),
     "two_arc_cover": lambda: _cech_case(two_arc_cover_cells),
     "three_arc_cover": lambda: _cech_case(three_arc_cover_cells),
+    "triple_overlap_cover": lambda: _cech_case(_triple_overlap_cells),
 }
+
+
+def _recorded_tables(monkeypatch, graph, base, supports, field):
+    """_stalk_tables, with each support's run recorded as an Equivalence:
+    the support as compiled, before any step, then every StepMaps that a
+    removal on it returned, replays and sweeps alike."""
+    compile_support, remove = nerve_module._support, morse_module._reduce_pair
+    runs, steps = [], {}
+
+    def support(*args):
+        param = compile_support(*args)
+        runs.append((param, param.assemble()))
+        steps[id(param)] = []
+        return param
+
+    def reduce_pair(param, *args):
+        step = remove(param, *args)
+        steps[id(param)].append(step)
+        return step
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nerve_module, "_support", support)
+        patch.setattr(morse_module, "_reduce_pair", reduce_pair)
+        reduced, _ = _stalk_tables(graph, base, supports, field)
+    return {name: Equivalence(src, steps[id(param)], reduced[name])
+            for name, (param, src) in zip(sorted(supports), runs)}
 
 
 def _change_of_basis(eq, cx, n):
@@ -402,14 +450,17 @@ def _change_of_basis(eq, cx, n):
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
-def test_transported_restrictions_are_induced_maps_in_reduced_bases(name):
-    # R . B_sigma = B_tau . T on every cover, where T is the transported
+def test_copied_out_restrictions_are_induced_maps_in_reduced_bases(
+        name, monkeypatch):
+    # R . B_sigma = B_tau . T on every cover, where T is the pipeline's
     # restriction, R the induced map on unreduced fibers and B a fiber's
-    # invertible change of basis from its reduced generators
+    # invertible change of basis from its reduced generators, lifted
+    # through the steps its reduction recorded
     base, graph, supports, sheaf_of = PIPELINE_CASES[name]()
     nonzero = 0
     for field in (RATIONAL, fp(5), fp(2)):
-        equivalences, _ = _stalk_tables(base, supports, field)
+        equivalences = _recorded_tables(monkeypatch, graph, base, supports,
+                                        field)
         for n in range(base.poset.max_dim() + 1):
             sheaf = sheaf_of(n, field).sheaf
             complexes, ranks, ref = ref_degree_sheaf(base, graph, supports, n,
@@ -429,16 +480,25 @@ def test_transported_restrictions_are_induced_maps_in_reduced_bases(name):
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
-def test_stalk_tables_never_stack_fiber_coboundaries(name):
-    # fibers are reduced and transported through their blocks; no dense
-    # coboundary of an unreduced fiber is ever built
+def test_reduced_supports_nest_along_every_cover(name):
+    # for each cover sigma < tau, R(tau) is R(sigma) cut down to R(tau)'s
+    # cells: the same cells in the same order in each degree, and the same
+    # blocks into them, none from elsewhere; and every cell an edge support
+    # shares with a neighbouring edge support survives its reduction
     base, graph, supports, _ = PIPELINE_CASES[name]()
-    equivalences, profiles = _stalk_tables(base, supports, RATIONAL)
-    for n in range(base.poset.max_dim() + 1):
-        _degree_sheaf(graph, equivalences, profiles, n, RATIONAL)
-    for eq in equivalences.values():
-        src = eq.src_complex
-        assert not [n for n in range(-1, src.top + 2) if ("d", n) in src._cache]
+    for field in (RATIONAL, fp(2)):
+        reduced, _ = _stalk_tables(graph, base, supports, field)
+        cells = {name: {c for lay in cx.layouts.values() for c in lay.cells}
+                 for name, cx in reduced.items()}
+        for sigma, tau in graph.poset.covers():
+            big, small = reduced[sigma], reduced[tau]
+            for n, lay in small.layouts.items():
+                assert [c for c in big.layout(n).cells if c in lay] == lay.cells
+            assert {k: m for k, m in big.blocks.items()
+                    if k[1] in cells[tau]} == small.blocks
+        for vertex in graph.poset.elements_of_dim(0):
+            for e, f in itertools.permutations(graph.poset.x_plus(vertex), 2):
+                assert supports[e] & supports[f] <= cells[e]
 
 
 def _fibered_torus(rng):
