@@ -450,7 +450,7 @@ def _change_of_basis(eq, cx, n):
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
-def test_copied_out_restrictions_are_induced_maps_in_reduced_bases(
+def test_transported_restrictions_are_induced_maps_in_reduced_bases(
         name, monkeypatch):
     # R . B_sigma = B_tau . T on every cover, where T is the pipeline's
     # restriction, R the induced map on unreduced fibers and B a fiber's
