@@ -11,8 +11,9 @@ The commands run in-process over the fixtures shipped in scythe/data and
 over a few malformed documents, complex documents that break one poset or
 sign check each, a compiled document whose maps do not square to zero,
 a cover whose nerve is too big, two fiber assignments over the torus
-that are not face-closed and one whose edge fibers overlap, written to a
-temporary directory.  A run that succeeds has its stdout hashed; the
+that are not face-closed, one whose edge fibers overlap and a twisted sheaf
+on the torus whose blocks are not all invertible, written to a temporary
+directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -27,7 +28,9 @@ import pathlib
 import tempfile
 
 import scythe
+from scythe import CellularSheaf, Matrix, constant_sheaf, mat_mul, skyscraper_sheaf
 from scythe.cli import main
+from scythe.serialize import dumps, parse, sheaf_to_json
 
 DATA = pathlib.Path(scythe.__file__).resolve().parent / "data"
 
@@ -117,7 +120,16 @@ FIBER_FAULTS = {
 # torus_reeb.json with every vertex fiber the whole torus and a2 widened to
 # a0 | a2, so the edge fibers a0 and a2 overlap at u0: a valid fibering
 OVERLAP = "overlapping_fibers.json"
-WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, *MALFORMED, *POSET_FAULTS,
+# the constant line plus a skyscraper at TWISTED_CELL on torus.json, each
+# rank-2 stalk conjugated by the transvection [[1, 1], [0, 1]]: its blocks
+# at TWISTED_CELL are not invertible, so the sweeps leave pairs behind that
+# a constant sheaf would take, and the two policies part
+TWISTED = "twisted_torus_sheaf.json"
+TWISTED_CELL = "w0001"
+TWISTED_RUNS = [["compute"], ["compute", "--lift"], ["reduce"],
+                ["reduce", "--equivalence"], ["reduce", "--policy", "relaxed"],
+                ["reduce", "--equivalence", "--iterate", "--policy", "relaxed"]]
+WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, TWISTED, *MALFORMED, *POSET_FAULTS,
            *FIBER_FAULTS}
 
 
@@ -158,6 +170,32 @@ def commands():
     for flags in ([], ["--field", "fp:2"], ["--no-reduce"]):
         yield ["leray", "torus.json", OVERLAP, *flags]
     yield ["validate", OVERLAP, "--base", "torus.json"]
+    for command, *flags in TWISTED_RUNS:
+        yield [command, TWISTED, *flags]
+
+
+def twisted_sheaf(base):
+    """constant_sheaf(base) plus skyscraper_sheaf(base, TWISTED_CELL),
+    block by block, with every stalk of rank 2 conjugated by the integer
+    transvection T = [[1, 1], [0, 1]]: F_st becomes T_t . F_st . T_s^-1."""
+    line = constant_sheaf(base)
+    sky = skyscraper_sheaf(base, TWISTED_CELL)
+    field = line.field
+    stalks = {c: line.stalk_rank[c] + sky.stalk_rank[c] for c in base.cells()}
+
+    def basis(c, shear):
+        if stalks[c] == 2:
+            return Matrix.from_rows(field, [[1, shear], [0, 1]])
+        return Matrix.identity(field, stalks[c])
+
+    maps = {}
+    for (s, t), a in line.restriction.items():
+        b = sky.restriction[(s, t)]
+        rows = ([row + [0] * b.cols for row in a.data]
+                + [[0] * a.cols + row for row in b.data])
+        block = Matrix.from_rows(field, rows)
+        maps[(s, t)] = mat_mul(basis(t, 1), mat_mul(block, basis(s, -1)))
+    return CellularSheaf(base, field, stalks, maps)
 
 
 def write_documents(directory):
@@ -188,6 +226,8 @@ def write_documents(directory):
         fibers[vertex] = [cell["id"] for cell in torus["cells"]]
     fibers["a2"] = sorted(set(fibers["a0"]) | set(fibers["a2"]))
     (directory / OVERLAP).write_text(json.dumps(doc), encoding="utf-8")
+    (directory / TWISTED).write_text(
+        dumps(sheaf_to_json(twisted_sheaf(parse(torus)))), encoding="utf-8")
 
 
 def run(argv, scratch):

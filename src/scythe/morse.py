@@ -3,20 +3,24 @@
 The engine repeatedly picks a critical seed cell, then breadth-first
 searches its neighborhood for covering pairs (x, y) whose map is invertible
 and removes them, correcting the surviving maps so cohomology is untouched.
-Each removal returns its step record: the pair, the inverse of its map and
-the blocks around it as they stood.  Their list is all a run records: the
-matching is read off it at the end, a tracked run keeps it as the
-equivalence, and no poset is copied.  A dual top-down sweep and an
-iterated mode are provided, with a gradient-path oracle to cross-check.
+A removal is one pass over the pair's star: it reads the blocks around the
+pair while it unlinks the pair from the poset's dims, up and down, the maps
+and the stalk ranks, which the engine edits itself, and then corrects the
+blocks between survivors.  Dead keys are only ever deleted, so the
+surviving maps keep their insertion order.  Each removal returns its step
+record: the pair, the inverse of its map and the blocks around it as they
+stood.  Their list is all a run records: the matching is read off it at
+the end, a tracked run keeps it as the equivalence, and no poset is
+copied.  A dual top-down sweep and an iterated mode are provided.
 
-Policy and direction are decided once, when a run and a sweep start; the
-per-cell loop tests neither.
+A run checks its policy once, and a sweep resolves its direction once into
+the adjacency it searches and the one it queues from; the per-cell loop
+only orders each candidate pair's key by it.
 """
 
 from collections import deque
-import heapq
 
-from .errors import CyclicMatching, NotACover, NotInvertible, ValidationError
+from .errors import NotACover, NotInvertible, ValidationError
 from .matrix import mat_mul, mul_sub, try_invert
 from . import equivalence as _equiv
 
@@ -80,86 +84,82 @@ def _reduce_pair(param, x, y, inv):
 
     Returns the step's StepMaps: the pair, inv and the star of the pair as
     it stood, up[z] = F_xz for z above x and down[w] = F_wy for w below y.
+    One pass over the star reads it and unlinks the pair: each F_xz and
+    F_wy is popped off the maps as it is read, in sorted order, and x or y
+    leaves the neighbour's adjacency set at once; then the faces of x and
+    the cofaces of y are unlinked.  The correction loop edits only keys
+    (w, z) of survivors, so no dead key is ever inserted again and the
+    surviving maps keep their insertion order.
     """
     poset = param.poset
+    dims, above, below = poset.dims, poset.up, poset.down
     maps = param.maps
-    get = maps.get
+    pop = maps.pop
     up = {}
-    for z in sorted(poset.up[x]):
+    for z in sorted(above.pop(x)):
         if z != y:
-            fxz = get((x, z))
+            below[z].discard(x)
+            fxz = pop((x, z), None)
             if fxz is not None:
                 up[z] = fxz
     down = {}
-    for w in sorted(poset.down[y]):
+    for w in sorted(below.pop(y)):
         if w != x:
-            fwy = get((w, y))
+            above[w].discard(y)
+            fwy = pop((w, y), None)
             if fwy is not None:
                 down[w] = fwy
-    step = _equiv.StepMaps(x, y, poset.dims[x], poset.dims[y], inv, up, down)
+    pop((x, y), None)
+    for s in below.pop(x):
+        above[s].discard(x)
+        pop((s, x), None)
+    for t in above.pop(y):
+        below[t].discard(y)
+        pop((y, t), None)
+    step = _equiv.StepMaps(x, y, dims.pop(x), dims.pop(y), inv, up, down)
+    del param.stalk_rank[x], param.stalk_rank[y]
     # a step with nothing below y corrects no block, so it forms no F_xz.inv
-    corrections = ([(z, mat_mul(fxz, inv)) for z, fxz in up.items()]
-                   if down else [])
+    if not down:
+        return step
+    corrections = [(z, mat_mul(fxz, inv)) for z, fxz in up.items()]
+    get = maps.get
     for w, fwy in down.items():
-        above = poset.up[w]
+        ahead = above[w]
         for z, head in corrections:
             updated = mul_sub(get((w, z)), head, fwy)
             if updated is None:
-                if z in above:
-                    poset.remove_cover(w, z)
-                    maps.pop((w, z), None)
+                if z in ahead:
+                    ahead.discard(z)
+                    below[z].discard(w)
+                    pop((w, z), None)
             else:
-                if z not in above:
-                    poset.add_cover(w, z)
+                if z not in ahead:
+                    ahead.add(z)
+                    below[z].add(w)
                 maps[(w, z)] = updated
-    for dead in (x, y):
-        for t in poset.up[dead]:
-            maps.pop((dead, t), None)
-        for s in poset.down[dead]:
-            maps.pop((s, dead), None)
-        poset.remove_element(dead)
-        del param.stalk_rank[dead]
     return step
-
-
-def _pairing_candidate(param, critical, y, behind, orient, strict):
-    """The unique partner of y among behind(y), with the inverse of the
-    pair's map, as (partner, inverse); or None.
-
-    orient(partner, y) orders the pair.  The relaxed policy asks for one
-    invertible pair among the non-critical neighbours; strict is that
-    search restricted to a single non-critical neighbour.
-    """
-    free = [e for e in behind(y) if e not in critical]
-    if strict and len(free) != 1:
-        return None
-    hit = None
-    for e in free:
-        inv = try_invert(param.map_of(*orient(e, y)))
-        if inv is not None:
-            if hit is not None:
-                return None
-            hit = e, inv
-    return hit
 
 
 def _sweep(param, upward, strict, steps, observer, frozen=()):
     """One full reduction sweep in the given direction.
 
-    The direction is resolved once, here: partners are sought behind each
-    dequeued cell, the cells ahead of it are queued, and seeds are visited
-    in one sorted pass, dimension descending for the dual sweep.  Each
-    removal appends its StepMaps record to the list steps.  The cells of
-    frozen start out critical, so they are never paired, queued or seeded.
+    The direction picks, once, which adjacency holds the cells behind each
+    dequeued cell y, where its partner is sought, and which the cells
+    ahead, which are queued; seeds are visited in one sorted pass,
+    dimension descending for the dual sweep.  y pairs with the one
+    non-critical cell behind it whose block is invertible; strict also asks
+    that cell to be the only non-critical one, relaxed refuses y when two
+    blocks are invertible.  Each removal appends its StepMaps record to the
+    list steps.  The cells of frozen start out critical, so they are never
+    paired, queued or seeded.
     """
     poset = param.poset
     dims = poset.dims
+    get = param.maps.get
     if upward:
-        ahead, behind, sign = poset.x_plus, poset.x_minus, 1
-        orient = lambda partner, y: (partner, y)
+        ahead, behind, sign = poset.up, poset.down, 1
     else:
-        ahead, behind, sign = poset.x_minus, poset.x_plus, -1
-        orient = lambda partner, y: (y, partner)
+        ahead, behind, sign = poset.down, poset.up, -1
     critical = set(frozen)
     for _, c in sorted([(sign * d, x) for x, d in dims.items()]):
         if c not in dims or c in critical:
@@ -169,33 +169,46 @@ def _sweep(param, upward, strict, steps, observer, frozen=()):
             observer.select(c)
         flags = {c}
         queue = deque([c])
-
-        def enqueue(cells):
-            for e in sorted(cells):
-                if e in dims and e not in critical and e not in flags:
-                    flags.add(e)
-                    queue.append(e)
-                    if observer is not None:
-                        observer.enqueue(e)
-
         while queue:
             y = queue.popleft()
             if y not in dims:
                 continue
             if observer is not None:
                 observer.dequeue(y)
-            hit = _pairing_candidate(param, critical, y, behind, orient, strict)
+            free = [e for e in behind[y] if e not in critical]
+            hit = None
+            if not strict or len(free) == 1:
+                for e in free:
+                    key = (e, y) if upward else (y, e)
+                    block = get(key)
+                    inv = try_invert(param.map_of(*key) if block is None
+                                     else block)
+                    if inv is not None:
+                        if hit is not None:
+                            hit = None
+                            break
+                        hit = e, inv
+            # y itself is flagged, so the partner's cells skip it
+            for e in sorted(ahead[y] if hit is None else ahead[hit[0]]):
+                if e not in critical and e not in flags:
+                    flags.add(e)
+                    queue.append(e)
+                    if observer is not None:
+                        observer.enqueue(e)
             if hit is None:
-                enqueue(ahead(y))
                 continue
             partner, inv = hit
-            x, top = orient(partner, y)
-            enqueue(ahead(partner) - {y})
-            comeback = sorted(ahead(y))
+            x, top = (partner, y) if upward else (y, partner)
+            comeback = sorted(ahead[y])
             if observer is not None:
                 observer.pair(x, top)
             steps.append(_reduce_pair(param, x, top, inv))
-            enqueue(comeback)
+            for e in comeback:
+                if e not in critical and e not in flags:
+                    flags.add(e)
+                    queue.append(e)
+                    if observer is not None:
+                        observer.enqueue(e)
 
 
 def _run(param, upward, policy, track_equivalence, observer, until_stable,
@@ -247,162 +260,3 @@ def iterate_scythe(param, policy="strict", track_equivalence=False,
                    observer=None):
     """Run upward reduction sweeps until the critical poset stops shrinking."""
     return _run(param, True, policy, track_equivalence, observer, True)
-
-
-class AcyclicReport:
-    """Outcome of an acyclicity check; .order is a topological sort of the
-    pairs when acyclic, .cycle a witness list of pairs when not."""
-
-    def __init__(self, order=None, cycle=None):
-        self.order = order
-        self.cycle = cycle
-
-    def __bool__(self):
-        return self.cycle is None
-
-
-def verify_acyclic(matching, poset):
-    """Topologically sort the pair relation; report an order or a cycle.
-
-    Pair (x, y) precedes (x', y') when x lies under y' in the poset; a
-    matching is acyclic exactly when this relation has no directed cycle.
-    """
-    pairs = sorted(set(matching.pairs))
-    index = {p: i for i, p in enumerate(pairs)}
-    succ = [[] for _ in pairs]
-    indeg = [0] * len(pairs)
-    for i, (x, _) in enumerate(pairs):
-        if x not in poset.dims:
-            continue
-        for y2 in poset.x_plus(x):
-            for p2 in pairs:
-                if p2[1] == y2 and index[p2] != i:
-                    succ[i].append(index[p2])
-                    indeg[index[p2]] += 1
-    ready = sorted(i for i in range(len(pairs)) if indeg[i] == 0)
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(pairs[i])
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    if len(order) == len(pairs):
-        return AcyclicReport(order=order)
-    leftover = {i for i in range(len(pairs)) if indeg[i] > 0}
-    start = min(leftover)
-    seen = {}
-    walk = []
-    i = start
-    while i not in seen:
-        seen[i] = len(walk)
-        walk.append(i)
-        i = next(j for j in succ[i] if j in leftover)
-    cycle = [pairs[j] for j in walk[seen[i]:]]
-    return AcyclicReport(cycle=cycle)
-
-
-def verify_matching_axioms(matching, poset):
-    """Check the dimension and partition axioms against the given poset."""
-    seen = set()
-    for x, y in matching.pairs:
-        if not poset.has_cover(x, y):
-            return False
-        if x in seen or y in seen:
-            return False
-        seen.add(x)
-        seen.add(y)
-    return True
-
-
-def verify_monotone_removal(matching, poset, top_down=False):
-    """Check pairs were removed in an order compatible with the pair relation.
-
-    poset must be the snapshot from before the sweep; returns True when no
-    pair precedes one removed earlier.  The upward sweep removes relation
-    predecessors first; the dual sweep removes successors first and is
-    checked with top_down=True, which reads the pair list in reverse.
-    """
-    pairs = matching.pairs
-    if top_down:
-        pairs = list(reversed(pairs))
-    for j in range(len(pairs)):
-        yj = pairs[j][1]
-        below = poset.x_minus(yj) if yj in poset.dims else set()
-        for i in range(j + 1, len(pairs)):
-            if pairs[i][0] in below:
-                return False
-    return True
-
-
-def _validate_for_oracle(original, matching):
-    if not verify_matching_axioms(matching, original.poset):
-        raise ValidationError("matching violates the dimension/partition axioms")
-    report = verify_acyclic(matching, original.poset)
-    if not report:
-        raise CyclicMatching(report.cycle)
-    inverses = {}
-    for x, y in matching.pairs:
-        inv = try_invert(original.map_of(x, y))
-        if inv is None:
-            raise NotInvertible("matched map (%s, %s) has no inverse" % (x, y))
-        inverses[(x, y)] = inv
-    return inverses
-
-
-def morse_coboundary_oracle(original, matching):
-    """Blocks of the reduced coboundary via explicit gradient-path sums.
-
-    For critical cells m, m' one dimension apart, sums the direct map F_mm'
-    with one term per gradient path: the chain of matched-pair inverses
-    (each negated) interleaved with the covering maps along the path.
-    Exponential in the worst case; intended for cross-validation on small
-    inputs.  Returns only the nonzero blocks, keyed by (m, m').
-    """
-    inverses = _validate_for_oracle(original, matching)
-    poset = original.poset
-    field = original.field
-    matched = matching.matched_elements()
-    critical = sorted(x for x in poset.dims if x not in matched)
-    upper_pair = {y: (x, y) for x, y in matching.pairs}
-    blocks = {}
-
-    def accumulate(m, mp, contribution):
-        key = (m, mp)
-        if key in blocks:
-            blocks[key] = blocks[key].add(contribution)
-        else:
-            blocks[key] = contribution
-
-    for m in critical:
-        for mp in sorted(poset.x_plus(m)):
-            if mp not in matched:
-                accumulate(m, mp, original.map_of(m, mp))
-        for y1 in sorted(poset.x_plus(m)):
-            if y1 not in upper_pair:
-                continue
-            first = upper_pair[y1]
-            fm = original.map_of(m, y1)
-            stack = [(first, mat_mul(inverses[first].neg(), fm), {first})]
-            while stack:
-                (x, y), acc, on_path = stack.pop()
-                for mp in sorted(poset.x_plus(x)):
-                    if mp in matched:
-                        if mp in upper_pair:
-                            nxt = upper_pair[mp]
-                            if nxt == (x, y):
-                                continue
-                            if nxt in on_path:
-                                raise CyclicMatching(sorted(on_path))
-                            step = mat_mul(
-                                inverses[nxt].neg(),
-                                mat_mul(original.map_of(x, mp), acc),
-                            )
-                            stack.append((nxt, step, on_path | {nxt}))
-                    else:
-                        accumulate(m, mp, mat_mul(original.map_of(x, mp), acc))
-    return {
-        key: blk for key, blk in sorted(blocks.items()) if not blk.is_zero()
-    }

@@ -11,8 +11,9 @@ from .errors import DanglingId, NonGradedCover, ValidationError
 class GradedPoset:
     """Elements with dimensions plus up/down adjacency of the cover relation.
 
-    Treat instances as immutable; only the reduction engine mutates them,
-    and it owns its copy.
+    Treat instances as immutable.  The reduction engine alone edits dims,
+    up and down in place, on the poset of the parametrization it reduces,
+    and keeps the three describing the same cells and covers.
     """
 
     def __init__(self, dims, covers):
@@ -61,23 +62,6 @@ class GradedPoset:
 
     def has_cover(self, x, y):
         return x in self.up and y in self.up[x]
-
-    # Mutators below are reserved for the reduction engine.
-
-    def add_cover(self, x, y):
-        self.up[x].add(y)
-        self.down[y].add(x)
-
-    def remove_cover(self, x, y):
-        self.up[x].discard(y)
-        self.down[y].discard(x)
-
-    def remove_element(self, x):
-        for y in self.up.pop(x):
-            self.down[y].discard(x)
-        for w in self.down.pop(x):
-            self.up[w].discard(x)
-        del self.dims[x]
 
 
 def build_poset(elements, covers):

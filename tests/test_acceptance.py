@@ -28,7 +28,6 @@ from scythe.field import RATIONAL, fp
 from scythe.morse import (
     coscythe,
     iterate_scythe,
-    morse_coboundary_oracle,
     reduce_pair,
     scythe,
 )
@@ -48,6 +47,7 @@ from scythe.sheaf import (
 )
 
 from conftest import ACCEPTANCE_LINES
+from morse_oracle import morse_coboundary_oracle
 from test_equivalence import check_laws
 from test_morse import (
     FIXTURES, assert_passes_legal, checked_run, fixture_params,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,17 +23,19 @@ from scythe.morse import (
     Matching,
     coscythe,
     iterate_scythe,
-    morse_coboundary_oracle,
     reduce_pair,
     scythe,
-    verify_acyclic,
-    verify_matching_axioms,
-    verify_monotone_removal,
 )
 from scythe.parametrization import Parametrization
 from scythe.poset import GradedPoset, build_poset
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
+from morse_oracle import (
+    morse_coboundary_oracle,
+    verify_acyclic,
+    verify_matching_axioms,
+    verify_monotone_removal,
+)
 from oracles import ref_betti
 from randgen import (
     TWISTED_SUMS, random_parametrization, random_simplicial, twisted_torus_sum,
@@ -92,9 +95,21 @@ def assert_passes_legal(passes, runner):
 
 def assert_consistent(param):
     """Stalk ranks, maps and poset describe the same live cells and covers,
-    and no stored block is zero."""
+    the up and down adjacency mirror each other, and no stored block is
+    zero."""
     poset = param.poset
     assert set(param.stalk_rank) == set(poset.dims)
+    live = set(poset.dims)
+    assert set(poset.up) == set(poset.down) == live
+    # the adjacency is symmetric and names no removed cell
+    for w, above in poset.up.items():
+        assert above <= live, (w, above - live)
+        for z in above:
+            assert w in poset.down[z], (w, z)
+    for z, below in poset.down.items():
+        assert below <= live, (z, below - live)
+        for w in below:
+            assert z in poset.up[w], (w, z)
     for (x, y), m in param.maps.items():
         assert poset.has_cover(x, y), (x, y)
         assert (m.rows, m.cols) == (param.stalk_rank[y], param.stalk_rank[x])
@@ -460,3 +475,102 @@ def test_fp_reduction_matches_reference():
         scythe(param)
         got = betti(param.assemble()).betti
         assert got + [0] * (len(want) - len(got)) == want
+
+
+class _EventLog:
+    """Observer recording every sweep event in the order it is made."""
+
+    def __init__(self):
+        self.events = []
+
+    def select(self, c):
+        self.events.append(("select", c))
+
+    def enqueue(self, e):
+        self.events.append(("enqueue", e))
+
+    def dequeue(self, y):
+        self.events.append(("dequeue", y))
+
+    def pair(self, x, y):
+        self.events.append(("pair", x, y))
+
+
+def _block(m):
+    return (m.rows, m.cols, [[repr(v) for v in row] for row in m.data])
+
+
+def _run_record(runner, param, policy):
+    """Everything a tracked run leaves behind, in the orders it leaves it:
+    the observer's events, the pairs, the surviving cells, covers, maps and
+    stalk ranks in insertion order, and each step with its star's order."""
+    log = _EventLog()
+    data = runner(param, policy=policy, track_equivalence=True, observer=log)
+    poset = param.poset
+    steps = [(s.x, s.y, s.dimx, s.dimy, _block(s.inv),
+              [(z, _block(m)) for z, m in s.up.items()],
+              [(w, _block(m)) for w, m in s.down.items()])
+             for s in data.equivalence.steps]
+    return (log.events, data.matching.pairs, list(poset.dims.items()),
+            [(x, sorted(poset.up[x]), sorted(poset.down[x]))
+             for x in poset.dims],
+            [(key, _block(m)) for key, m in param.maps.items()],
+            list(param.stalk_rank.items()), steps)
+
+
+def _record_inputs(field):
+    """The fixtures, the twisted sums on a 5x5 torus and 20 random
+    parametrizations over field, from a fixed seed."""
+    rng = random.Random(41)
+    params = list(fixture_params(field))
+    for kinds in TWISTED_SUMS:
+        params.append(compile_sheaf(twisted_torus_sum(rng, 5, 5, kinds, field)))
+    for _ in range(20):
+        params.append(random_parametrization(rng, random_simplicial(rng), field))
+    return params
+
+
+def _records_digest(runner, policy, field):
+    text = repr([_run_record(runner, param, policy)
+                 for param in _record_inputs(field)])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# one digest per run kind, policy and field, of every record _run_record
+# reads over _record_inputs; a change to the sweep that moves any event,
+# pair, block, step or insertion order moves its digest
+RECORD_DIGESTS = {
+    "scythe/strict/Q":
+        "c431f046e74943213e15173fc32a247ac99aff0b7681287359cd7b63b118fa8a",
+    "scythe/strict/F5":
+        "0b419e3dd3f50a8ecf31b80b7e69f194e6874f4ed92a7e0c89fe62b9f8f73a74",
+    "scythe/relaxed/Q":
+        "22c6b3b7b60d2c41ea100e8f9395c9c30a33638707d135fd32598c17c801dca4",
+    "scythe/relaxed/F5":
+        "4f32e47a3486a2c3d690fac86a52925767a307892969f4da92fe8b610c1f9f3c",
+    "coscythe/strict/Q":
+        "2c47d529396ff7955afa021db57f879e5e6e546b513851260cb01090f49418a8",
+    "coscythe/strict/F5":
+        "5721851091089fdb542cbfb685d8fa4dff6d769b099b27d35dac0566d7a1040b",
+    "coscythe/relaxed/Q":
+        "f8f655c09501693d9c8d81a47ceae1bf493f08be4355c9438411e179aed2f4b0",
+    "coscythe/relaxed/F5":
+        "90895cb9e71af3b18bcd6551ec53b8c38e268d1955ca39ae4d61d9f7b0dcd7f5",
+    "iterate_scythe/strict/Q":
+        "644e26ee10110760cac464855b6a1994808edc45aba4feadcfb94f77352e5bc0",
+    "iterate_scythe/strict/F5":
+        "dabb91dbee01571debfdbdeec7ae6390e883922755f44b0185d966cd13660b18",
+    "iterate_scythe/relaxed/Q":
+        "1c827fbaad353f2407e20353ab2f2748820449b3ec752fa2ad67bd41b9be2663",
+    "iterate_scythe/relaxed/F5":
+        "a7895f84354390788278f5d50c20b777d3ac9a64166766628610f8cddd41ef14",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_DIGESTS))
+def test_sweep_records_are_pinned(case):
+    name, policy, field_name = case.split("/")
+    runner = {"scythe": scythe, "coscythe": coscythe,
+              "iterate_scythe": iterate_scythe}[name]
+    field = {"Q": RATIONAL, "F5": fp(5)}[field_name]
+    assert _records_digest(runner, policy, field) == RECORD_DIGESTS[case]

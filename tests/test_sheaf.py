@@ -137,10 +137,7 @@ def _unchecked_param(sheaf):
         signed = raw if base.incidence[pair] == 1 else raw.neg()
         if not signed.is_zero():
             maps[pair] = signed
-    poset = base.poset.copy()
-    for pair in base.incidence:
-        if pair not in maps:
-            poset.remove_cover(*pair)
+    poset = build_poset(base.poset.dims.items(), maps)
     return Parametrization(sheaf.field, poset, dict(sheaf.stalk_rank), maps)
 
 
