@@ -9,7 +9,8 @@ file names, so two checkouts compare with one diff:
 
 The commands run in-process over the fixtures shipped in scythe/data and
 over a few malformed documents, complex documents that break one poset or
-sign check each, a compiled document whose maps do not square to zero,
+sign check each, two compiled documents whose maps do not square to zero,
+a filled triangle with the reduced document `reduce` writes for it,
 a cover whose nerve is too big, two fiber assignments over the torus
 that are not face-closed, one whose edge fibers overlap and a twisted sheaf
 on the torus whose blocks are not all invertible, written to a temporary
@@ -129,8 +130,16 @@ TWISTED_CELL = "w0001"
 TWISTED_RUNS = [["compute"], ["compute", "--lift"], ["reduce"],
                 ["reduce", "--equivalence"], ["reduce", "--policy", "relaxed"],
                 ["reduce", "--equivalence", "--iterate", "--policy", "relaxed"]]
-WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, TWISTED, *MALFORMED, *POSET_FAULTS,
-           *FIBER_FAULTS}
+# TRIANGLE itself, and the reduced document `reduce` writes for it: its
+# one surviving vertex is of a complex of top degree 2, so compute on it
+# prints three Betti numbers
+FILLED = "filled_triangle.json"
+FILLED_REDUCED = "filled_triangle_reduced.json"
+# TRIANGLE as a compiled document with +1 and [["1"]] on every cover: each
+# vertex reaches f along two edges, so d^2 fails at (a, f), (b, f), (c, f)
+UNSIGNED = "unsigned_triangle_parametrization.json"
+WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, TWISTED, FILLED, FILLED_REDUCED,
+           UNSIGNED, *MALFORMED, *POSET_FAULTS, *FIBER_FAULTS}
 
 
 def commands():
@@ -172,6 +181,9 @@ def commands():
     yield ["validate", OVERLAP, "--base", "torus.json"]
     for command, *flags in TWISTED_RUNS:
         yield [command, TWISTED, *flags]
+    yield ["reduce", FILLED]
+    yield ["compute", FILLED_REDUCED]
+    yield ["compute", UNSIGNED]
 
 
 def twisted_sheaf(base):
@@ -228,6 +240,17 @@ def write_documents(directory):
     (directory / OVERLAP).write_text(json.dumps(doc), encoding="utf-8")
     (directory / TWISTED).write_text(
         dumps(sheaf_to_json(twisted_sheaf(parse(torus)))), encoding="utf-8")
+    (directory / FILLED).write_text(json.dumps(TRIANGLE), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(["reduce", str(directory / FILLED)])
+    (directory / FILLED_REDUCED).write_text(out.getvalue(), encoding="utf-8")
+    unsigned = {"kind": "parametrization",
+                "cells": [dict(cell, rank=1) for cell in TRIANGLE["cells"]],
+                "covers": [dict(cover, incidence=1, map=[["1"]])
+                           for cover in TRIANGLE["covers"]]}
+    (directory / UNSIGNED).write_text(json.dumps(unsigned), encoding="utf-8")
 
 
 def run(argv, scratch):

@@ -6,13 +6,15 @@ for d^n, which is stacked from the covering-pair blocks on first request.
 Each complex caches two echelon factorizations per dimension n next to it:
 that of d^n, which every rank and kernel reuses, and that of
 [d^{n-1} | kernel], which flags the cohomology representatives and solves
-for class coordinates.  The d-squared and cocycle checks read the blocks.
+for class coordinates.  The cocycle checks read the blocks.  A complex is
+not checked for d-squared here: every Parametrization squares to zero from
+construction (see parametrization), and assemble is the only maker of one.
 """
 
-from .errors import NotAComplex, SolveFailed, UnknownCell
+from .errors import SolveFailed, UnknownCell
 from .matrix import EchelonSolver, Matrix
 from .morse import scythe
-from .parametrization import is_cocycle, verify_d_squared
+from .parametrization import is_cocycle
 from .sheaf import compile_sheaf
 
 
@@ -50,16 +52,6 @@ def sheaf_cohomology(sheaf, reduce_first=True):
     return betti(param.assemble())
 
 
-def _ensure_complex(cx):
-    report = cx._cache.get("d2")
-    if report is None:
-        report = verify_d_squared(cx)
-        cx._cache["d2"] = report
-    if not report:
-        n, tgt, src = report.witnesses[0]
-        raise NotAComplex(n, report.witnesses)
-
-
 def _solver(cx, n):
     key = ("echelon", n)
     if key not in cx._cache:
@@ -73,7 +65,6 @@ def betti(cx, generators=False):
     With generators=True the profile also carries, per dimension, the
     flagged cocycle representatives as matrix columns.
     """
-    _ensure_complex(cx)
     numbers = []
     gens = {} if generators else None
     for n in range(cx.top + 1):
@@ -104,7 +95,6 @@ class CocycleBasis:
 
 
 def cocycle_basis(cx, n):
-    _ensure_complex(cx)
     key = ("basis", n)
     if key in cx._cache:
         return cx._cache[key]
@@ -148,8 +138,6 @@ def induced_map(big, small, embedding, n):
     out of the big representative, then the class is solved for in small's
     flagged basis.
     """
-    _ensure_complex(big)
-    _ensure_complex(small)
     src = big.layout(n)
     dst = small.layout(n)
     spots = []

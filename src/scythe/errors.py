@@ -54,15 +54,6 @@ class NotACover(ValidationError):
     """Cover pieces that miss cells of the space or are not subcomplexes."""
 
 
-class NotAComplex(ValidationError):
-    """Coboundary maps fail to square to zero."""
-
-    def __init__(self, degree, witness=None):
-        self.degree = degree
-        self.witness = witness
-        super().__init__("d^%d followed by d^%d is nonzero" % (degree, degree + 1))
-
-
 class NotInvertible(ValidationError):
     """A map that was required to be invertible is not."""
 

@@ -26,21 +26,13 @@ from . import equivalence as _equiv
 
 
 class Matching:
-    """Matched pairs in removal order plus the surviving critical set."""
+    """Matched pairs in removal order; the survivors are the reduced poset."""
 
-    def __init__(self, pairs=None, critical=None):
+    def __init__(self, pairs=None):
         self.pairs = list(pairs) if pairs else []
-        self.critical = set(critical) if critical else set()
 
     def __len__(self):
         return len(self.pairs)
-
-    def matched_elements(self):
-        out = set()
-        for x, y in self.pairs:
-            out.add(x)
-            out.add(y)
-        return out
 
 
 class MorseData:
@@ -58,9 +50,6 @@ class MorseData:
             counts[d] = counts.get(d, 0) + 1
         top = max(counts, default=-1)
         return [counts.get(k, 0) for k in range(top + 1)]
-
-    def m_tilde(self):
-        return sum(m * m for m in self.critical_counts())
 
 
 def reduce_pair(param, x, y):
@@ -230,7 +219,7 @@ def _run(param, upward, policy, track_equivalence, observer, until_stable,
         _sweep(param, upward, strict, steps, observer, frozen)
         if not until_stable or len(steps) == done:
             break
-    matching = Matching([(s.x, s.y) for s in steps], param.poset.dims)
+    matching = Matching([(s.x, s.y) for s in steps])
     eq = (_equiv.Equivalence(src, steps, param.assemble())
           if track_equivalence else None)
     return MorseData(matching, param, eq)

@@ -12,7 +12,8 @@ Supports are reduced so that each edge support's reduced complex sits
 inside its endpoints', with the same cells and blocks: a pair outside an
 edge support never corrects a block into it.  A restriction H^n(sigma) ->
 H^n(tau) is then the map induced by copying tau's cells out of sigma's
-reduced complex, in the flagged bases of the reduced fibers.  Supports above
+reduced complex, in the flagged bases of the reduced fibers; the degree
+sheaf of those maps is made here and is not checked again.  Supports above
 dimension 1 stay unreduced; only cech_sheaf meets them, on nerves that the
 decomposition refuses.
 """
@@ -35,7 +36,7 @@ from .matrix import Matrix
 from .morse import _run, reduce_pair, scythe
 from . import parametrization
 from .poset import _indexed
-from .sheaf import CellularSheaf, constant_sheaf
+from .sheaf import _built as _built_sheaf, constant_sheaf
 
 
 class Cover:
@@ -223,7 +224,7 @@ def _degree_sheaf(cw, reduced, profiles, n, field):
         (sigma, tau): induced_map(reduced[sigma], reduced[tau], None, n)
         for sigma, tau in cw.poset.covers() if ranks[sigma] or ranks[tau]
     }
-    return CellularSheaf(cw, field, ranks, restriction)
+    return _built_sheaf(cw, field, ranks, restriction)
 
 
 class SheafOverNerve:

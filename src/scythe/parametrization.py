@@ -7,6 +7,11 @@ the degree range fixed when the parametrization was built.
 d-squared, the cocycle test and cocycle transport read the blocks one
 interval at a time; a dense coboundary is stacked only when d(n) is asked
 for, as elimination does.
+
+This module owns d^2 = 0.  Parametrization(...) checks it on the blocks it
+is handed; every other way in holds it already: compile_sheaf and the
+reader walk it or rest on the sign identity (nerve._support too), copy
+copies, and the sweep preserves it.  So elimination never checks it.
 """
 
 from .errors import InvalidSheafData
@@ -42,11 +47,13 @@ class Parametrization:
     Only the reduction engine may mutate one, and it requires exclusive
     ownership; everything else treats instances as read-only.  top is the
     greatest degree of the poset it was built on; copies keep it.  The
-    constructor checks the blocks, which compile_sheaf and copy (_built) skip.
+    constructor checks the blocks and d^2 = 0 (InvalidSheafData); the
+    program's own builders (_built) have made sure of both already.
     """
 
     def __init__(self, field, poset, stalk_rank, maps):
         check_blocks(field, poset, stalk_rank, maps)
+        check_d_squared(field, maps, poset.dims)
         self.field = field
         self.poset = poset
         self.stalk_rank = stalk_rank
@@ -104,7 +111,8 @@ def check_blocks(field, poset, stalk_rank, maps):
 
 
 def _built(field, poset, stalk_rank, maps):
-    """A Parametrization over blocks checked where they were made: no re-check."""
+    """A Parametrization over blocks checked where they were made, d^2
+    included: no re-check."""
     param = object.__new__(Parametrization)
     param.field = field
     param.poset = poset
@@ -117,6 +125,7 @@ def _built(field, poset, stalk_rank, maps):
 class CochainComplex:
     """Covering-pair blocks of a complex with the layouts indexing them.
 
+    Made only by Parametrization.assemble, so the blocks square to zero.
     blocks maps (lower cell, upper cell) to its matrix; absent pairs are
     zero blocks.  The dense coboundary d^n and the blocks indexed by their
     lower cell are built on first request and cached with the echelons in
@@ -215,14 +224,11 @@ def d_squared_witnesses(field, maps, dims):
     (n, tau, sigma) for each nonzero sum, sorted.
 
     F_p residues are summed as plain ints and reduced only when a sum is
-    tested.  When every block is 1x1, as for rank-1 stalks, blocks are
-    walked as scalars.
+    tested.
     """
-    scalar = all(m.rows == 1 and m.cols == 1 for m in maps.values())
     up = {}
     for (x, y), m in maps.items():
-        block = m.data[0][0] if scalar else m.data
-        up.setdefault(x, []).append((y, m.cols, block))
+        up.setdefault(x, []).append((y, m.cols, m.data))
     z = field.zero
 
     def nonzero(v):
@@ -233,9 +239,6 @@ def d_squared_witnesses(field, maps, dims):
         sums = {}
         for lam, cols, first in steps:
             for tau, _, second in up.get(lam, ()):
-                if scalar:
-                    sums[tau] = sums.get(tau, 0) + second * first
-                    continue
                 acc = sums.get(tau)
                 if acc is None:
                     acc = sums[tau] = [[0] * cols for _ in second]
@@ -245,11 +248,20 @@ def d_squared_witnesses(field, maps, dims):
                             for j, f in enumerate(first[k]):
                                 arow[j] += s * f
         for tau, acc in sums.items():
-            if (nonzero(acc) if scalar
-                    else any(nonzero(v) for row in acc for v in row)):
+            if any(nonzero(v) for row in acc for v in row):
                 witnesses.append((dims[sigma], tau, sigma))
     witnesses.sort()
     return witnesses
+
+
+def check_d_squared(field, maps, dims):
+    """Raise InvalidSheafData naming each block where maps fail d^2 = 0."""
+    witnesses = d_squared_witnesses(field, maps, dims)
+    if witnesses:
+        raise InvalidSheafData(
+            "compiled coboundary does not square to zero; blocks: %r"
+            % (witnesses,)
+        )
 
 
 def verify_d_squared(cx):

@@ -29,7 +29,7 @@ from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .nerve import Cover
 from .poset import _indexed, cover_fault, duplicate_id
-from .sheaf import _built as _built_sheaf, check_d_squared
+from .sheaf import _built as _built_sheaf
 
 
 def dumps(obj):
@@ -154,7 +154,9 @@ def sheaf_to_json(sheaf):
 def param_to_json(param):
     """Parametrizations write incidence 1 and the signed map on every cover.
 
-    Zero maps and their covers are omitted; absence is the zero map.
+    Zero maps and their covers are omitted; absence is the zero map.  A
+    degree range reaching past the top cell, as a reduction leaves it, is
+    written as "top".
     """
     cells = [
         {"id": c, "dim": param.poset.dim(c), "rank": param.stalk_rank[c]}
@@ -166,12 +168,15 @@ def param_to_json(param):
         if m is None or m.is_zero():
             continue
         covers.append({"from": s, "to": t, "incidence": 1, "map": m.to_json()})
-    return {
+    out = {
         "kind": "parametrization",
         "field": param.field.to_json(),
         "cells": cells,
         "covers": covers,
     }
+    if param.top > param.poset.max_dim():
+        out["top"] = param.top
+    return out
 
 
 def equivalence_to_json(eq):
@@ -469,11 +474,16 @@ def _parse_complex_family(data, kind, path="$"):
             return base
         return _built_sheaf(base, field, ranks, maps)
     maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
-    check_d_squared(field, maps, dims)
+    parametrization.check_d_squared(field, maps, dims)
     for s, t in incidence.keys() - maps.keys():  # covers with no nonzero map
         up[s].discard(t)
         down[t].discard(s)
-    return parametrization._built(field, _indexed(dims, up, down), ranks, maps)
+    poset = _indexed(dims, up, down)
+    top = _int(data.get("top", poset.max_dim()), path + ".top",
+               poset.max_dim())
+    param = parametrization._built(field, poset, ranks, maps)
+    param.top = top
+    return param
 
 
 def document_kind(data):
@@ -504,7 +514,9 @@ def parse(data):
     not checked again by CellularSheaf.  d-squared of a sheaf is checked
     once, where it is compiled (compile_sheaf) or validated (check_sheaf).
     Parametrization and reduced documents, whose incidences are all +1,
-    have d-squared of their maps checked here (InvalidSheafData).
+    have d-squared of their maps checked here (InvalidSheafData); their
+    optional "top", no less than the largest cell dimension, sets the
+    degree range.
 
     Within one document each distinct entry string is parsed once, and
     equal map grids that are lists of lists of str become one shared,

@@ -6,11 +6,11 @@ signed map is zero, so absence always means the zero map downstream.
 """
 
 from .cw import check_face_closed
-from .errors import InvalidSheafData, UnknownCell, ValidationError
+from .errors import UnknownCell, ValidationError
 from .field import RATIONAL
 from .matrix import Matrix
 from . import parametrization
-from .parametrization import check_blocks, d_squared_witnesses
+from .parametrization import check_blocks, check_d_squared
 from .poset import GradedPoset
 
 
@@ -26,7 +26,8 @@ class CellularSheaf:
 
 
 def _built(base, field, stalk_rank, restriction):
-    """A CellularSheaf over blocks checked where they were read: no re-check."""
+    """A CellularSheaf over blocks checked where they were read, or made by
+    the program itself: no re-check."""
     sheaf = object.__new__(CellularSheaf)
     sheaf.base = base
     sheaf.field = field
@@ -42,7 +43,7 @@ def constant_sheaf(base, rank=1, field=RATIONAL):
     ident = Matrix.identity(field, rank)
     stalks = {cell: rank for cell in base.poset.dims}
     maps = {pair: ident for pair in base.incidence}
-    return CellularSheaf(base, field, stalks, maps)
+    return _built(base, field, stalks, maps)
 
 
 def skyscraper_sheaf(base, cell, field=RATIONAL):
@@ -55,7 +56,7 @@ def skyscraper_sheaf(base, cell, field=RATIONAL):
         pair: Matrix.zeros(field, stalks[pair[1]], stalks[pair[0]])
         for pair in base.incidence
     }
-    return CellularSheaf(base, field, stalks, maps)
+    return _built(base, field, stalks, maps)
 
 
 def pushforward_constant(base, subcomplex, field=RATIONAL):
@@ -71,7 +72,7 @@ def pushforward_constant(base, subcomplex, field=RATIONAL):
             maps[pair] = one
         else:
             maps[pair] = Matrix.zeros(field, stalks[t], stalks[s])
-    return CellularSheaf(base, field, stalks, maps)
+    return _built(base, field, stalks, maps)
 
 
 def check_sheaf(sheaf):
@@ -97,16 +98,6 @@ def check_sheaf(sheaf):
     if walk:
         check_d_squared(sheaf.field, maps, base.poset.dims)
     return maps
-
-
-def check_d_squared(field, maps, dims):
-    """Raise InvalidSheafData naming each block where maps fail d^2 = 0."""
-    witnesses = d_squared_witnesses(field, maps, dims)
-    if witnesses:
-        raise InvalidSheafData(
-            "compiled coboundary does not square to zero; blocks: %r"
-            % (witnesses,)
-        )
 
 
 def compile_sheaf(sheaf):

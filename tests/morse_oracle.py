@@ -129,7 +129,7 @@ def morse_coboundary_oracle(original, matching):
     inverses = _validate_for_oracle(original, matching)
     poset = original.poset
     field = original.field
-    matched = matching.matched_elements()
+    matched = {c for pair in matching.pairs for c in pair}
     critical = sorted(x for x in poset.dims if x not in matched)
     upper_pair = {y: (x, y) for x, y in matching.pairs}
     blocks = {}

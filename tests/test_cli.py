@@ -374,7 +374,7 @@ def test_compiled_documents_scythe_writes_are_read_back(capsys, tmp_path):
     reduced = tmp_path / "reduced.json"
     reduced.write_text(out)
     assert run_cli(capsys, "compute", str(reduced))[:2] == (
-        0, dumps({"betti": [1]}))  # one critical vertex is left
+        0, dumps({"betti": [1, 0, 0]}))  # one vertex is left, of top 2
 
     doc["covers"][0]["map"] = [["2"]]
     path.write_text(dumps(doc))

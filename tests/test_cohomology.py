@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+
+import scythe.parametrization
 
 from scythe.cohomology import (
     betti,
@@ -24,7 +27,7 @@ from scythe.complexes import (
     torus_reeb,
 )
 from scythe.cw import subcomplex
-from scythe.errors import NotAComplex, SolveFailed
+from scythe.errors import InvalidSheafData, SolveFailed
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix, mat_mul, matvec
 from scythe.parametrization import Parametrization
@@ -105,21 +108,42 @@ def test_generators_are_independent_cocycles():
             assert coords[j] == cx.field.one
 
 
-def test_betti_rejects_maps_that_do_not_square_to_zero():
+def test_parametrization_refuses_maps_that_do_not_square_to_zero():
     # identity on every cover with no incidence signs: each vertex reaches
-    # the face along two edges, and the two paths add up to 2
+    # the face along two edges, and the two paths add up to 2; were it
+    # built, a sweep would pair (v, uv), (w, uw), (vw, f) and leave [1, 0, 0]
     tri = filled_triangle()
     one = Matrix.identity(RATIONAL, 1)
-    param = Parametrization(RATIONAL, tri.poset.copy(),
-                            {c: 1 for c in tri.cells()},
-                            {pair: one for pair in tri.incidence})
-    cx = param.assemble()
+    args = (RATIONAL, tri.poset.copy(), {c: 1 for c in tri.cells()},
+            {pair: one for pair in tri.incidence})
     want = [(0, "f", "u"), (0, "f", "v"), (0, "f", "w")]
-    assert ref_d_squared_witnesses(cx) == want
-    with pytest.raises(NotAComplex) as info:
-        betti(cx)
-    assert info.value.degree == 0
-    assert info.value.witness == want
+    assert ref_d_squared_witnesses(
+        scythe.parametrization._built(*args).assemble()) == want
+    with pytest.raises(InvalidSheafData,
+                       match=re.escape("blocks: %r" % (want,)) + "$"):
+        Parametrization(*args)
+
+
+def test_elimination_walks_no_d_squared(monkeypatch):
+    # every complex comes from a Parametrization, which squares to zero
+    calls = []
+    walk = scythe.parametrization.d_squared_witnesses
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    cxs = [compile_sheaf(constant_sheaf(make(), 2)).assemble()
+           for make in (circle, filled_triangle, lambda: torus_grid(3, 3))]
+    monkeypatch.setattr(scythe.parametrization, "d_squared_witnesses", counted)
+    for cx in cxs:
+        prof = betti(cx, generators=True)
+        for n in range(cx.top + 1):
+            basis = cocycle_basis(cx, n)
+            for j in basis.flagged:
+                class_coordinates(cx, basis.matrix.column(j), n)
+            assert induced_map(cx, cx, None, n).rows == prof.betti[n]
+    assert calls == []
 
 
 def test_class_coordinates_rejects_non_cocycles():

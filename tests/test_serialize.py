@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,21 @@ def test_reduced_document():
     assert eqdoc["source_cells"]["1"] == ["e", "f"]
     back = parse(doc)
     assert betti(back.assemble()).betti == [1, 1]
+
+
+def test_reduced_document_keeps_its_degree_range():
+    param = compile_sheaf(constant_sheaf(filled_triangle()))
+    assert "top" not in param_to_json(param)
+    doc = reduced_to_json(scythe(param))
+    assert doc["top"] == 2 and [c["dim"] for c in doc["cells"]] == [0]
+    back = parse(doc)
+    assert back.max_dim() == 2
+    assert betti(back.assemble()).betti == [1, 0, 0]
+    assert param_to_json(back)["top"] == 2
+    for top, message in ((-1, "$.top: expected >= 0, got -1"),
+                         (True, "$.top: expected an integer, got True")):
+        with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
+            parse(dict(doc, top=top))
 
 
 def rescaled(rng, sheaf):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-import scythe.sheaf
+import scythe.parametrization
 from scythe.complexes import (
     circle,
     filled_triangle,
@@ -130,7 +130,8 @@ def test_missing_restriction_means_zero():
 
 
 def _unchecked_param(sheaf):
-    """The Parametrization compile_sheaf builds, minus its d-squared check."""
+    """The Parametrization compile_sheaf builds, minus its d-squared check,
+    which Parametrization(...) would make."""
     base = sheaf.base
     maps = {}
     for pair, raw in sheaf.restriction.items():
@@ -138,7 +139,8 @@ def _unchecked_param(sheaf):
         if not signed.is_zero():
             maps[pair] = signed
     poset = build_poset(base.poset.dims.items(), maps)
-    return Parametrization(sheaf.field, poset, dict(sheaf.stalk_rank), maps)
+    return scythe.parametrization._built(sheaf.field, poset,
+                                         dict(sheaf.stalk_rank), maps)
 
 
 def _perturbed(rng, sheaf):
@@ -240,13 +242,14 @@ def test_compiling_a_constant_sheaf_without_the_walk_matches_the_walk(field):
 
 def test_compile_walks_d_squared_only_off_identity_blocks(monkeypatch):
     calls = []
-    walk = scythe.sheaf.d_squared_witnesses
+    walk = scythe.parametrization.d_squared_witnesses
 
     def counted(*args):
         calls.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(scythe.sheaf, "d_squared_witnesses", counted)
+    monkeypatch.setattr(scythe.parametrization, "d_squared_witnesses",
+                        counted)
     torus = torus_grid(6, 6)
     for rank, field in ((1, RATIONAL), (2, RATIONAL), (1, fp(5))):
         compile_sheaf(constant_sheaf(torus, rank, field))
