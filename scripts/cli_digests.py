@@ -12,9 +12,10 @@ over a few malformed documents, complex documents that break one poset or
 sign check each, two compiled documents whose maps do not square to zero,
 a filled triangle with the reduced document `reduce` writes for it,
 a cover whose nerve is too big, two fiber assignments over the torus
-that are not face-closed, one whose edge fibers overlap and a twisted sheaf
-on the torus whose blocks are not all invertible, written to a temporary
-directory.  A run that succeeds has its stdout hashed; the
+that are not face-closed, one whose edge fibers overlap, a twisted sheaf
+on the torus whose blocks are not all invertible, and two sheaves on the
+torus in changed stalk bases (rank 2 over Q with non-integral inverted
+blocks, rank 3 over F7), written to a temporary directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -29,7 +30,8 @@ import pathlib
 import tempfile
 
 import scythe
-from scythe import CellularSheaf, Matrix, constant_sheaf, mat_mul, skyscraper_sheaf
+from scythe import (RATIONAL, CellularSheaf, Matrix, constant_sheaf, fp,
+                    mat_mul, skyscraper_sheaf, try_invert)
 from scythe.cli import main
 from scythe.serialize import dumps, parse, sheaf_to_json
 
@@ -138,8 +140,16 @@ FILLED_REDUCED = "filled_triangle_reduced.json"
 # TRIANGLE as a compiled document with +1 and [["1"]] on every cover: each
 # vertex reaches f along two edges, so d^2 fails at (a, f), (b, f), (c, f)
 UNSIGNED = "unsigned_triangle_parametrization.json"
+# the constant sheaf on torus.json in stalk bases that change from cell to
+# cell: rank 2 over Q with bases [[a, 1], [0, b]] for a, b in 1..3, so the
+# inverted blocks and the equivalence hold entries like "-2/3", and rank 3
+# over F7 with unitriangular bases scaled by a unit
+FRACTIONAL = "fractional_torus_sheaf.json"
+RANK3_F7 = "rank3_f7_torus_sheaf.json"
+REBASED_RUNS = [["reduce", "--equivalence"], ["compute", "--lift"]]
 WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, TWISTED, FILLED, FILLED_REDUCED,
-           UNSIGNED, *MALFORMED, *POSET_FAULTS, *FIBER_FAULTS}
+           UNSIGNED, FRACTIONAL, RANK3_F7, *MALFORMED, *POSET_FAULTS,
+           *FIBER_FAULTS}
 
 
 def commands():
@@ -184,6 +194,9 @@ def commands():
     yield ["reduce", FILLED]
     yield ["compute", FILLED_REDUCED]
     yield ["compute", UNSIGNED]
+    for name in (FRACTIONAL, RANK3_F7):
+        for command, *flags in REBASED_RUNS:
+            yield [command, name, *flags]
 
 
 def twisted_sheaf(base):
@@ -208,6 +221,27 @@ def twisted_sheaf(base):
         block = Matrix.from_rows(field, rows)
         maps[(s, t)] = mat_mul(basis(t, 1), mat_mul(block, basis(s, -1)))
     return CellularSheaf(base, field, stalks, maps)
+
+
+def rebased_sheaf(base, rank, field, basis):
+    """constant_sheaf(base, rank, field) with F_st become B_t . F_st . B_s^-1,
+    where basis(i) gives B_c as integer rows for the i-th cell of base in
+    sorted-id order."""
+    sheaf = constant_sheaf(base, rank, field)
+    bases = {c: Matrix.from_rows(field, basis(i))
+             for i, c in enumerate(sorted(base.cells()))}
+    maps = {(s, t): mat_mul(bases[t], mat_mul(m, try_invert(bases[s])))
+            for (s, t), m in sheaf.restriction.items()}
+    return CellularSheaf(base, field, sheaf.stalk_rank, maps)
+
+
+def fractional_basis(i):
+    return [[1 + i % 3, 1], [0, 1 + i // 3 % 3]]
+
+
+def rank3_basis(i):
+    unit = 1 + i % 6
+    return [[unit, i % 7, 0], [0, 1, (i + 3) % 7], [0, 0, 1]]
 
 
 def write_documents(directory):
@@ -251,6 +285,12 @@ def write_documents(directory):
                 "covers": [dict(cover, incidence=1, map=[["1"]])
                            for cover in TRIANGLE["covers"]]}
     (directory / UNSIGNED).write_text(json.dumps(unsigned), encoding="utf-8")
+    base = parse(torus)
+    for name, sheaf in (
+            (FRACTIONAL, rebased_sheaf(base, 2, RATIONAL, fractional_basis)),
+            (RANK3_F7, rebased_sheaf(base, 3, fp(7), rank3_basis))):
+        (directory / name).write_text(dumps(sheaf_to_json(sheaf)),
+                                      encoding="utf-8")
 
 
 def run(argv, scratch):

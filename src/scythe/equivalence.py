@@ -4,18 +4,22 @@ Removing one pair (x, y) is recorded as the inverse of F_xy and the blocks
 around the pair, F_xz above x and F_wy below y; they define a projection
 psi onto the surviving complex, a lift phi back, and a homotopy Theta, and
 a full reduction's equivalence is the composite of its steps in removal
-order.  Cocycles are transported by replaying the steps on cell-indexed
-vectors.  When psi/phi/Theta are first asked for (the written equivalence
-document and the law checks), the steps are folded once into sparse rows
-and columns, kept as {coordinate: value} dicts.  The document is written
-straight from the fold: each row starts as the one shared zero string and
-only its nonzero entries are formatted (serialize.equivalence_to_json).
-Only psi_matrix, phi_matrix and theta_matrix densify into field elements.
+order.  Cocycles are transported by replaying the steps on the cochain's
+nonzero cells only, kept as {cell: block} (parametrization.nonzero_blocks
+finds them), and zero-filled on the way out.  When psi/phi/Theta are first
+asked for (the written equivalence document and the law checks), the
+steps are folded once into sparse rows and columns, kept as
+{coordinate: value} dicts.  The fold keeps no psi row for a cell some step
+removes as its lower cell and no phi column for one removed as its upper
+cell: neither is read before it is deleted.  The document is written
+straight from the fold's rows (psi_vecs, phi_vecs, theta_vecs; see
+serialize.equivalence_to_json).  Only psi_matrix, phi_matrix and
+theta_matrix densify into field elements.
 """
 
 from .errors import NotACocycle
 from .matrix import Matrix, matvec, matvec_add, mul_sub
-from .parametrization import is_cocycle
+from .parametrization import d_kills, nonzero_blocks
 
 
 class StepMaps:
@@ -59,60 +63,48 @@ class Equivalence:
             self._folded = _fold(self.field, self.src_complex.layouts, self.steps)
         return self._folded
 
-    def psi_rows(self, n, zero, entry):
-        """The rows of psi^n: zero where the fold holds no entry, entry(v)
-        where it holds v."""
+    def psi_vecs(self, n):
+        """The rows of psi^n, each a {coordinate: value} dict of its nonzero
+        entries, C^n(original) wide."""
         psi = self._maps()[0].get(n, {})
-        vecs = [r for c in self.dst_complex.layout(n).cells for r in psi[c]]
-        return _rows(vecs, self.src_complex.rank_c(n), zero, entry)
+        return [r for c in self.dst_complex.layout(n).cells for r in psi[c]]
 
-    def phi_rows(self, n, zero, entry):
-        """The rows of phi^n, scattered from the fold's columns."""
+    def phi_vecs(self, n):
+        """The rows of phi^n as dicts, scattered from the fold's columns;
+        C^n(reduced) wide."""
         phi = self._maps()[1].get(n, {})
-        cols = [v for c in self.dst_complex.layout(n).cells for v in phi[c]]
-        rows = [[zero] * len(cols) for _ in range(self.src_complex.rank_c(n))]
+        rows = [{} for _ in range(self.src_complex.rank_c(n))]
+        cols = (v for c in self.dst_complex.layout(n).cells for v in phi[c])
         for j, col in enumerate(cols):
             for i, v in col.items():
-                rows[i][j] = entry(v)
+                rows[i][j] = v
         return rows
 
-    def theta_rows(self, n, zero, entry):
-        """The rows of Theta^n, one per coordinate of C^{n-1}."""
+    def theta_vecs(self, n):
+        """The rows of Theta^n as dicts, one per coordinate of C^{n-1};
+        C^n(original) wide."""
         theta = self._maps()[2].get(n, {})
-        vecs = [theta.get(i, {}) for i in range(self.src_complex.rank_c(n - 1))]
-        return _rows(vecs, self.src_complex.rank_c(n), zero, entry)
+        return [theta.get(i, {}) for i in range(self.src_complex.rank_c(n - 1))]
 
     def psi_matrix(self, n):
         """Dense projection C^n(original) -> C^n(reduced)."""
-        return self._matrix(self.psi_rows(n, self.field.zero, _same),
-                            self.src_complex.rank_c(n))
+        return self._matrix(self.psi_vecs(n), self.src_complex.rank_c(n))
 
     def phi_matrix(self, n):
         """Dense lift C^n(reduced) -> C^n(original)."""
-        return self._matrix(self.phi_rows(n, self.field.zero, _same),
-                            self.dst_complex.rank_c(n))
+        return self._matrix(self.phi_vecs(n), self.dst_complex.rank_c(n))
 
     def theta_matrix(self, n):
         """Dense homotopy C^n(original) -> C^{n-1}(original)."""
-        return self._matrix(self.theta_rows(n, self.field.zero, _same),
-                            self.src_complex.rank_c(n))
+        return self._matrix(self.theta_vecs(n), self.src_complex.rank_c(n))
 
-    def _matrix(self, rows, width):
+    def _matrix(self, vecs, width):
+        z = self.field.zero
+        rows = [[z] * width for _ in vecs]
+        for row, vec in zip(rows, vecs):
+            for i, v in vec.items():
+                row[i] = v
         return Matrix(self.field, len(rows), width, rows)
-
-
-def _same(v):
-    return v
-
-
-def _rows(vecs, width, zero, entry):
-    """Rows of width entries, one per {coordinate: value} dict of vecs:
-    entry(value) at its coordinates and the one shared zero elsewhere."""
-    rows = [[zero] * width for _ in vecs]
-    for row, vec in zip(rows, vecs):
-        for i, v in vec.items():
-            row[i] = entry(v)
-    return rows
 
 
 def _fold(field, layouts, steps):
@@ -122,27 +114,35 @@ def _fold(field, layouts, steps):
     entries, starting from the identity on layouts.  Rows of psi and
     columns of phi are kept grouped by surviving cell, so a step only
     touches the cells it removes or corrects; theta[n] maps a row index of
-    C^{n-1} to its row.
+    C^{n-1} to its row.  Only a cell removed as an upper cell y has its psi
+    row read, and only one removed as a lower cell x its phi column, so a
+    cell some step removes as x gets no psi row and one removed as y no phi
+    column: neither would be read before it was deleted.
     """
+    lower = {step.x for step in steps}
+    upper = {step.y for step in steps}
     psi, phi, theta = {}, {}, {}
     for n, layout in layouts.items():
         psi[n], phi[n] = {}, {}
         for c in layout.cells:
-            off = layout.offsets[c]
-            psi[n][c] = [{off + i: field.one} for i in range(layout.ranks[c])]
-            phi[n][c] = [{off + i: field.one} for i in range(layout.ranks[c])]
+            off, rank = layout.offsets[c], layout.ranks[c]
+            if c not in lower:
+                psi[n][c] = [{off + i: field.one} for i in range(rank)]
+            if c not in upper:
+                phi[n][c] = [{off + i: field.one} for i in range(rank)]
     for step in steps:
         _apply_step(field, psi, phi, theta, step)
     return psi, phi, theta
 
 
 def _apply_step(f, psi, phi, theta, step):
-    """Fold one reduction step into the sparse composite, in place."""
+    """Fold one reduction step into the sparse composite, in place.
+
+    A psi row or phi column the fold does not keep (see _fold) is skipped.
+    """
     ky, kx = step.dimy, step.dimx
     rows_y = psi[ky].pop(step.y)
     cols_x = phi[kx].pop(step.x)
-    del psi[kx][step.x]
-    del phi[ky][step.y]
     # homotopy first: it needs the lift/projection from before this step
     rows = theta.setdefault(ky, {})
     for inv_row, col in zip(step.inv.data, cols_x):
@@ -151,18 +151,26 @@ def _apply_step(f, psi, phi, theta, step):
             _axpy(f, mid, coeff, row_y)
         for i, coeff in col.items():
             _axpy(f, rows.setdefault(i, {}), coeff, mid)
+    kept = psi[ky]
     for z, fxz in step.up.items():
+        rows_z = kept.get(z)
+        if rows_z is None:
+            continue
         blk = mul_sub(None, fxz, step.inv)  # -F_xz.inv, None when zero
         if blk is None:
             continue
-        for row_z, blk_row in zip(psi[ky][z], blk.data):
+        for row_z, blk_row in zip(rows_z, blk.data):
             for coeff, row_y in zip(blk_row, rows_y):
                 _axpy(f, row_z, coeff, row_y)
+    kept = phi[kx]
     for w, fwy in step.down.items():
+        cols_w = kept.get(w)
+        if cols_w is None:
+            continue
         blk = mul_sub(None, step.inv, fwy)  # -inv.F_wy, None when zero
         if blk is None:
             continue
-        for j, col_w in enumerate(phi[kx][w]):
+        for j, col_w in enumerate(cols_w):
             for blk_row, col_x in zip(blk.data, cols_x):
                 _axpy(f, col_w, blk_row[j], col_x)
 
@@ -179,62 +187,67 @@ def _axpy(field, target, coeff, source):
             target.pop(i, None)
 
 
-def _to_blocks(layout, vec):
-    return {
-        c: list(vec[layout.offsets[c]:layout.offsets[c] + layout.ranks[c]])
-        for c in layout.cells
-    }
-
-
-def _from_blocks(layout, blocks):
-    return [v for c in layout.cells for v in blocks[c]]
-
-
-def _check_cocycle(cx, vec, n):
-    if not is_cocycle(cx, vec, n):
+def _cocycle_blocks(cx, vec, n):
+    """vec's nonzero blocks in C^n of cx, as lists the replay may edit;
+    NotACocycle unless d kills vec."""
+    blocks = nonzero_blocks(cx, list(vec), n)
+    if not d_kills(cx, blocks):
         raise NotACocycle("input at dimension %d is not killed by d" % n)
+    return blocks
+
+
+def _scatter(layout, blocks, zero):
+    """The vector of layout holding blocks at their cells, zero elsewhere."""
+    vec = [zero] * layout.total
+    for c, block in blocks.items():
+        off = layout.offsets[c]
+        vec[off:off + len(block)] = block
+    return vec
 
 
 def project_cocycle(eq, vec, n):
     """Push a cocycle of the original complex down to the reduced one.
 
-    Replays each step's projection in removal order: the y block v_y
-    leaves, and each z above x gains F_xz.u with u = -inv.v_y.  Raises
-    NotACocycle when d does not kill vec.
+    Replays each step's projection in removal order on the nonzero blocks
+    only: the y block v_y leaves, and each z above x gains F_xz.u with
+    u = -inv.v_y.  Raises NotACocycle when d does not kill vec.
     """
-    _check_cocycle(eq.src_complex, vec, n)
+    blocks = _cocycle_blocks(eq.src_complex, vec, n)
     f = eq.field
-    blocks = _to_blocks(eq.src_complex.layout(n), vec)
     for step in eq.steps:
         if step.dimy == n:
-            vy = blocks.pop(step.y)
-            if any(vy):
+            vy = blocks.pop(step.y, None)
+            if vy is not None and any(vy):
                 u = [f.neg(v) for v in matvec(step.inv, vy)]
                 for z, fxz in step.up.items():
-                    matvec_add(fxz, u, blocks[z])
+                    vz = blocks.get(z)
+                    if vz is None:
+                        vz = blocks[z] = [f.zero] * fxz.rows
+                    matvec_add(fxz, u, vz)
         elif step.dimx == n:
-            del blocks[step.x]
-    return _from_blocks(eq.dst_complex.layout(n), blocks)
+            blocks.pop(step.x, None)
+    return _scatter(eq.dst_complex.layout(n), blocks, f.zero)
 
 
 def lift_cocycle(eq, vec, n):
     """Lift a cocycle of the reduced complex back to the original one.
 
-    Replays each step's lift, last step first: the x block is set to
-    -inv.sum_w F_wy.v_w over the w below y, and the y block to zero.
-    Raises NotACocycle when d does not kill vec.
+    Replays each step's lift, last step first, on the nonzero blocks only:
+    the x block is set to -inv.sum_w F_wy.v_w over the w below y, and the y
+    block stays zero.  Raises NotACocycle when d does not kill vec.
     """
-    _check_cocycle(eq.dst_complex, vec, n)
+    blocks = _cocycle_blocks(eq.dst_complex, vec, n)
     f = eq.field
-    blocks = _to_blocks(eq.dst_complex.layout(n), vec)
     for step in reversed(eq.steps):
-        if step.dimx == n:
-            acc = [f.zero] * step.inv.rows
-            for w, fwy in step.down.items():
-                matvec_add(fwy, blocks[w], acc)
-            if any(acc):
-                acc = [f.neg(v) for v in matvec(step.inv, acc)]
-            blocks[step.x] = acc
-        elif step.dimy == n:
-            blocks[step.y] = [f.zero] * step.inv.rows
-    return _from_blocks(eq.src_complex.layout(n), blocks)
+        if step.dimx != n:
+            continue
+        acc = None
+        for w, fwy in step.down.items():
+            vw = blocks.get(w)
+            if vw is not None:
+                if acc is None:
+                    acc = [f.zero] * fwy.rows
+                matvec_add(fwy, vw, acc)
+        if acc is not None and any(acc):
+            blocks[step.x] = [f.neg(v) for v in matvec(step.inv, acc)]
+    return _scatter(eq.src_complex.layout(n), blocks, f.zero)

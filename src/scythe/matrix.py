@@ -4,14 +4,14 @@ Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
 cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
 rank-1 stalk), 2x2 or 3x3, so try_invert answers these in closed form,
-with one field inverse and no echelon form, and mat_mul and mul_sub answer
-the 1x1 shape as scalars.  A reduction step corrects each surviving block
-with one fused mul_sub, c - a.b, which builds no product matrix and
-reports a zero result as None.  A Matrix built from outside has its grid
-checked against its shape; the kernels here (zeros, identity, add, sub,
-neg, transpose, mat_mul, mul_sub, try_invert) and the JSON reader, which
-checks each row, build with _built, which skips the re-check of a grid
-they shaped.
+with one field inverse and no echelon form, and mat_mul, mul_sub and
+matvec_add answer the 1x1 shape as scalars.  A reduction step corrects
+each surviving block with one fused mul_sub, c - a.b, which builds no
+product matrix and reports a zero result as None.  A Matrix built from
+outside has its grid checked against its shape; the kernels here (zeros,
+identity, add, sub, neg, transpose, mat_mul, mul_sub, try_invert) and the
+JSON reader, which checks each row, build with _built, which skips the
+re-check of a grid they shaped.
 """
 
 from .errors import SolveFailed
@@ -209,6 +209,12 @@ def matvec(a, vec):
 def matvec_add(a, vec, target):
     """target += a . vec over a's field, in place, skipping zero work."""
     f = a.field
+    if a.rows == 1 and a.cols == 1:
+        x = a.data[0][0]
+        v = vec[0]
+        if x and v:
+            target[0] = f.add(target[0], f.mul(x, v))
+        return
     for i, row in enumerate(a.data):
         acc = target[i]
         for rv, v in zip(row, vec):

@@ -44,12 +44,12 @@ class MorseData:
         self.equivalence = equivalence
 
     def critical_counts(self):
-        """Cells surviving per dimension, the m_k of the complexity bound."""
+        """Cells surviving per dimension, the m_k of the complexity bound,
+        over the degree range the reduced parametrization keeps."""
         counts = {}
         for x, d in self.reduced.poset.dims.items():
             counts[d] = counts.get(d, 0) + 1
-        top = max(counts, default=-1)
-        return [counts.get(k, 0) for k in range(top + 1)]
+        return [counts.get(k, 0) for k in range(self.reduced.top + 1)]
 
 
 def reduce_pair(param, x, y):

@@ -14,12 +14,19 @@ reader walk it or rest on the sign identity (nerve._support too), copy
 copies, and the sweep preserves it.  So elimination never checks it.
 """
 
+from itertools import compress
+
 from .errors import InvalidSheafData
 from .matrix import Matrix, matvec_add
 
 
 class Layout:
-    """Ordered coordinates of one graded piece: cells sorted by id with offsets."""
+    """Ordered coordinates of one graded piece: cells sorted by id with offsets.
+
+    owners(), the cell of each coordinate, is built on first use.
+    """
+
+    _owners = None
 
     def __init__(self, cells_with_ranks):
         self.cells = []
@@ -32,6 +39,12 @@ class Layout:
             self.ranks[cell] = rank
             total += rank
         self.total = total
+
+    def owners(self):
+        """The list of the cell owning each coordinate."""
+        if self._owners is None:
+            self._owners = [c for c in self.cells for _ in range(self.ranks[c])]
+        return self._owners
 
     def __contains__(self, cell):
         return cell in self.offsets
@@ -174,28 +187,59 @@ class CochainComplex:
 def is_cocycle(cx, vec, n):
     """Whether d^n vec = 0, summed over the covering-pair blocks of cx.
 
-    Only the blocks leaving cells where vec is nonzero are applied, read
-    from the complex's index of blocks by lower cell; no coboundary matrix
-    is read.  Raises ValueError unless vec has the rank of C^n.
+    Raises ValueError unless vec has the rank of C^n.  A complex with no
+    blocks, as a fully reduced one often is, kills every vector at once;
+    otherwise see d_kills.
     """
-    layout = cx.layout(n)
+    if not cx.blocks_from():
+        _check_length(cx.layout(n), vec, n)
+        return True
+    return d_kills(cx, nonzero_blocks(cx, vec, n))
+
+
+def _check_length(layout, vec, n):
     if len(vec) != layout.total:
         raise ValueError(
             "vector length %d, C^%d has rank %d" % (len(vec), n, layout.total)
         )
+
+
+def nonzero_blocks(cx, vec, n):
+    """{cell: its block of vec} for the cells of C^n where vec is nonzero,
+    in layout order.
+
+    The nonzero coordinates are found by one C-level scan (compress) and
+    mapped to their cells by the layout's owners(), so a sparse vector
+    costs its nonzero cells.  Raises ValueError unless vec has the rank of
+    C^n.
+    """
+    layout = cx.layout(n)
+    _check_length(layout, vec, n)
+    owners, offsets, ranks = layout.owners(), layout.offsets, layout.ranks
+    blocks = {}
+    last = None
+    for i in compress(range(len(vec)), vec):
+        c = owners[i]
+        if c != last:
+            last = c
+            off = offsets[c]
+            blocks[c] = vec[off:off + ranks[c]]
+    return blocks
+
+
+def d_kills(cx, blocks):
+    """Whether d sends the cochain with these nonzero blocks to zero.
+
+    Only the blocks of cx leaving those cells are applied, read from the
+    complex's index of blocks by lower cell; no coboundary matrix is read.
+    """
     z = cx.field.zero
     leaving = cx.blocks_from()
     image = {}
-    for x, off in layout.offsets.items():
-        out = leaving.get(x)
-        if out is None:
-            continue
-        part = vec[off:off + layout.ranks[x]]
-        if not any(part):
-            continue
-        for y, m in out:
+    for x, part in blocks.items():
+        for y, m in leaving.get(x, ()):
             matvec_add(m, part, image.setdefault(y, [z] * m.rows))
-    return not any(any(acc) for acc in image.values())
+    return not any(map(any, image.values()))
 
 
 class SquareReport:

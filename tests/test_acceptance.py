@@ -256,7 +256,7 @@ def test_reports_match_brute_force(tmp_path):
         for c, k in param.poset.dims.items():
             survivors[k] = survivors.get(k, 0) + 1
         assert rep.m_k == [survivors.get(k, 0)
-                           for k in range(max(survivors) + 1)]
+                           for k in range(param.top + 1)]
         assert rep.m_tilde == sum(m * m for m in rep.m_k)
         assert rep.peak_memory_estimate == n * n * p * d * d
 

@@ -21,7 +21,12 @@ from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from oracles import ref_coboundary, ref_fold
 from test_morse import assert_passes_legal, checked_run
-from randgen import random_parametrization, random_simplicial
+from randgen import (
+    TWISTED_SUMS,
+    random_parametrization,
+    random_simplicial,
+    twisted_torus_sum,
+)
 
 FIXTURES = [interval, circle, filled_triangle, theta_graph,
             lambda: circle_subdivided(6), lambda: torus_grid(3, 4),
@@ -69,6 +74,29 @@ def _random_instances():
         base = random_simplicial(rng)
         field = fp(5) if trial % 3 == 0 else RATIONAL
         yield random_parametrization(rng, base, field)
+
+
+def _sparse_instances():
+    """Twisted sums on torus_grid(3, 3), over Q and F5, whose cochains the
+    transports meet sparsely: rank-0 cells around skyscraper, cell and
+    row/column summands, and rank-3 stalks."""
+    rng = random.Random(41)
+    for field in (RATIONAL, fp(5)):
+        for kinds in (TWISTED_SUMS[5], (("skyscraper", 1), ("cell", 2)),
+                      TWISTED_SUMS[4], (("constant",),) * 3):
+            yield compile_sheaf(twisted_torus_sum(rng, 3, 3, kinds, field))
+
+
+def _last_coordinates(cx, n):
+    """One vector per rank-3 cell of C^n, nonzero only at its last
+    coordinate."""
+    layout = cx.layout(n)
+    f = cx.field
+    for c in layout.cells:
+        if layout.ranks[c] == 3:
+            vec = [f.zero] * layout.total
+            vec[layout.offsets[c] + 2] = f.one
+            yield vec
 
 
 def test_laws_on_random_instances():
@@ -157,11 +185,17 @@ def _random_cocycle(rng, cx, n):
 
 def _assert_transport_matches_matrices(rng, eq):
     orig, red = eq.src_complex, eq.dst_complex
+    p = eq.field.p
     for n in range(orig.top + 1):
         vec = _random_cocycle(rng, orig, n)
         assert project_cocycle(eq, vec, n) == matvec(eq.psi_matrix(n), vec)
         rvec = _random_cocycle(rng, red, n)
         assert lift_cocycle(eq, rvec, n) == matvec(eq.phi_matrix(n), rvec)
+        for cx, transport, matrix in ((orig, project_cocycle, eq.psi_matrix),
+                                      (red, lift_cocycle, eq.phi_matrix)):
+            for unit in _last_coordinates(cx, n):
+                if not any(ref_coboundary(cx, unit, n, p)):
+                    assert transport(eq, unit, n) == matvec(matrix(n), unit)
 
 
 def test_stepped_transport_matches_matrices():
@@ -171,7 +205,7 @@ def test_stepped_transport_matches_matrices():
             param = compile_sheaf(constant_sheaf(make()))
             eq = runner(param, track_equivalence=True).equivalence
             _assert_transport_matches_matrices(rng, eq)
-    for param in _random_instances():
+    for param in [*_random_instances(), *_sparse_instances()]:
         eq = scythe(param, track_equivalence=True).equivalence
         _assert_transport_matches_matrices(rng, eq)
 
@@ -240,7 +274,7 @@ def test_cocycle_guard_matches_dense_oracle():
     # in the transports and in class_coordinates alike
     rng = random.Random(7)
     rejected = accepted = 0
-    for param in _random_instances():
+    for param in [*_random_instances(), *_sparse_instances()]:
         field = param.field
         p = field.p
         eq = scythe(param, track_equivalence=True).equivalence
@@ -253,7 +287,7 @@ def test_cocycle_guard_matches_dense_oracle():
                 bumped = list(vec)
                 i = rng.randrange(len(vec))
                 bumped[i] = field.add(bumped[i], field.from_int(rng.randint(1, 4)))
-                for v in (vec, bumped):
+                for v in (vec, bumped, *_last_coordinates(cx, n)):
                     if any(ref_coboundary(cx, v, n, p)):
                         rejected += 1
                         with pytest.raises(NotACocycle):

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 
-from scythe.complexes import genus2_surface, torus_grid
+from scythe.complexes import filled_triangle, genus2_surface, torus_grid
 from scythe.field import RATIONAL
 from scythe.morse import iterate_scythe, scythe
 from scythe.report import ComplexityReport, build_report, input_parameters
@@ -55,7 +55,19 @@ def test_build_report_matches_reduction():
     counts = {}
     for c in param.poset.dims.values():
         counts[c] = counts.get(c, 0) + 1
-    assert rep.m_k == [counts.get(k, 0) for k in range(max(counts) + 1)]
+    assert rep.m_k == [counts.get(k, 0) for k in range(param.top + 1)]
+
+
+def test_report_counts_over_the_kept_degree_range():
+    # the filled triangle reduces to one vertex, but its parametrization
+    # keeps degrees 0..2, as betti does
+    param = compile_sheaf(constant_sheaf(filled_triangle()))
+    n, p, d = input_parameters(param)
+    data = scythe(param)
+    assert param.poset.max_dim() == 0 and param.top == 2
+    rep = build_report(n, p, d, data)
+    assert rep.m_k == [1, 0, 0]
+    assert rep.m_tilde == 1
 
 
 def test_report_on_random_instances():
@@ -69,5 +81,6 @@ def test_report_on_random_instances():
         rep = build_report(n, p, d, data)
         assert sum(rep.m_k) == len(param.poset.dims)
         survivors = Counter(param.poset.dims.values())
+        assert rep.m_k == [survivors[k] for k in range(param.top + 1)]
         assert rep.m_tilde == sum(m * m for m in survivors.values())
         assert rep.peak_memory_estimate == n * n * p * d * d

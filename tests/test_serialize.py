@@ -39,6 +39,7 @@ from scythe.serialize import (
     parse_profile,
     reduced_to_json,
     sheaf_to_json,
+    _sparse_rows,
 )
 from scythe.sheaf import (
     CellularSheaf,
@@ -92,6 +93,16 @@ KEYS = [STRINGS, st.integers(), FLOATS, st.booleans(), st.none()]
 ROWS = st.lists(STRINGS, max_size=6)
 
 
+def marked_rows(width):
+    """Rows of one width as equivalence_to_json marks them for dumps: a
+    zero string and the strings at some columns, any of which may need an
+    escape."""
+    cols = st.integers(0, width - 1) if width else st.nothing()
+    return st.builds(_sparse_rows,
+                     st.lists(st.dictionaries(cols, STRINGS), max_size=4),
+                     st.just(width), STRINGS, st.just(str))
+
+
 def containers(children):
     return st.one_of(
         st.lists(children, max_size=5),
@@ -99,6 +110,7 @@ def containers(children):
         *[st.dictionaries(key, children, max_size=4) for key in KEYS],
         st.dictionaries(st.one_of(*KEYS), children, max_size=3),
         st.lists(ROWS, max_size=4),  # a matrix: every row on the fast path
+        st.integers(0, 5).flatmap(marked_rows),  # a matrix written by splicing
         # strings with one other value in their midst leave the fast path
         st.builds(lambda row, other, at: row[:at] + [other] + row[at:],
                   st.lists(STRINGS, min_size=1, max_size=5), children,
@@ -252,10 +264,11 @@ def test_reduced_document_keeps_its_degree_range():
 
 
 def rescaled(rng, sheaf):
-    """sheaf in stalk bases scaled by random diagonals of 1, 2 and 3, so
-    that over Q its inverted blocks are not integral."""
+    """sheaf in stalk bases scaled by random diagonals of 1, 2 and 3 (one
+    where the field makes them zero), so that over Q its inverted blocks
+    are not integral."""
     f = sheaf.field
-    scale = {c: [f.from_int(rng.randint(1, 3)) for _ in range(r)]
+    scale = {c: [f.from_int(rng.randint(1, 3)) or f.one for _ in range(r)]
              for c, r in sheaf.stalk_rank.items()}
     maps = {}
     for (s, t), m in sheaf.restriction.items():
@@ -266,13 +279,34 @@ def rescaled(rng, sheaf):
     return CellularSheaf(sheaf.base, f, sheaf.stalk_rank, maps)
 
 
-@pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
+def row_shapes(rows, zero):
+    """The shapes of one written matrix that its row writer must meet."""
+    shapes = set() if rows else {"no rows"}
+    for row in rows:
+        if not row:
+            shapes.add("width 0")
+        elif row.count(zero) == len(row):
+            shapes.add("zero row")
+        else:
+            shapes.update(name for name, hit in (
+                ("first column", row[0] != zero),
+                ("last column", row[-1] != zero),
+                ("negative", any(v.startswith("-") for v in row)),
+                ("fraction", any("/" in v for v in row))) if hit)
+    return shapes
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5), fp(2), fp(2 ** 61 - 1)],
+                         ids=["Q", "F5", "F2", "F2^61-1"])
 def test_equivalence_document_matches_the_dense_oracle(field):
     rng = random.Random(19)
     sheaves = [constant_sheaf(torus_grid(3, 3), rank=2, field=field)]
     sheaves += [rescaled(rng, twisted_torus_sum(rng, 3, 3, kinds, field))
                 for kinds in (TWISTED_SUMS[2], TWISTED_SUMS[5])]
+    # reduces to one vertex: psi^1 has no rows, phi^1 rows of width 0
+    sheaves.append(constant_sheaf(filled_triangle(), field=field))
     fractions = 0
+    shapes = set()
     for sheaf in sheaves:
         data = scythe(compile_sheaf(sheaf), track_equivalence=True)
         eq = data.equivalence
@@ -288,8 +322,15 @@ def test_equivalence_document_matches_the_dense_oracle(field):
         text = dumps(doc)
         assert text == json_oracle(doc)
         fractions += "/" in json_oracle(eqdoc)
+        zero = field.format(field.zero)
+        for key in ("psi", "phi", "theta"):
+            for rows in eqdoc[key].values():
+                shapes |= row_shapes(rows, zero)
     # over Q the rescaled sums' equivalences hold non-integral entries
     assert fractions == (2 if field is RATIONAL else 0)
+    signed = {"negative", "fraction"} if field is RATIONAL else set()
+    assert shapes == {"no rows", "width 0", "zero row", "first column",
+                      "last column"} | signed
 
 
 def test_cover_round_trip():
