@@ -15,7 +15,9 @@ a cover whose nerve is too big, two fiber assignments over the torus
 that are not face-closed, one whose edge fibers overlap, a twisted sheaf
 on the torus whose blocks are not all invertible, and two sheaves on the
 torus in changed stalk bases (rank 2 over Q with non-integral inverted
-blocks, rank 3 over F7), written to a temporary directory.  A run that succeeds has its stdout hashed; the
+blocks, rank 3 over F7), and an empty complex with two fiber assignments
+over it (one vertex with an empty fiber, and an empty graph), written to
+a temporary directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -147,9 +149,17 @@ UNSIGNED = "unsigned_triangle_parametrization.json"
 FRACTIONAL = "fractional_torus_sheaf.json"
 RANK3_F7 = "rank3_f7_torus_sheaf.json"
 REBASED_RUNS = [["reduce", "--equivalence"], ["compute", "--lift"]]
+# a complex with no cells, and fibers over it on a one-vertex graph and on
+# the empty graph: reduce --equivalence writes no degree, and leray's
+# estimate has no fiber to take the largest of and no direct cost
+EMPTY = "empty_complex.json"
+EMPTY_FIBERS = {
+    "empty_fiber_over_vertex.json": ([{"id": "a", "dim": 0}], {"a": []}),
+    "empty_graph_fibers.json": ([], {}),
+}
 WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, TWISTED, FILLED, FILLED_REDUCED,
-           UNSIGNED, FRACTIONAL, RANK3_F7, *MALFORMED, *POSET_FAULTS,
-           *FIBER_FAULTS}
+           UNSIGNED, FRACTIONAL, RANK3_F7, EMPTY, *MALFORMED, *POSET_FAULTS,
+           *FIBER_FAULTS, *EMPTY_FIBERS}
 
 
 def commands():
@@ -197,6 +207,10 @@ def commands():
     for name in (FRACTIONAL, RANK3_F7):
         for command, *flags in REBASED_RUNS:
             yield [command, name, *flags]
+    yield ["reduce", FILLED, "--equivalence"]
+    yield ["reduce", EMPTY, "--equivalence"]
+    for name in EMPTY_FIBERS:
+        yield ["leray", EMPTY, name]
 
 
 def twisted_sheaf(base):
@@ -291,6 +305,14 @@ def write_documents(directory):
             (RANK3_F7, rebased_sheaf(base, 3, fp(7), rank3_basis))):
         (directory / name).write_text(dumps(sheaf_to_json(sheaf)),
                                       encoding="utf-8")
+    (directory / EMPTY).write_text(
+        json.dumps({"kind": "complex", "cells": [], "covers": []}),
+        encoding="utf-8")
+    for name, (cells, fibers) in EMPTY_FIBERS.items():
+        graph = {"kind": "complex", "cells": cells, "covers": []}
+        (directory / name).write_text(
+            json.dumps({"kind": "fibers", "graph": graph, "fibers": fibers}),
+            encoding="utf-8")
 
 
 def run(argv, scratch):

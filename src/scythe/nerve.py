@@ -421,9 +421,11 @@ class ComplexityEstimate:
         self.graph_cells = graph_cells
         self.max_fiber = max_fiber
         self.dim = dim
-        self.pipeline_cost = max_fiber ** 3 + graph_cells ** 3 * dim ** 3
+        self.pipeline_cost = (max_fiber ** 3
+                              + graph_cells ** 3 * max(dim, 0) ** 3)
         self.direct_cost = n_cells ** 3
-        self.ratio = self.pipeline_cost / self.direct_cost
+        self.ratio = (self.pipeline_cost / self.direct_cost
+                      if self.direct_cost else None)
 
     def to_json(self):
         return {
@@ -438,11 +440,13 @@ class ComplexityEstimate:
 
 
 def complexity_estimate(X, gamma, fibers):
-    """Cell counts and the K^3 + g^3 d^3 versus N^3 comparison."""
+    """Cell counts and the K^3 + g^3 d^3 versus N^3 comparison; with no
+    fibers K is 0, and on an empty complex d (-1) counts as 0 and the ratio
+    is None."""
     checked = validate_fibers(X, gamma, fibers)
     return ComplexityEstimate(
         n_cells=len(X.poset),
         graph_cells=len(gamma.poset),
-        max_fiber=max(len(cells) for cells in checked.values()),
+        max_fiber=max(map(len, checked.values()), default=0),
         dim=X.poset.max_dim(),
     )

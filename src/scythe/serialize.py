@@ -7,13 +7,12 @@ keys, two-space indent, trailing newline) so equal objects give equal bytes.
 The writer is hand-written: its bytes are those of json.dumps(obj,
 indent=2, sort_keys=True) plus a newline, but json has no C path for
 indent and would encode every matrix entry in pure Python; plain ints are
-written with int.__repr__, and a row of strings that need no escape is
-written with one join.  The --equivalence document's rows are built from
-the sparse fold of the reduction steps, zeros as one shared string, with
-no dense matrix of field elements.  Each of its matrices is a _SparseRows,
-a list of rows that also holds their nonzero columns; dumps writes it as
-slices of one all-zero row's text with those entries spliced in, and every
-other list takes the path above.  Parse errors carry a JSON-ish path to the
+written with int.__repr__, a row of strings that need no escape is
+written with one join, and a tuple that recurs in one array is written
+once.  The --equivalence document's rows are built from the sparse fold
+of the reduction steps with no dense matrix of field elements: zeros are
+one shared string, and all the all-zero rows of a matrix are one shared
+tuple.  Parse errors carry a JSON-ish path to the
 offending spot; the readers of cells, covers and matrices format that
 path and message only when they raise.  A complex, sheaf or compiled
 document is read in one pass that makes each check once: each distinct
@@ -46,9 +45,11 @@ def dumps(obj):
     item needs an escape (encode_basestring_ascii escapes exactly those two
     and everything outside 0x20-0x7E), so the row is written with one join
     that puts each item in quotes, and otherwise as one join over
-    encode_basestring_ascii.  The rows of a _SparseRows are written by
-    splicing their nonzero entries into one all-zero row's text
-    (_write_sparse).  A plain int is int.__repr__ (what json's
+    encode_basestring_ascii.  In any other array, a tuple that appears
+    again (the same object, by id) is written from the text of its first
+    writing; a tuple cannot change between the two, and the shared
+    all-zero rows of the --equivalence matrices are each written once.
+    A plain int is int.__repr__ (what json's
     encoder calls for it; bools are not plain ints and stay true/false),
     and other scalars go through json.dumps.
     """
@@ -68,8 +69,6 @@ def _write(obj, newline, out):
         if not obj:
             out.append("[]")
             return
-        if type(obj) is _SparseRows and _write_sparse(obj, newline, out):
-            return
         inner = newline + "  "
         try:
             text = "".join(obj)
@@ -77,10 +76,18 @@ def _write(obj, newline, out):
             text = None  # not all strings
         if text is None:
             opener = "["
+            written = {}  # id of a tuple item -> its text at this indent
             for item in obj:
                 out.append(opener + inner)
-                _write(item, inner, out)
                 opener = ","
+                if type(item) is not tuple:
+                    _write(item, inner, out)
+                elif id(item) in written:
+                    out.append(written[id(item)])
+                else:
+                    start = len(out)
+                    _write(item, inner, out)
+                    written[id(item)] = "".join(out[start:])
             out.append(newline + "]")
         elif _plain(text):  # each item's JSON form is "item"
             out.append("[" + inner + '"' + ('",' + inner + '"').join(obj)
@@ -103,77 +110,11 @@ def _write(obj, newline, out):
         out.append(json.dumps(obj))
 
 
-class _SparseRows(list):
-    """The rows of one matrix, lists of strings of one width, with a mark
-    that dumps reads (_write_sparse): zero, the string most entries hold;
-    nonzero, each row's sorted columns holding another; plain, whether no
-    string needs an escape.
-
-    Only equivalence_to_json makes one (_sparse_rows); to everything else
-    it is a plain list of lists.  The mark is not updated, so the rows are
-    not edited once made.
-    """
-
-    __slots__ = ("zero", "nonzero", "plain")
-
-
-def _sparse_rows(vecs, width, zero, entry):
-    """A _SparseRows from {column: value} dicts of the nonzero entries:
-    entry(value) at those columns, the one shared zero elsewhere."""
-    rows = _SparseRows()
-    rows.zero, rows.nonzero = zero, []
-    texts = {}  # each distinct value is formatted once
-    for vec in vecs:
-        row = [zero] * width
-        cols = sorted(vec) if vec else ()
-        for j in cols:
-            v = vec[j]
-            text = texts.get(v)
-            if text is None:
-                text = texts[v] = entry(v)
-            row[j] = text
-        rows.append(row)
-        rows.nonzero.append(cols)
-    rows.plain = _plain(zero + "".join(texts.values()))
-    return rows
-
-
 def _plain(text):
     """Whether encode_basestring_ascii writes text as itself in quotes: it
     escapes exactly '"', '\\' and everything outside printable ASCII."""
     return (text.isascii() and text.isprintable() and '"' not in text
             and "\\" not in text)
-
-
-def _write_sparse(rows, newline, out):
-    """Write a _SparseRows as _write would, or return False to leave it to
-    _write when an entry would need an escape.
-
-    The text of an all-zero row at this indent is built once; each row is
-    that text with its nonzero entries spliced in at their offsets, so a
-    row costs its nonzero entries, not its width.
-    """
-    width = len(rows[0])
-    if not (width and rows.plain):
-        return False
-    inner = newline + "  "
-    item = inner + "  "
-    blank = '"' + rows.zero + '"'
-    template = "[" + item + ("," + item).join([blank] * width) + inner + "]"
-    first, stride, size = 1 + len(item), len(item) + 1 + len(blank), len(blank)
-    opener = "["
-    for row, cols in zip(rows, rows.nonzero):
-        out.append(opener + inner)
-        opener = ","
-        pos = 0
-        for j in cols:
-            at = first + j * stride
-            out.append(template[pos:at])
-            out.append('"' + row[j] + '"')
-            pos = at + size
-        out.append(template[pos:] if pos else template)
-    out.append(newline + "]")
-    return True
 
 
 def _key(key):
@@ -259,33 +200,48 @@ def param_to_json(param):
 
 
 def equivalence_to_json(eq):
-    """Dense psi/phi/theta matrices by dimension, with their cell orders.
+    """Dense psi/phi/theta matrices by dimension, with their cell orders,
+    for degrees 0..top of the source complex.
 
-    Each matrix is built from the sparse fold's rows: the one shared zero
-    string, with only the nonzero entries formatted; no matrix of field
-    elements is made.  The rows carry their nonzero columns to dumps
-    (_SparseRows), which writes each row from one all-zero row's text.
+    Each matrix is built from the sparse fold's rows (_rows); no matrix of
+    field elements is made.  Its all-zero rows are one shared tuple, which
+    dumps writes once per matrix.
     """
     src, dst = eq.src_complex, eq.dst_complex
-    layouts = src.layouts
-    top = max(layouts) if layouts else 0
+    degrees = range(src.top + 1)
     f = eq.field
-    zero, entry = f.format(f.zero), f.format
     return {
-        "psi": {str(n): _sparse_rows(eq.psi_vecs(n), src.rank_c(n), zero, entry)
-                for n in range(top + 1)},
-        "phi": {str(n): _sparse_rows(eq.phi_vecs(n), dst.rank_c(n), zero, entry)
-                for n in range(top + 1)},
-        "theta": {str(n): _sparse_rows(eq.theta_vecs(n), src.rank_c(n), zero,
-                                       entry)
-                  for n in range(1, top + 1)},
-        "source_cells": {
-            str(n): list(layouts[n].cells) for n in sorted(layouts)
-        },
-        "target_cells": {
-            str(n): list(dst.layout(n).cells) for n in range(top + 1)
-        },
+        "psi": {str(n): _rows(f, eq.psi_vecs(n), src.rank_c(n))
+                for n in degrees},
+        "phi": {str(n): _rows(f, eq.phi_vecs(n), dst.rank_c(n))
+                for n in degrees},
+        "theta": {str(n): _rows(f, eq.theta_vecs(n), src.rank_c(n))
+                  for n in degrees[1:]},
+        "source_cells": {str(n): list(src.layout(n).cells) for n in degrees},
+        "target_cells": {str(n): list(dst.layout(n).cells) for n in degrees},
     }
+
+
+def _rows(field, vecs, width):
+    """The rows of one matrix from {column: value} dicts of its nonzero
+    entries, as strings: each distinct value is formatted once, a row with
+    entries is a list, and every empty dict gives the one all-zero tuple."""
+    zero = field.format(field.zero)
+    blank = (zero,) * width
+    texts = {}
+    rows = []
+    for vec in vecs:
+        if not vec:
+            rows.append(blank)
+            continue
+        row = [zero] * width
+        for j, v in vec.items():
+            text = texts.get(v)
+            if text is None:
+                text = texts[v] = field.format(v)
+            row[j] = text
+        rows.append(row)
+    return rows
 
 
 def reduced_to_json(morse_data, equivalence=None):

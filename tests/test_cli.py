@@ -236,6 +236,30 @@ def test_leray_command(capsys, data_dir):
     assert json.loads(out8)["profile"]["betti"] == [1, 4, 1]
 
 
+@pytest.mark.parametrize("graph_cells, fibers", [
+    ([{"id": "a", "dim": 0}], {"a": []}),
+    ([], {}),
+], ids=["empty-fiber-over-vertex", "empty-graph"])
+def test_leray_on_an_empty_complex_prints_one_document(capsys, tmp_path,
+                                                       graph_cells, fibers):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"kind": "complex", "cells": [], "covers": []}))
+    path = tmp_path / "fibers.json"
+    path.write_text(json.dumps({
+        "kind": "fibers", "fibers": fibers,
+        "graph": {"kind": "complex", "cells": graph_cells, "covers": []}}))
+    code, out, err = run_cli(capsys, "leray", str(empty), str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "profile": {"betti": []},
+        "estimate": {"n_cells": 0, "graph_cells": len(graph_cells),
+                     "max_fiber": 0, "dim": -1, "pipeline_cost": 0,
+                     "direct_cost": 0, "ratio": None},
+    }
+    assert run_cli(capsys, "compute", str(empty)) == (
+        0, dumps({"betti": []}), "")
+
+
 def test_validate_command(capsys, data_dir, tmp_path):
     ok, out, _ = run_cli(capsys, "validate", str(data_dir / "torus.json"))
     assert ok == 0 and json.loads(out) == {"ok": True, "kind": "complex"}

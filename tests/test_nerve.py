@@ -366,6 +366,16 @@ def test_complexity_estimate_numbers():
     assert j["pipeline_cost"] == est.pipeline_cost
 
 
+def test_complexity_estimate_of_an_empty_complex():
+    empty = build_cw([], {})
+    for graph_cells, fibers in (([("a", 0)], {"a": []}), ([], {})):
+        graph = build_cw(graph_cells, {})
+        est = complexity_estimate(empty, graph, fibers)
+        assert (est.max_fiber, est.dim) == (0, -1)
+        assert est.pipeline_cost == est.direct_cost == 0
+        assert est.ratio is None and est.to_json()["ratio"] is None
+
+
 def test_finer_graph_lowers_estimate():
     t, tg, tf = torus_reeb()
     tfine, tgf, tff = torus_reeb_fine()

@@ -39,7 +39,6 @@ from scythe.serialize import (
     parse_profile,
     reduced_to_json,
     sheaf_to_json,
-    _sparse_rows,
 )
 from scythe.sheaf import (
     CellularSheaf,
@@ -93,14 +92,15 @@ KEYS = [STRINGS, st.integers(), FLOATS, st.booleans(), st.none()]
 ROWS = st.lists(STRINGS, max_size=6)
 
 
-def marked_rows(width):
-    """Rows of one width as equivalence_to_json marks them for dumps: a
-    zero string and the strings at some columns, any of which may need an
-    escape."""
-    cols = st.integers(0, width - 1) if width else st.nothing()
-    return st.builds(_sparse_rows,
-                     st.lists(st.dictionaries(cols, STRINGS), max_size=4),
-                     st.just(width), STRINGS, st.just(str))
+def shared_tuples(children):
+    """Arrays that hold one tuple object at the first, the last and any
+    other places among lists, as an --equivalence matrix holds its shared
+    all-zero row; the tuple may be a row of strings or hold anything."""
+    shared = st.one_of(ROWS, st.lists(children, max_size=4)).map(tuple)
+    lists = st.one_of(ROWS, st.lists(children, max_size=3))
+    between = st.lists(st.one_of(st.none(), lists), max_size=5)  # None: row
+    return st.builds(lambda row, items: [
+        row, *(row if x is None else x for x in items), row], shared, between)
 
 
 def containers(children):
@@ -110,7 +110,7 @@ def containers(children):
         *[st.dictionaries(key, children, max_size=4) for key in KEYS],
         st.dictionaries(st.one_of(*KEYS), children, max_size=3),
         st.lists(ROWS, max_size=4),  # a matrix: every row on the fast path
-        st.integers(0, 5).flatmap(marked_rows),  # a matrix written by splicing
+        shared_tuples(children),  # a repeated tuple is written once
         # strings with one other value in their midst leave the fast path
         st.builds(lambda row, other, at: row[:at] + [other] + row[at:],
                   st.lists(STRINGS, min_size=1, max_size=5), children,
@@ -242,7 +242,7 @@ def test_reduced_document():
     ]
     eqdoc = doc["equivalence"]
     assert set(eqdoc) == {"psi", "phi", "theta", "source_cells", "target_cells"}
-    assert eqdoc["psi"]["0"] == eq.psi_matrix(0).to_json()
+    assert as_lists(eqdoc["psi"]["0"]) == eq.psi_matrix(0).to_json()
     assert eqdoc["source_cells"]["1"] == ["e", "f"]
     back = parse(doc)
     assert betti(back.assemble()).betti == [1, 1]
@@ -279,6 +279,10 @@ def rescaled(rng, sheaf):
     return CellularSheaf(sheaf.base, f, sheaf.stalk_rank, maps)
 
 
+def as_lists(rows):
+    return [list(row) for row in rows]
+
+
 def row_shapes(rows, zero):
     """The shapes of one written matrix that its row writer must meet."""
     shapes = set() if rows else {"no rows"}
@@ -305,7 +309,7 @@ def test_equivalence_document_matches_the_dense_oracle(field):
                 for kinds in (TWISTED_SUMS[2], TWISTED_SUMS[5])]
     # reduces to one vertex: psi^1 has no rows, phi^1 rows of width 0
     sheaves.append(constant_sheaf(filled_triangle(), field=field))
-    fractions = 0
+    fractions = shared = 0
     shapes = set()
     for sheaf in sheaves:
         data = scythe(compile_sheaf(sheaf), track_equivalence=True)
@@ -314,10 +318,11 @@ def test_equivalence_document_matches_the_dense_oracle(field):
         top = max(eq.src_complex.layouts)
         assert set(eqdoc["theta"]) == {str(n) for n in range(1, top + 1)}
         for n in range(top + 1):
-            assert eqdoc["psi"][str(n)] == eq.psi_matrix(n).to_json()
-            assert eqdoc["phi"][str(n)] == eq.phi_matrix(n).to_json()
+            assert as_lists(eqdoc["psi"][str(n)]) == eq.psi_matrix(n).to_json()
+            assert as_lists(eqdoc["phi"][str(n)]) == eq.phi_matrix(n).to_json()
             if n:
-                assert eqdoc["theta"][str(n)] == eq.theta_matrix(n).to_json()
+                assert (as_lists(eqdoc["theta"][str(n)])
+                        == eq.theta_matrix(n).to_json())
         doc = reduced_to_json(data, eq)
         text = dumps(doc)
         assert text == json_oracle(doc)
@@ -326,11 +331,44 @@ def test_equivalence_document_matches_the_dense_oracle(field):
         for key in ("psi", "phi", "theta"):
             for rows in eqdoc[key].values():
                 shapes |= row_shapes(rows, zero)
+                # the all-zero rows of a matrix are one object, written once
+                blank = [row for row in rows if row.count(zero) == len(row)]
+                assert len({id(row) for row in blank}) <= 1
+                shared += len(blank) > 1
     # over Q the rescaled sums' equivalences hold non-integral entries
     assert fractions == (2 if field is RATIONAL else 0)
+    assert shared
     signed = {"negative", "fraction"} if field is RATIONAL else set()
     assert shapes == {"no rows", "width 0", "zero row", "first column",
                       "last column"} | signed
+
+
+def test_edited_equivalence_document_is_written_as_json_writes_it():
+    data = scythe(compile_sheaf(constant_sheaf(torus_grid(2, 2))),
+                  track_equivalence=True)
+    doc = reduced_to_json(data, equivalence=data.equivalence)
+    rows = doc["equivalence"]["phi"]["1"]
+    zero = RATIONAL.format(RATIONAL.zero)
+    blank = next(i for i, row in enumerate(rows) if set(row) == {zero})
+    full = next(i for i, row in enumerate(rows) if set(row) != {zero})
+    width = len(rows[0])
+    edits = [
+        lambda: rows.__setitem__(blank, ["7"] + [zero] * (width - 1)),
+        lambda: rows[full].__setitem__(rows[full].index("1"), 'a"b'),
+        lambda: rows.append(["-1"] * width),
+    ]
+    for edit in edits:
+        edit()
+        assert dumps(doc) == json_oracle(doc)
+    assert json.loads(dumps(doc))["equivalence"]["phi"]["1"] == as_lists(rows)
+
+
+def test_equivalence_document_of_an_empty_complex_has_no_degree():
+    empty = parse({"kind": "complex", "cells": [], "covers": []})
+    data = scythe(compile_sheaf(constant_sheaf(empty)), track_equivalence=True)
+    assert equivalence_to_json(data.equivalence) == {
+        key: {} for key in ("psi", "phi", "theta", "source_cells",
+                            "target_cells")}
 
 
 def test_cover_round_trip():
