@@ -13,12 +13,11 @@ steps are folded once into sparse rows and columns, kept as
 removes as its lower cell and no phi column for one removed as its upper
 cell: neither is read before it is deleted.  The document is written
 straight from the fold's rows (psi_vecs, phi_vecs, theta_vecs; see
-serialize.equivalence_to_json).  Only psi_matrix, phi_matrix and
-theta_matrix densify into field elements.
+serialize.equivalence_to_json).
 """
 
 from .errors import NotACocycle
-from .matrix import Matrix, matvec, matvec_add, mul_sub
+from .matrix import matvec, matvec_add, mul_sub
 from .parametrization import d_kills, nonzero_blocks
 
 
@@ -85,26 +84,6 @@ class Equivalence:
         C^n(original) wide."""
         theta = self._maps()[2].get(n, {})
         return [theta.get(i, {}) for i in range(self.src_complex.rank_c(n - 1))]
-
-    def psi_matrix(self, n):
-        """Dense projection C^n(original) -> C^n(reduced)."""
-        return self._matrix(self.psi_vecs(n), self.src_complex.rank_c(n))
-
-    def phi_matrix(self, n):
-        """Dense lift C^n(reduced) -> C^n(original)."""
-        return self._matrix(self.phi_vecs(n), self.dst_complex.rank_c(n))
-
-    def theta_matrix(self, n):
-        """Dense homotopy C^n(original) -> C^{n-1}(original)."""
-        return self._matrix(self.theta_vecs(n), self.src_complex.rank_c(n))
-
-    def _matrix(self, vecs, width):
-        z = self.field.zero
-        rows = [[z] * width for _ in vecs]
-        for row, vec in zip(rows, vecs):
-            for i, v in vec.items():
-                row[i] = v
-        return Matrix(self.field, len(rows), width, rows)
 
 
 def _fold(field, layouts, steps):

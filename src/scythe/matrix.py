@@ -4,9 +4,17 @@ Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
 cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
 rank-1 stalk), 2x2 or 3x3, so try_invert answers these in closed form,
-with one field inverse and no echelon form, and mat_mul, mul_sub and
-matvec_add answer the 1x1 shape as scalars.  A reduction step corrects
-each surviving block with one fused mul_sub, c - a.b, which builds no
+with one field inverse and no echelon form; matvec_add answers the 1x1
+shape as scalars; and mat_mul and mul_sub answer it as scalars, a 2x2 by
+2x2 product fully unrolled and a product with three columns one row at a
+time, its three entries in locals.  Wider products run the generic loop.
+Every form makes each entry with the loop's field operations in the
+loop's order: k ascending and a product skipped when either factor is
+zero.  Where the loop adds an entry's first product to zero, the 1x1 and
+2x2 products take the product itself, the same value of the same type in
+both fields.  So an entry is the same int or Fraction whichever form made
+it.  A reduction step corrects each
+surviving block with one fused mul_sub, c - a.b, which builds no
 product matrix and reports a zero result as None.  A Matrix built from
 outside has its grid checked against its shape; the kernels here (zeros,
 identity, add, sub, neg, transpose, mat_mul, mul_sub, try_invert) and the
@@ -132,7 +140,11 @@ def _check_same_shape(a, b):
 
 
 def mat_mul(a, b):
-    """Exact matrix product, skipping zero entries of the left factor."""
+    """Exact matrix product, skipping products with a zero factor.
+
+    Small shapes have loop-free forms (see the module docstring); they
+    come after the field and shape checks, which every shape gets.
+    """
     f = a.field
     if f is not b.field and f != b.field:
         raise ValueError("field mismatch")
@@ -143,6 +155,36 @@ def mat_mul(a, b):
         y = b.data[0][0]
         return _built(f, 1, 1, [[f.mul(x, y) if x and y else f.zero]])
     add, mul, zero = f.add, f.mul, f.zero
+    if a.rows == 2 and a.cols == 2 and b.cols == 2:
+        (p, q), (r, s) = a.data
+        (t, u), (v, w) = b.data
+        e00 = mul(p, t) if p and t else zero
+        if q and v:
+            e00 = add(e00, mul(q, v))
+        e01 = mul(p, u) if p and u else zero
+        if q and w:
+            e01 = add(e01, mul(q, w))
+        e10 = mul(r, t) if r and t else zero
+        if s and v:
+            e10 = add(e10, mul(s, v))
+        e11 = mul(r, u) if r and u else zero
+        if s and w:
+            e11 = add(e11, mul(s, w))
+        return _built(f, 2, 2, [[e00, e01], [e10, e11]])
+    if b.cols == 3:
+        out = []
+        for arow in a.data:
+            e0 = e1 = e2 = zero
+            for x, (y0, y1, y2) in zip(arow, b.data):
+                if x:
+                    if y0:
+                        e0 = add(e0, mul(x, y0))
+                    if y1:
+                        e1 = add(e1, mul(x, y1))
+                    if y2:
+                        e2 = add(e2, mul(x, y2))
+            out.append([e0, e1, e2])
+        return _built(f, a.rows, 3, out)
     out = []
     for arow in a.data:
         orow = [zero] * b.cols
@@ -160,7 +202,9 @@ def mul_sub(c, a, b):
 
     A c of None stands for the zero map of a's rows and b's columns.  The
     product is subtracted entry by entry as it is formed, skipping zero
-    entries of either factor, so no matrix holds a.b itself.
+    entries of either factor, so no matrix holds a.b itself.  As in
+    mat_mul, the 1x1, 2x2 and three-column shapes skip the loop after the
+    checks.
     """
     f = a.field
     if f is not b.field and f != b.field:
@@ -181,17 +225,57 @@ def mul_sub(c, a, b):
         if x and y:
             v = sub(v, mul(x, y))
         return _built(f, 1, 1, [[v]]) if v else None
-    if c is None:
-        z = f.zero
-        out = [[z] * b.cols for _ in range(a.rows)]
+    if a.rows == 2 and a.cols == 2 and b.cols == 2:
+        (p, q), (r, s) = a.data
+        (t, u), (v, w) = b.data
+        if c is None:
+            e00 = e01 = e10 = e11 = f.zero
+        else:
+            (e00, e01), (e10, e11) = c.data
+        if p and t:
+            e00 = sub(e00, mul(p, t))
+        if q and v:
+            e00 = sub(e00, mul(q, v))
+        if p and u:
+            e01 = sub(e01, mul(p, u))
+        if q and w:
+            e01 = sub(e01, mul(q, w))
+        if r and t:
+            e10 = sub(e10, mul(r, t))
+        if s and v:
+            e10 = sub(e10, mul(s, v))
+        if r and u:
+            e11 = sub(e11, mul(r, u))
+        if s and w:
+            e11 = sub(e11, mul(s, w))
+        if e00 or e01 or e10 or e11:
+            return _built(f, 2, 2, [[e00, e01], [e10, e11]])
+        return None
+    z = f.zero
+    if b.cols == 3:
+        out = []
+        for arow, (e0, e1, e2) in zip(a.data, [(z, z, z)] * a.rows
+                                      if c is None else c.data):
+            for x, (y0, y1, y2) in zip(arow, b.data):
+                if x:
+                    if y0:
+                        e0 = sub(e0, mul(x, y0))
+                    if y1:
+                        e1 = sub(e1, mul(x, y1))
+                    if y2:
+                        e2 = sub(e2, mul(x, y2))
+            out.append([e0, e1, e2])
     else:
-        out = [row[:] for row in c.data]
-    for arow, orow in zip(a.data, out):
-        for aik, brow in zip(arow, b.data):
-            if aik:
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        orow[j] = sub(orow[j], mul(aik, bkj))
+        if c is None:
+            out = [[z] * b.cols for _ in range(a.rows)]
+        else:
+            out = [row[:] for row in c.data]
+        for arow, orow in zip(a.data, out):
+            for aik, brow in zip(arow, b.data):
+                if aik:
+                    for j, bkj in enumerate(brow):
+                        if bkj:
+                            orow[j] = sub(orow[j], mul(aik, bkj))
     if any(map(any, out)):
         return _built(f, a.rows, b.cols, out)
     return None

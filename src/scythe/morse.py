@@ -21,7 +21,7 @@ only orders each candidate pair's key by it.
 from collections import deque
 
 from .errors import NotACover, NotInvertible, ValidationError
-from .matrix import mat_mul, mul_sub, try_invert
+from .matrix import _built, mat_mul, mul_sub, try_invert
 from . import equivalence as _equiv
 
 
@@ -79,6 +79,12 @@ def _reduce_pair(param, x, y, inv):
     the cofaces of y are unlinked.  The correction loop edits only keys
     (w, z) of survivors, so no dead key is ever inserted again and the
     surviving maps keep their insertion order.
+
+    A 1x1 pair corrects a rank-1 w and z with scalars inline, the field
+    operations of mat_mul and mul_sub on 1x1 blocks in their order, and
+    calls the kernels for every other shape.  Skipping the kernels' checks
+    is safe: check_blocks fixed every block's field and shape when the
+    parametrization was built, and the kernels' results keep them.
     """
     poset = param.poset
     dims, above, below = poset.dims, poset.up, poset.down
@@ -110,12 +116,33 @@ def _reduce_pair(param, x, y, inv):
     # a step with nothing below y corrects no block, so it forms no F_xz.inv
     if not down:
         return step
-    corrections = [(z, mat_mul(fxz, inv)) for z, fxz in up.items()]
+    f = param.field
+    mul, sub, zero = f.mul, f.sub, f.zero
+    # a 1x1 pair's head F_xz.inv for a rank-1 z is the scalar h, and head
+    # is None until a w of another rank asks for it as a matrix
+    iv = inv.data[0][0] if inv.rows == 1 else None
+    corrections = []
+    for z, fxz in up.items():
+        if iv is not None and fxz.rows == 1:
+            a = fxz.data[0][0]
+            corrections.append((z, mul(a, iv) if a else zero, None))
+        else:
+            corrections.append((z, None, mat_mul(fxz, inv)))
     get = maps.get
     for w, fwy in down.items():
+        b = fwy.data[0][0] if iv is not None and fwy.cols == 1 else None
         ahead = above[w]
-        for z, head in corrections:
-            updated = mul_sub(get((w, z)), head, fwy)
+        for z, h, head in corrections:
+            if head is None and b is not None:
+                fwz = get((w, z))
+                v = zero if fwz is None else fwz.data[0][0]
+                if h and b:
+                    v = sub(v, mul(h, b))
+                updated = _built(f, 1, 1, [[v]]) if v else None
+            else:
+                if head is None:
+                    head = _built(f, 1, 1, [[h]])
+                updated = mul_sub(get((w, z)), head, fwy)
             if updated is None:
                 if z in ahead:
                     ahead.discard(z)

@@ -267,8 +267,11 @@ def d_squared_witnesses(field, maps, dims):
     formed: one walk over the two-step paths, linear in the covers.  Returns
     (n, tau, sigma) for each nonzero sum, sorted.
 
-    F_p residues are summed as plain ints and reduced only when a sum is
-    tested.
+    A witness depends only on whether the exact sum is zero, so the sums
+    use plain + and *, in any order: F_p residues are summed as plain ints
+    and reduced only when a sum is tested.  A 1x1 sum is one scalar, and a
+    2x2x2 path adds its four entries in closed form; other paths run the
+    loop.
     """
     up = {}
     for (x, y), m in maps.items():
@@ -280,17 +283,37 @@ def d_squared_witnesses(field, maps, dims):
 
     witnesses = []
     for sigma, steps in up.items():
-        sums = {}
+        scalars, sums = {}, {}
         for lam, cols, first in steps:
             for tau, _, second in up.get(lam, ()):
+                if cols == 1 and len(second) == 1:
+                    # a 1x1 sum is one scalar, whatever the rank of lam
+                    if len(first) == 1:
+                        t = second[0][0] * first[0][0]
+                    else:
+                        t = sum(s * f for s, (f,) in zip(second[0], first))
+                    scalars[tau] = scalars.get(tau, 0) + t
+                    continue
                 acc = sums.get(tau)
                 if acc is None:
                     acc = sums[tau] = [[0] * cols for _ in second]
+                if cols == 2 and len(first) == 2 and len(second) == 2:
+                    (p, q), (r, s) = second
+                    (t, u), (v, w) = first
+                    row0, row1 = acc
+                    row0[0] += p * t + q * v
+                    row0[1] += p * u + q * w
+                    row1[0] += r * t + s * v
+                    row1[1] += r * u + s * w
+                    continue
                 for arow, srow in zip(acc, second):
                     for k, s in enumerate(srow):
                         if s:
                             for j, f in enumerate(first[k]):
                                 arow[j] += s * f
+        for tau, acc in scalars.items():
+            if nonzero(acc):
+                witnesses.append((dims[sigma], tau, sigma))
         for tau, acc in sums.items():
             if any(nonzero(v) for row in acc for v in row):
                 witnesses.append((dims[sigma], tau, sigma))

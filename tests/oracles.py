@@ -3,16 +3,21 @@
 Everything here is written from scratch on purpose: plain Gaussian
 elimination over Fraction or ints mod p, and Betti numbers straight from
 the rank-nullity count, with coboundaries stacked here from a complex's
-covering-pair blocks.  No imports from scythe's linear algebra.  The one
-exception is ref_degree_sheaf, the pipelines' degree sheaves built the
+covering-pair blocks.  No imports from scythe's linear algebra.  The
+exceptions are ref_degree_sheaf, the pipelines' degree sheaves built the
 direct way on unreduced fibers with scythe's induced_map, kept as the
-reference the transported restrictions are compared with.
+reference the transported restrictions are compared with; psi_matrix,
+phi_matrix and theta_matrix, which densify an equivalence's sparse rows
+into scythe Matrix objects for the law checks; and loop_mat_mul and
+loop_mul_sub, the product kernels' generic loops, which pin the value and
+the type of every entry the kernels' small-block forms give.
 """
 
 from fractions import Fraction
 
 from scythe.cohomology import betti, induced_map
 from scythe.cw import subcomplex
+from scythe.matrix import Matrix
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
 
@@ -308,3 +313,68 @@ def ref_fold(eq, p=None):
         cols = [v for c in cells for v in phi[n][c]]
         phi_grids[n] = [[col[i] for col in cols] for i in range(layout.total)]
     return psi_grids, phi_grids, theta
+
+
+def psi_matrix(eq, n):
+    """Dense projection C^n(original) -> C^n(reduced) of an equivalence."""
+    return _dense(eq.field, eq.psi_vecs(n), eq.src_complex.rank_c(n))
+
+
+def phi_matrix(eq, n):
+    """Dense lift C^n(reduced) -> C^n(original) of an equivalence."""
+    return _dense(eq.field, eq.phi_vecs(n), eq.dst_complex.rank_c(n))
+
+
+def theta_matrix(eq, n):
+    """Dense homotopy C^n(original) -> C^{n-1}(original) of an equivalence."""
+    return _dense(eq.field, eq.theta_vecs(n), eq.src_complex.rank_c(n))
+
+
+def _dense(field, vecs, width):
+    """The Matrix whose rows are the {coordinate: value} dicts vecs."""
+    rows = [[field.zero] * width for _ in vecs]
+    for row, vec in zip(rows, vecs):
+        for i, v in vec.items():
+            row[i] = v
+    return Matrix(field, len(rows), width, rows)
+
+
+def loop_mat_mul(a, b):
+    """The grid of a.b, by the generic loop of scythe's mat_mul.
+
+    Each entry starts at zero and adds a[i][k] * b[k][j] for k ascending,
+    skipping a product when either factor is zero, with the field's own
+    operations: the value and the type (int or Fraction) every entry of
+    the kernel must have.
+    """
+    f = a.field
+    out = []
+    for arow in a.data:
+        orow = [f.zero] * b.cols
+        for aik, brow in zip(arow, b.data):
+            if aik:
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        orow[j] = f.add(orow[j], f.mul(aik, bkj))
+        out.append(orow)
+    return out
+
+
+def loop_mul_sub(c, a, b):
+    """The grid of c - a.b by the same loop, or None when it is all zero.
+
+    c of None stands for zero; each entry subtracts its products from c's
+    entry for k ascending, skipping a product with a zero factor.
+    """
+    f = a.field
+    if c is None:
+        out = [[f.zero] * b.cols for _ in range(a.rows)]
+    else:
+        out = [row[:] for row in c.data]
+    for arow, orow in zip(a.data, out):
+        for aik, brow in zip(arow, b.data):
+            if aik:
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        orow[j] = f.sub(orow[j], f.mul(aik, bkj))
+    return out if any(map(any, out)) else None

@@ -14,7 +14,9 @@ from scythe.matrix import (
     EchelonSolver, Matrix, mat_mul, matvec, mul_sub, try_invert,
 )
 
-from oracles import ref_product, ref_rank, ref_solve
+from oracles import (
+    loop_mat_mul, loop_mul_sub, ref_product, ref_rank, ref_solve,
+)
 
 
 def test_field_kinds():
@@ -384,6 +386,59 @@ def test_mul_sub_matches_sub_of_product(p, shape, c_kind, data):
     else:
         assert got == want
         assert (got.rows, got.cols) == (r, c)
+
+
+def _typed_entries(p):
+    """Entries of Q (zeros, +-1, ints, non-integral Fractions) or of F_p
+    (zeros, 1, p - 1, any residue)."""
+    if p is None:
+        return st.one_of(
+            st.sampled_from([0, 1, -1]),
+            st.integers(-10 ** 6, 10 ** 6),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12)
+            .filter(lambda q: q.denominator != 1),
+        )
+    return st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+
+
+def _reprs(grid):
+    return [[repr(v) for v in row] for row in grid]
+
+
+@pytest.mark.parametrize("p", [None, 2, 5, 2 ** 61 - 1],
+                         ids=["Q", "F2", "F5", "F_M61"])
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["none", "drawn", "product"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_product_kernels_give_the_loops_entries_and_types(p, r, k, c, c_kind,
+                                                         data):
+    # == cannot tell an int from an integral Fraction; repr can
+    f = _field_of(p)
+
+    def draw(rows, cols):
+        grid = data.draw(st.lists(
+            st.lists(_typed_entries(p), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows))
+        return Matrix(f, rows, cols, grid)
+
+    a, b = draw(r, k), draw(k, c)
+    product = loop_mat_mul(a, b)
+    got = mat_mul(a, b)
+    assert (got.rows, got.cols) == (r, c)
+    assert _reprs(got.data) == _reprs(product)
+    if c_kind == "none":
+        cm = None
+    elif c_kind == "product":
+        cm = Matrix(f, r, c, product)
+    else:
+        cm = draw(r, c)
+    want = loop_mul_sub(cm, a, b)
+    got = mul_sub(cm, a, b)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.rows, got.cols) == (r, c)
+        assert _reprs(got.data) == _reprs(want)
 
 
 def test_mul_sub_refuses_mismatched_operands():

@@ -17,6 +17,7 @@ from scythe.errors import (
     CyclicMatching, NotACover, NotInvertible, ValidationError,
 )
 from scythe import matrix
+from scythe.equivalence import lift_cocycle, project_cocycle
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix
 from scythe.morse import (
@@ -579,3 +580,30 @@ def test_sweep_records_are_pinned(case):
               "iterate_scythe": iterate_scythe}[name]
     field = {"Q": RATIONAL, "F5": fp(5)}[field_name]
     assert _records_digest(runner, policy, field) == RECORD_DIGESTS[case]
+
+
+def _fold_and_transport(param):
+    """The fold's psi rows, phi columns and theta rows of a tracked scythe
+    run, then the projection of every flagged generator of the original
+    complex and the lift of every one of the reduced complex."""
+    eq = scythe(param, track_equivalence=True).equivalence
+    moved = []
+    for cx, transport in ((eq.src_complex, project_cocycle),
+                          (eq.dst_complex, lift_cocycle)):
+        for n, gens in sorted(betti(cx, generators=True).generators.items()):
+            for j in range(gens.cols):
+                moved.append(transport(eq, gens.column(j), n))
+    return eq._maps(), moved
+
+
+# sha256 of the repr of _fold_and_transport over _record_inputs, Q then F5;
+# repr tells an int from an integral Fraction, which == does not
+FOLD_TRANSPORT_DIGEST = \
+    "bfad872e539f3f83cd8618291f2ef635946a63cc921b9f2e055253fe6192017a"
+
+
+def test_fold_and_transport_are_pinned():
+    text = repr([_fold_and_transport(param) for field in (RATIONAL, fp(5))
+                 for param in _record_inputs(field)])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == FOLD_TRANSPORT_DIGEST

@@ -30,7 +30,9 @@ from scythe.sheaf import (
 )
 
 from oracles import ref_d_squared_witnesses
-from randgen import random_sheaf, random_simplicial, twisted_torus_sum
+from randgen import (
+    TWISTED_SUMS, random_sheaf, random_simplicial, twisted_torus_sum,
+)
 
 
 def test_constant_sheaf_shape():
@@ -188,6 +190,106 @@ def test_random_sheaves_compile():
             else:
                 assert compile_sheaf(candidate).maps == cx.blocks
     assert broken >= 5
+
+
+def _rebased(rng, sheaf):
+    """sheaf in new stalk bases, each coordinate scaled by a nonzero
+    element: a fraction over Q, so the blocks hold non-integral Fractions,
+    and a residue over F_p."""
+    f = sheaf.field
+
+    def scale():
+        if f.p is None:
+            return f.parse("%d/%d" % (rng.choice((1, -1, 2, -3)),
+                                      rng.choice((1, 2, 3, 5))))
+        return f.from_int(rng.randrange(1, f.p))
+
+    scales = {c: [scale() for _ in range(n)]
+              for c, n in sheaf.stalk_rank.items()}
+    maps = {}
+    for (s, t), m in sheaf.restriction.items():
+        ds, dt = scales[s], scales[t]
+        maps[(s, t)] = Matrix(f, m.rows, m.cols, [
+            [f.mul(f.mul(dt[i], v), f.inv(ds[j])) for j, v in enumerate(row)]
+            for i, row in enumerate(m.data)])
+    return CellularSheaf(sheaf.base, f, sheaf.stalk_rank, maps)
+
+
+def _path_shapes(cx, witnesses):
+    """The shape of every two-step path through a witnessed interval:
+    "1x1x1", "2x2x2", "3x3x3" or "mixed", by the ranks of tau, lambda and
+    sigma."""
+    ranks = {c: layout.ranks[c] for layout in cx.layouts.values()
+             for c in layout.cells}
+    above = {}
+    for x, y in cx.blocks:
+        above.setdefault(x, set()).add(y)
+    shapes = set()
+    for _, tau, sigma in witnesses:
+        for lam in above.get(sigma, ()):
+            if tau in above.get(lam, ()):
+                shape = {ranks[tau], ranks[lam], ranks[sigma]}
+                shapes.add("%dx%dx%d" % ((min(shape),) * 3)
+                           if len(shape) == 1 else "mixed")
+    return shapes
+
+
+def test_d_squared_walk_meets_every_path_shape():
+    # random sheaves over F2, where a sum can pass 2 and still vanish, and
+    # twisted sums with rank-3 stalks in fractional bases over Q, F5 and
+    # F2; each is walked as it is and with one restriction perturbed
+    rng = random.Random(17)
+    twist = random.Random(19)
+    sheaves = [random_sheaf(rng, random_simplicial(rng), fp(2))[0]
+               for _ in range(12)]
+    for field in (RATIONAL, fp(5), fp(2)):
+        for kinds in TWISTED_SUMS + ((("constant",),) * 3,):
+            sheaves.append(_rebased(rng, twisted_torus_sum(rng, 3, 3, kinds,
+                                                           field)))
+    shapes = set()
+    for sheaf in sheaves:
+        p = sheaf.field.p
+        assert ref_d_squared_witnesses(_unchecked_param(sheaf).assemble(),
+                                       p) == []
+        compile_sheaf(sheaf)
+        broken = _perturbed(twist, sheaf)
+        if broken is None:
+            continue
+        cx = _unchecked_param(broken).assemble()
+        want = ref_d_squared_witnesses(cx, p)
+        assert verify_d_squared(cx).witnesses == want
+        shapes |= _path_shapes(cx, want)
+    assert {"1x1x1", "2x2x2", "mixed"} <= shapes
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5), fp(2)],
+                         ids=["Q", "F5", "F2"])
+def test_d_squared_sums_an_interval_across_its_middle_cells(field):
+    # sigma < l1, l2 < tau with rank-2 stalks: each path's product is
+    # invertible, and only the sum over both middle cells vanishes; over
+    # F_p that sum is a nonzero multiple of p until it is reduced
+    f = field
+    if f.p is None:
+        a = [["1", "1/2"], ["-2", "3/4"]]
+        b = [["2/3", "1"], ["0", "-5"]]
+    else:
+        a = [["1", "1"], ["0", "1"]]
+        b = [["1", "0"], ["1", "1"]]
+    a, b = (Matrix(f, 2, 2, [[f.parse(v) for v in row] for row in g])
+            for g in (a, b))
+    dims = {"s": 0, "l1": 1, "l2": 1, "t": 2}
+    maps = {("s", "l1"): a, ("l1", "t"): b, ("s", "l2"): a,
+            ("l2", "t"): b.neg()}
+    one_path = {("s", "l1"): a, ("l1", "t"): b}
+    bumped = dict(maps)
+    bumped[("l2", "t")] = b.neg().add(Matrix.from_rows(f, [[1, 0], [0, 0]]))
+    for blocks, want in ((maps, []), (one_path, [(0, "t", "s")]),
+                         (bumped, [(0, "t", "s")])):
+        assert d_squared_witnesses(f, blocks, dims) == want
+        poset = build_poset(dims.items(), blocks)
+        cx = scythe.parametrization._built(f, poset, dict.fromkeys(dims, 2),
+                                           blocks).assemble()
+        assert ref_d_squared_witnesses(cx, f.p) == want
 
 
 def _fixtures_and_random_complexes(seed, count):
