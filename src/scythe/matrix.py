@@ -4,16 +4,16 @@ Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
 cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
 rank-1 stalk), 2x2 or 3x3, so try_invert answers these in closed form,
-with one field inverse and no echelon form; matvec_add answers the 1x1
-shape as scalars; and mat_mul and mul_sub answer it as scalars, a 2x2 by
-2x2 product fully unrolled and a product with three columns one row at a
-time, its three entries in locals.  Wider products run the generic loop.
-Every form makes each entry with the loop's field operations in the
-loop's order: k ascending and a product skipped when either factor is
-zero.  Where the loop adds an entry's first product to zero, the 1x1 and
-2x2 products take the product itself, the same value of the same type in
-both fields.  So an entry is the same int or Fraction whichever form made
-it.  A reduction step corrects each
+with one field inverse and no echelon form, and matvec_add answers the
+1x1 shape as scalars.  mat_mul and mul_sub answer the 1x1 shape as
+scalars, a 2x2 by 2x2 product fully unrolled and a product with three
+columns one row at a time, its three entries in locals; other shapes run
+the generic loop.  Every form makes each entry with the loop's field
+operations in the loop's order: k ascending, a product skipped when
+either factor is zero.  Where the loop adds an entry's first product to
+zero, the 1x1 and 2x2 products take the product itself, the same value
+of the same type in both fields.  So an entry is the same int or
+Fraction whichever form made it.  A reduction step corrects each
 surviving block with one fused mul_sub, c - a.b, which builds no
 product matrix and reports a zero result as None.  A Matrix built from
 outside has its grid checked against its shape; the kernels here (zeros,

@@ -163,35 +163,6 @@ def _perturbed(rng, sheaf):
     return CellularSheaf(sheaf.base, f, sheaf.stalk_rank, maps)
 
 
-def test_random_sheaves_compile():
-    rng = random.Random(7)
-    twist = random.Random(11)
-    broken = 0
-    for _ in range(25):
-        base = random_simplicial(rng)
-        field = RATIONAL if rng.random() < 0.5 else fp(5)
-        sheaf, _ = random_sheaf(rng, base, field)
-        param = compile_sheaf(sheaf)
-        assert param.field == field
-        # the interval walk names the same blocks, in the same order, as
-        # the dense product, with and without a broken restriction
-        p = field.p
-        for candidate in (sheaf, _perturbed(twist, sheaf)):
-            if candidate is None:
-                continue
-            cx = _unchecked_param(candidate).assemble()
-            want = ref_d_squared_witnesses(cx, p)
-            assert verify_d_squared(cx).witnesses == want
-            if want:
-                broken += 1
-                with pytest.raises(InvalidSheafData,
-                                   match=re.escape("blocks: %r" % (want,))):
-                    compile_sheaf(candidate)
-            else:
-                assert compile_sheaf(candidate).maps == cx.blocks
-    assert broken >= 5
-
-
 def _rebased(rng, sheaf):
     """sheaf in new stalk bases, each coordinate scaled by a nonzero
     element: a fraction over Q, so the blocks hold non-integral Fractions,
@@ -234,31 +205,49 @@ def _path_shapes(cx, witnesses):
     return shapes
 
 
-def test_d_squared_walk_meets_every_path_shape():
-    # random sheaves over F2, where a sum can pass 2 and still vanish, and
-    # twisted sums with rank-3 stalks in fractional bases over Q, F5 and
-    # F2; each is walked as it is and with one restriction perturbed
+def _walk_inputs():
+    """25 random sheaves over Q and F5; 12 over F2, where a sum can pass 2
+    and still vanish; and twisted sums on a 3x3 torus, rank-3 stalks
+    among them, in fractional bases over Q, F5 and F2."""
+    rng = random.Random(7)
+    for _ in range(25):
+        base = random_simplicial(rng)
+        field = RATIONAL if rng.random() < 0.5 else fp(5)
+        yield random_sheaf(rng, base, field)[0]
     rng = random.Random(17)
-    twist = random.Random(19)
-    sheaves = [random_sheaf(rng, random_simplicial(rng), fp(2))[0]
-               for _ in range(12)]
+    for _ in range(12):
+        yield random_sheaf(rng, random_simplicial(rng), fp(2))[0]
     for field in (RATIONAL, fp(5), fp(2)):
         for kinds in TWISTED_SUMS + ((("constant",),) * 3,):
-            sheaves.append(_rebased(rng, twisted_torus_sum(rng, 3, 3, kinds,
-                                                           field)))
+            yield _rebased(rng, twisted_torus_sum(rng, 3, 3, kinds, field))
+
+
+def test_random_sheaves_compile():
+    twist = random.Random(11)
+    broken = 0
     shapes = set()
-    for sheaf in sheaves:
+    for sheaf in _walk_inputs():
+        param = compile_sheaf(sheaf)
+        assert param.field == sheaf.field
+        # the interval walk names the same blocks, in the same order, as
+        # the dense product, with and without a broken restriction
         p = sheaf.field.p
-        assert ref_d_squared_witnesses(_unchecked_param(sheaf).assemble(),
-                                       p) == []
-        compile_sheaf(sheaf)
-        broken = _perturbed(twist, sheaf)
-        if broken is None:
-            continue
-        cx = _unchecked_param(broken).assemble()
-        want = ref_d_squared_witnesses(cx, p)
-        assert verify_d_squared(cx).witnesses == want
-        shapes |= _path_shapes(cx, want)
+        for candidate in (sheaf, _perturbed(twist, sheaf)):
+            if candidate is None:
+                continue
+            cx = _unchecked_param(candidate).assemble()
+            want = ref_d_squared_witnesses(cx, p)
+            assert verify_d_squared(cx).witnesses == want
+            if want:
+                broken += 1
+                shapes |= _path_shapes(cx, want)
+                with pytest.raises(InvalidSheafData,
+                                   match=re.escape("blocks: %r" % (want,))):
+                    compile_sheaf(candidate)
+            else:
+                assert compile_sheaf(candidate).maps == cx.blocks
+    assert broken >= 5
+    # each form of the walk's sums meets a failing interval
     assert {"1x1x1", "2x2x2", "mixed"} <= shapes
 
 
