@@ -16,8 +16,9 @@ that are not face-closed, one whose edge fibers overlap, a twisted sheaf
 on the torus whose blocks are not all invertible, and two sheaves on the
 torus in changed stalk bases (rank 2 over Q with non-integral inverted
 blocks, rank 3 over F7), and an empty complex with two fiber assignments
-over it (one vertex with an empty fiber, and an empty graph), written to
-a temporary directory.  A run that succeeds has its stdout hashed; the
+over it (one vertex with an empty fiber, and an empty graph), which
+leray and validate --base also read over the torus, written to a
+temporary directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -211,6 +212,10 @@ def commands():
     yield ["reduce", EMPTY, "--equivalence"]
     for name in EMPTY_FIBERS:
         yield ["leray", EMPTY, name]
+    # the same fibers over the torus miss every cell: exit 3
+    for name in EMPTY_FIBERS:
+        yield ["leray", "torus.json", name]
+        yield ["validate", name, "--base", "torus.json"]
 
 
 def twisted_sheaf(base):

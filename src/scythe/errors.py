@@ -62,17 +62,6 @@ class NotACocycle(ValidationError):
     """A vector handed to lift/project is not killed by the coboundary."""
 
 
-class CyclicMatching(ValidationError):
-    """A matching whose induced order relation has a cycle.
-
-    Carries one witness cycle, a list of matched pairs, in .cycle.
-    """
-
-    def __init__(self, cycle):
-        self.cycle = list(cycle)
-        super().__init__("matching induces a cycle through %d pairs" % len(self.cycle))
-
-
 class SolveFailed(ScytheError):
     """Internal inconsistency while solving against a cached factorization."""
 
@@ -87,3 +76,7 @@ class NerveTooBig(TheoremPrecondition):
 
 class FiberInclusionViolated(TheoremPrecondition):
     """An edge fiber is not contained in both endpoint fibers."""
+
+
+class FibersMissCell(TheoremPrecondition):
+    """The vertex fibers leave a cell of the space out of every fiber."""

@@ -5,21 +5,20 @@ inner loops skip zero entries; asymptotically this is still the naive
 cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
 rank-1 stalk), 2x2 or 3x3, so try_invert answers these in closed form,
 with one field inverse and no echelon form, and matvec_add answers the
-1x1 shape as scalars.  mat_mul and mul_sub answer the 1x1 shape as
-scalars, a 2x2 by 2x2 product fully unrolled and a product with three
-columns one row at a time, its three entries in locals; other shapes run
-the generic loop.  Every form makes each entry with the loop's field
-operations in the loop's order: k ascending, a product skipped when
-either factor is zero.  Where the loop adds an entry's first product to
-zero, the 1x1 and 2x2 products take the product itself, the same value
-of the same type in both fields.  So an entry is the same int or
-Fraction whichever form made it.  A reduction step corrects each
-surviving block with one fused mul_sub, c - a.b, which builds no
-product matrix and reports a zero result as None.  A Matrix built from
-outside has its grid checked against its shape; the kernels here (zeros,
-identity, add, sub, neg, transpose, mat_mul, mul_sub, try_invert) and the
-JSON reader, which checks each row, build with _built, which skips the
-re-check of a grid they shaped.
+1x1 shape as scalars.  mul_sub, c - a.b, is the one product kernel with
+small-block forms: the 1x1 shape as scalars, a 2x2 by 2x2 product fully
+unrolled and a product with three columns one row at a time, its three
+entries in locals; other shapes run the generic loop.  Every form makes
+each entry with the loop's field operations in the loop's order: k
+ascending, a product skipped when either factor is zero.  So an entry is
+the same int or Fraction whichever form made it.  mul_sub builds no
+matrix for a.b itself and reports a zero result as None; a reduction
+step forms each head F_xz.inv with it, as 0 - F_xz.(-inv), and corrects
+each surviving block with it.  mat_mul is the generic loop alone.  A
+Matrix built from outside has its grid checked against its shape; the
+kernels here (zeros, identity, add, sub, neg, transpose, mat_mul,
+mul_sub, try_invert) and the JSON reader, which checks each row, build
+with _built, which skips the re-check of a grid they shaped.
 """
 
 from .errors import SolveFailed
@@ -140,51 +139,13 @@ def _check_same_shape(a, b):
 
 
 def mat_mul(a, b):
-    """Exact matrix product, skipping products with a zero factor.
-
-    Small shapes have loop-free forms (see the module docstring); they
-    come after the field and shape checks, which every shape gets.
-    """
+    """Exact matrix product, skipping products with a zero factor."""
     f = a.field
     if f is not b.field and f != b.field:
         raise ValueError("field mismatch")
     if a.cols != b.rows:
         raise ValueError("inner dimensions %d vs %d" % (a.cols, b.rows))
-    if a.rows == 1 and a.cols == 1 and b.cols == 1:
-        x = a.data[0][0]
-        y = b.data[0][0]
-        return _built(f, 1, 1, [[f.mul(x, y) if x and y else f.zero]])
     add, mul, zero = f.add, f.mul, f.zero
-    if a.rows == 2 and a.cols == 2 and b.cols == 2:
-        (p, q), (r, s) = a.data
-        (t, u), (v, w) = b.data
-        e00 = mul(p, t) if p and t else zero
-        if q and v:
-            e00 = add(e00, mul(q, v))
-        e01 = mul(p, u) if p and u else zero
-        if q and w:
-            e01 = add(e01, mul(q, w))
-        e10 = mul(r, t) if r and t else zero
-        if s and v:
-            e10 = add(e10, mul(s, v))
-        e11 = mul(r, u) if r and u else zero
-        if s and w:
-            e11 = add(e11, mul(s, w))
-        return _built(f, 2, 2, [[e00, e01], [e10, e11]])
-    if b.cols == 3:
-        out = []
-        for arow in a.data:
-            e0 = e1 = e2 = zero
-            for x, (y0, y1, y2) in zip(arow, b.data):
-                if x:
-                    if y0:
-                        e0 = add(e0, mul(x, y0))
-                    if y1:
-                        e1 = add(e1, mul(x, y1))
-                    if y2:
-                        e2 = add(e2, mul(x, y2))
-            out.append([e0, e1, e2])
-        return _built(f, a.rows, 3, out)
     out = []
     for arow in a.data:
         orow = [zero] * b.cols
@@ -202,9 +163,9 @@ def mul_sub(c, a, b):
 
     A c of None stands for the zero map of a's rows and b's columns.  The
     product is subtracted entry by entry as it is formed, skipping zero
-    entries of either factor, so no matrix holds a.b itself.  As in
-    mat_mul, the 1x1, 2x2 and three-column shapes skip the loop after the
-    checks.
+    entries of either factor, so no matrix holds a.b itself.  The 1x1,
+    2x2 and three-column shapes skip the loop after the checks (see the
+    module docstring).
     """
     f = a.field
     if f is not b.field and f != b.field:

@@ -21,7 +21,7 @@ only orders each candidate pair's key by it.
 from collections import deque
 
 from .errors import NotACover, NotInvertible, ValidationError
-from .matrix import _built, mat_mul, mul_sub, try_invert
+from .matrix import Matrix, _built, mul_sub, try_invert
 from . import equivalence as _equiv
 
 
@@ -80,9 +80,14 @@ def _reduce_pair(param, x, y, inv):
     (w, z) of survivors, so no dead key is ever inserted again and the
     surviving maps keep their insertion order.
 
-    A 1x1 pair corrects a rank-1 w and z with scalars inline, the field
-    operations of mat_mul and mul_sub on 1x1 blocks in their order, and
-    calls the kernels for every other shape.  Skipping the kernels' checks
+    Each z's head F_xz.inv is formed once.  A 1x1 pair corrects a rank-1
+    w and z with scalars inline, the field operations of mul_sub on 1x1
+    blocks in their order; the scalar head becomes a 1x1 matrix once, for
+    the first w of another rank.  Every other head is mul_sub(None, F_xz,
+    -inv), 0 - F_xz.(-inv): the entries of F_xz.inv, each the same int or
+    Fraction the generic product loop gives.  A zero head stays a zero
+    matrix, so it still deletes a cover whose map is absent or zero.
+    Every other correction is one mul_sub.  Skipping the kernels' checks
     is safe: check_blocks fixed every block's field and shape when the
     parametrization was built, and the kernels' results keep them.
     """
@@ -121,19 +126,25 @@ def _reduce_pair(param, x, y, inv):
     # a 1x1 pair's head F_xz.inv for a rank-1 z is the scalar h, and head
     # is None until a w of another rank asks for it as a matrix
     iv = inv.data[0][0] if inv.rows == 1 else None
+    ninv = None
     corrections = []
     for z, fxz in up.items():
         if iv is not None and fxz.rows == 1:
             a = fxz.data[0][0]
-            corrections.append((z, mul(a, iv) if a else zero, None))
+            corrections.append([z, mul(a, iv) if a else zero, None])
         else:
-            corrections.append((z, None, mat_mul(fxz, inv)))
+            if ninv is None:
+                ninv = inv.neg()
+            head = (mul_sub(None, fxz, ninv)
+                    or Matrix.zeros(f, fxz.rows, inv.cols))
+            corrections.append([z, None, head])
     get = maps.get
     for w, fwy in down.items():
         b = fwy.data[0][0] if iv is not None and fwy.cols == 1 else None
         ahead = above[w]
-        for z, h, head in corrections:
-            if head is None and b is not None:
+        for correction in corrections:
+            z, h, head = correction
+            if h is not None and b is not None:
                 fwz = get((w, z))
                 v = zero if fwz is None else fwz.data[0][0]
                 if h and b:
@@ -141,7 +152,7 @@ def _reduce_pair(param, x, y, inv):
                 updated = _built(f, 1, 1, [[v]]) if v else None
             else:
                 if head is None:
-                    head = _built(f, 1, 1, [[h]])
+                    head = correction[2] = _built(f, 1, 1, [[h]])
                 updated = mul_sub(get((w, z)), head, fwy)
             if updated is None:
                 if z in ahead:

@@ -25,6 +25,7 @@ from .cohomology import CohomologyProfile, betti, induced_map, sheaf_cohomology
 from .cw import build_cw, check_face_closed
 from .errors import (
     FiberInclusionViolated,
+    FibersMissCell,
     NerveTooBig,
     NotACover,
     NotASubcomplex,
@@ -304,7 +305,12 @@ def validate_fibers(X, gamma, fibers):
     """Check a fiber assignment and return it with frozen cell sets.
 
     Every cell of gamma needs a fiber, no extras, and each edge fiber must
-    be contained in both endpoint fibers.
+    be contained in both endpoint fibers.  Every cell of X must lie in a
+    vertex fiber, or the diagram does not present X (FibersMissCell,
+    naming the least missed cell).  A face-closure fault of a fiber is a
+    validation error and comes first, so when a cell is missed the fibers
+    are checked for face closure in sorted order, the order leray reduces
+    them, before the miss is raised.
     """
     if gamma.poset.max_dim() > 1:
         raise NerveTooBig(
@@ -327,6 +333,13 @@ def validate_fibers(X, gamma, fibers):
                     "fiber of edge %r reaches outside the fiber of endpoint %r:"
                     " cell %r" % (edge, end, stray[0])
                 )
+    missed = X.poset.dims.keys() - set().union(
+        *(checked[v] for v in gamma.poset.elements_of_dim(0)))
+    if missed:
+        for cell in sorted(checked):
+            check_face_closed(X, checked[cell])
+        raise FibersMissCell("no vertex fiber holds cell %r of the complex"
+                             % (min(missed),))
     return checked
 
 

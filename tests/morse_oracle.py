@@ -4,14 +4,26 @@ reduced coboundary, for the tests to cross-check the sweep against.
 The checks read a matching against the poset it was made on: the
 dimension and partition axioms, acyclicity of the pair relation and the
 removal order.  The oracle sums the reduced coboundary over gradient
-paths, independently of the engine's corrections.  Unlike oracles.py,
-this module uses scythe's own linear algebra.
+paths, independently of the engine's corrections, and raises
+CyclicMatching on a matching whose pair relation has a cycle.  Unlike
+oracles.py, this module uses scythe's own linear algebra.
 """
 
 import heapq
 
-from scythe.errors import CyclicMatching, NotInvertible, ValidationError
+from scythe.errors import NotInvertible, ValidationError
 from scythe.matrix import mat_mul, try_invert
+
+
+class CyclicMatching(ValidationError):
+    """A matching whose induced order relation has a cycle.
+
+    Carries one witness cycle, a list of matched pairs, in .cycle.
+    """
+
+    def __init__(self, cycle):
+        self.cycle = list(cycle)
+        super().__init__("matching induces a cycle through %d pairs" % len(self.cycle))
 
 
 class AcyclicReport:

@@ -444,6 +444,21 @@ def test_validate_base_checks_the_cells_of_every_fiber(capsys, data_dir,
             2, "", "error: validate --base wants a bare complex document\n")
 
 
+def test_leray_refuses_fibers_that_miss_a_cell(capsys, data_dir, tmp_path):
+    # an empty fiber over one vertex, and the empty graph, cover none of
+    # the torus: no answer, exit 3, naming its least cell
+    torus = str(data_dir / "torus.json")
+    want = ("theorem precondition failed: no vertex fiber holds cell 'h0000'"
+            " of the complex\n")
+    for cells, fibers in (([{"id": "a", "dim": 0}], {"a": []}), ([], {})):
+        path = tmp_path / "fibers.json"
+        path.write_text(dumps({"kind": "fibers", "fibers": fibers, "graph": {
+            "kind": "complex", "cells": cells, "covers": []}}))
+        assert run_cli(capsys, "leray", torus, str(path)) == (3, "", want)
+        assert run_cli(capsys, "validate", str(path), "--base", torus) == (
+            3, "", want)
+
+
 # the option strings each subcommand accepts; a new flag edits this table
 FLAG_ROWS = {
     "compute": ["--field", "--sheaf", "--iterate", "--no-reduce",

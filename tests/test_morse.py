@@ -13,9 +13,7 @@ from scythe.complexes import (
     theta_graph,
     torus_grid,
 )
-from scythe.errors import (
-    CyclicMatching, NotACover, NotInvertible, ValidationError,
-)
+from scythe.errors import NotACover, NotInvertible, ValidationError
 from scythe import matrix
 from scythe.equivalence import lift_cocycle, project_cocycle
 from scythe.field import RATIONAL, fp
@@ -32,6 +30,7 @@ from scythe.poset import GradedPoset, build_poset
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from morse_oracle import (
+    CyclicMatching,
     morse_coboundary_oracle,
     verify_acyclic,
     verify_matching_axioms,
@@ -173,6 +172,36 @@ def test_reduce_pair_circle_cancels_to_zero():
     assert sorted(param.poset.dims) == ["b", "f"]
     assert param.maps == {}
     assert betti(param.assemble()).betti == [1, 1]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
+def test_a_zero_head_deletes_a_cover_with_no_map(field):
+    # removing (x, y) forms the rank-2 head F_xz.inv = 0 through the kernel;
+    # it still corrects (w, z), whose absent map stays zero, so the cover
+    # goes; the dual sweep finds no invertible block and pairs nothing
+    def build():
+        poset = build_poset([("w", 0), ("x", 0), ("y", 1), ("z", 1)],
+                            [("w", "y"), ("w", "z"), ("x", "y"), ("x", "z")])
+        maps = {("x", "y"): Matrix.identity(field, 2),
+                ("w", "y"): Matrix.identity(field, 2),
+                ("x", "z"): Matrix.zeros(field, 2, 2)}
+        return Parametrization(field, poset, {c: 2 for c in "wxyz"}, maps)
+
+    def survivors(param):
+        return ([(c, sorted(param.poset.up[c])) for c in sorted(param.poset.dims)],
+                [(key, _block(m)) for key, m in param.maps.items()])
+
+    param = build()
+    assert scythe(param).matching.pairs == [("x", "y")]
+    assert survivors(param) == ([("w", []), ("z", [])], [])
+    assert betti(param.assemble()).betti == [2, 2]
+    param = build()
+    assert coscythe(param).matching.pairs == []
+    identity = (2, 2, [["1", "0"], ["0", "1"]])
+    assert survivors(param) == (
+        [("w", ["y", "z"]), ("x", ["y", "z"]), ("y", []), ("z", [])],
+        [(("x", "y"), identity), (("w", "y"), identity),
+         (("x", "z"), (2, 2, [["0", "0"], ["0", "0"]]))])
 
 
 def test_reduce_pair_errors():

@@ -28,6 +28,7 @@ from scythe.cw import build_cw, subcomplex
 from scythe.equivalence import Equivalence, lift_cocycle
 from scythe.errors import (
     FiberInclusionViolated,
+    FibersMissCell,
     NerveTooBig,
     NotACover,
     NotASubcomplex,
@@ -251,6 +252,24 @@ def test_validate_fibers_errors():
     broken["a0"] = broken["a0"] | {"v0000"}
     with pytest.raises(FiberInclusionViolated):
         validate_fibers(t, tg, broken)
+
+
+def test_fibers_that_miss_a_cell_are_refused():
+    # the diagram of such fibers does not present X, so every entry that
+    # validates them fails the precondition, naming the least missed cell
+    t, tg, tf = torus_reeb()
+    holed = dict(tf, u0=tf["u0"] - {"q0000", "q0100"})
+    want = "no vertex fiber holds cell 'q0000' of the complex"
+    for call in (lambda: validate_fibers(t, tg, holed),
+                 lambda: cohomology_via_leray(t, tg, holed),
+                 lambda: cohomology_via_leray(t, tg, holed, reduce_first=False),
+                 lambda: leray_sheaf(t, tg, holed, 1),
+                 lambda: complexity_estimate(t, tg, holed)):
+        with pytest.raises(FibersMissCell, match=want):
+            call()
+    # a fiber that is not face-closed is a validation error, and wins
+    with pytest.raises(UnknownCell, match="'zzz'"):
+        validate_fibers(t, tg, dict(holed, u1=tf["u1"] | {"zzz"}))
 
 
 def test_parallel_stalks_deterministic():
