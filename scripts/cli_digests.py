@@ -12,13 +12,15 @@ over a few malformed documents, complex documents that break one poset or
 sign check each, two compiled documents whose maps do not square to zero,
 a filled triangle with the reduced document `reduce` writes for it,
 a cover whose nerve is too big, two fiber assignments over the torus
-that are not face-closed, one whose edge fibers overlap, a twisted sheaf
-on the torus whose blocks are not all invertible, and two sheaves on the
-torus in changed stalk bases (rank 2 over Q with non-integral inverted
-blocks, rank 3 over F7), and an empty complex with two fiber assignments
-over it (one vertex with an empty fiber, and an empty graph), which
-leray and validate --base also read over the torus, written to a
-temporary directory.  A run that succeeds has its stdout hashed; the
+that are not face-closed, one whose fibers overlap and so do not present
+the torus (refused), a twisted sheaf on the torus whose blocks are not
+all invertible, and two sheaves on the torus in changed stalk bases
+(rank 2 over Q with non-integral inverted blocks, rank 3 over F7), an
+empty complex with two fiber assignments over it (one vertex with an
+empty fiber, and an empty graph), which leray and validate --base also
+read over the torus, and two fiber assignments over circle6.json that do
+not present it (a wedge of two circles and a loop edge, refused), written
+to a temporary directory.  A run that succeeds has its stdout hashed; the
 stderr run report of `reduce` carries wall times and appears only on
 success.  A run that fails has stdout and its one-line stderr message
 hashed, so error text is covered.
@@ -124,7 +126,8 @@ FIBER_FAULTS = {
         lambda fibers: fibers["a0"].remove("v0001"),
 }
 # torus_reeb.json with every vertex fiber the whole torus and a2 widened to
-# a0 | a2, so the edge fibers a0 and a2 overlap at u0: a valid fibering
+# a0 | a2, so the edge fibers a0 and a2 overlap at u0: its diagram is not
+# the torus, so leray and validate --base refuse it with exit 3
 OVERLAP = "overlapping_fibers.json"
 # the constant line plus a skyscraper at TWISTED_CELL on torus.json, each
 # rank-2 stalk conjugated by the transvection [[1, 1], [0, 1]]: its blocks
@@ -158,9 +161,22 @@ EMPTY_FIBERS = {
     "empty_fiber_over_vertex.json": ([{"id": "a", "dim": 0}], {"a": []}),
     "empty_graph_fibers.json": ([], {}),
 }
+# circle6.json over two vertices whose fibers are the whole circle, joined
+# by an edge with fiber v00 (a wedge of two circles), and over one vertex
+# with the whole circle and a loop edge with fiber v00: neither presents
+# the circle, so leray and validate --base exit 3
+CIRCLE6_CELLS = ["%s%02d" % (kind, i) for kind in "ev" for i in range(6)]
+UNPRESENTED = {
+    "wedge_fibers.json": (
+        [("u0", 0), ("u1", 0), ("a", 1)], [("u0", "a", -1), ("u1", "a", 1)],
+        {"u0": CIRCLE6_CELLS, "u1": CIRCLE6_CELLS, "a": ["v00"]}),
+    "loop_fibers.json": (
+        [("u", 0), ("a", 1)], [("u", "a", 1)],
+        {"u": CIRCLE6_CELLS, "a": ["v00"]}),
+}
 WRITTEN = {DEEP_COVER, SQUARE, OVERLAP, TWISTED, FILLED, FILLED_REDUCED,
            UNSIGNED, FRACTIONAL, RANK3_F7, EMPTY, *MALFORMED, *POSET_FAULTS,
-           *FIBER_FAULTS, *EMPTY_FIBERS}
+           *FIBER_FAULTS, *EMPTY_FIBERS, *UNPRESENTED}
 
 
 def commands():
@@ -216,6 +232,9 @@ def commands():
     for name in EMPTY_FIBERS:
         yield ["leray", "torus.json", name]
         yield ["validate", name, "--base", "torus.json"]
+    for name in UNPRESENTED:
+        yield ["leray", "circle6.json", name]
+        yield ["validate", name, "--base", "circle6.json"]
 
 
 def twisted_sheaf(base):
@@ -315,6 +334,14 @@ def write_documents(directory):
         encoding="utf-8")
     for name, (cells, fibers) in EMPTY_FIBERS.items():
         graph = {"kind": "complex", "cells": cells, "covers": []}
+        (directory / name).write_text(
+            json.dumps({"kind": "fibers", "graph": graph, "fibers": fibers}),
+            encoding="utf-8")
+    for name, (cells, covers, fibers) in UNPRESENTED.items():
+        graph = {"kind": "complex",
+                 "cells": [{"id": c, "dim": d} for c, d in cells],
+                 "covers": [{"from": s, "to": t, "incidence": i}
+                            for s, t, i in covers]}
         (directory / name).write_text(
             json.dumps({"kind": "fibers", "graph": graph, "fibers": fibers}),
             encoding="utf-8")

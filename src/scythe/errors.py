@@ -78,5 +78,5 @@ class FiberInclusionViolated(TheoremPrecondition):
     """An edge fiber is not contained in both endpoint fibers."""
 
 
-class FibersMissCell(TheoremPrecondition):
-    """The vertex fibers leave a cell of the space out of every fiber."""
+class FibersDoNotPresent(TheoremPrecondition):
+    """The fibers do not glue back to the space over the graph."""

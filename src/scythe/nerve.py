@@ -13,9 +13,8 @@ inside its endpoints', with the same cells and blocks: a pair outside an
 edge support never corrects a block into it.  A restriction H^n(sigma) ->
 H^n(tau) is then the map induced by copying tau's cells out of sigma's
 reduced complex, in the flagged bases of the reduced fibers; the degree
-sheaf of those maps is made here and is not checked again.  Supports above
-dimension 1 stay unreduced; only cech_sheaf meets them, on nerves that the
-decomposition refuses.
+sheaf of those maps is made here and is not checked again.  A base must be
+a graph over which the supports present the space; others are refused.
 """
 
 from collections import Counter
@@ -25,7 +24,7 @@ from .cohomology import CohomologyProfile, betti, induced_map, sheaf_cohomology
 from .cw import build_cw, check_face_closed
 from .errors import (
     FiberInclusionViolated,
-    FibersMissCell,
+    FibersDoNotPresent,
     NerveTooBig,
     NotACover,
     NotASubcomplex,
@@ -179,26 +178,20 @@ def _stalk_tables(graph, base, supports, field):
 
     Supports are compiled in sorted order, each in one pass from base (see
     _support), so the first failing support raises.  Each edge support is
-    swept with the cells it shares with another edge at either endpoint
-    frozen.  Each vertex support replays its edges' pairs, in sorted edge
-    order, through reduce_pair, whose cover and inverse checks assert the
-    nesting, and is swept with all its edges' cells frozen.  A frozen cell is
-    never paired, and a pair (x, y) outside an edge support only corrects
-    blocks (w, z) with z above x, so z outside it too: the edge's reduced
-    complex is the vertex's restricted to its cells, blocks included, and
-    the vertex's lift restricts to the edge's.  Supports of cells above
-    dimension 1 stay unreduced; their cells are frozen in every edge.
+    swept plainly.  Each vertex support replays its edges' pairs, in sorted
+    edge order, through reduce_pair, whose cover and inverse checks assert
+    the nesting, and is swept with all its edges' cells frozen.  Edge
+    supports at a vertex are disjoint and a frozen cell is never paired,
+    so a pair (x, y) outside an edge support only corrects blocks (w, z)
+    with z above x, so z outside it too: the edge's reduced complex is the
+    vertex's restricted to its cells, blocks included, and the vertex's
+    lift restricts to the edge's.
     """
     params = {name: _support(base, supports[name], field)
               for name in sorted(supports)}
     edges_at = graph.poset.x_plus
-    pairs = {}
-    for tau in graph.poset.elements_of_dim(1):
-        shared = [supports[tau] & supports[e]
-                  for s in graph.poset.x_minus(tau) for e in edges_at(s)
-                  if e != tau]
-        pairs[tau] = _run(params[tau], True, "strict", False, None, False,
-                          frozen=set().union(*shared)).matching.pairs
+    pairs = {tau: scythe(params[tau]).matching.pairs
+             for tau in graph.poset.elements_of_dim(1)}
     for sigma in graph.poset.elements_of_dim(0):
         for tau in sorted(edges_at(sigma)):
             for x, y in pairs[tau]:
@@ -241,15 +234,25 @@ class SheafOverNerve:
         return self.sheaf.base
 
 
+def _graph_nerve(cover):
+    """cover.nerve, refused before it is built if a cell is in three pieces."""
+    top = max(Counter(c for cells in cover.pieces.values()
+                      for c in cells).values()) - 1
+    if top > 1:
+        raise NerveTooBig("nerve has a %d-simplex; the decomposition needs"
+                          " dimension <= 1" % top)
+    return cover.nerve
+
+
 def cech_sheaf(cover, n, field=RATIONAL, workers=1):
     """Degree-n cohomology of supports arranged as a sheaf on the nerve.
 
-    Stalks are in the reduced supports' flagged bases, and restrictions
-    copy the smaller reduced support out of the larger (see _stalk_tables);
-    supports above dimension 1 stay unreduced.  workers is accepted and
-    selects nothing; stalks are computed in order.
+    Refuses a nerve above dimension 1 (see _graph_nerve).  Stalks are in the
+    reduced supports' flagged bases, and restrictions copy the smaller
+    reduced support out of the larger (see _stalk_tables).  workers is
+    accepted and selects nothing; stalks are computed in order.
     """
-    nv = cover.nerve
+    nv = _graph_nerve(cover)
     reduced, profiles = _stalk_tables(nv.cw, cover.base, nv.supports, field)
     sheaf = _degree_sheaf(nv.cw, reduced, profiles, n, field)
     return SheafOverNerve(n, sheaf, dict(nv.supports))
@@ -281,23 +284,14 @@ def _decompose(base, graph, supports, field, reduce_first):
 def cohomology_via_cech(X, cover, field=RATIONAL, workers=1, reduce_first=True):
     """Betti numbers of X out of H^0/H^1 of its Čech sheaves on the nerve.
 
-    Requires the nerve to be at most one-dimensional, which is checked in
-    one pass over the pieces before the nerve is built.  Nerve-level sheaf
+    The nerve must be a graph (see _graph_nerve).  Nerve-level sheaf
     cohomology runs through a reduction sweep unless reduce_first is off.
     workers is accepted and selects nothing; stalks are computed in order.
     """
     base = cover.base
     if X is not None and set(X.poset.dims) != set(base.poset.dims):
         raise NotACover("cover does not cover the given complex")
-    # the nerve's top simplex is the set of pieces holding its busiest cell
-    top = max(Counter(c for cells in cover.pieces.values()
-                      for c in cells).values()) - 1
-    if top > 1:
-        raise NerveTooBig(
-            "nerve has a %d-simplex; the decomposition needs dimension <= 1"
-            % top
-        )
-    nv = cover.nerve
+    nv = _graph_nerve(cover)
     return _decompose(base, nv.cw, nv.supports, field, reduce_first)
 
 
@@ -305,12 +299,12 @@ def validate_fibers(X, gamma, fibers):
     """Check a fiber assignment and return it with frozen cell sets.
 
     Every cell of gamma needs a fiber, no extras, and each edge fiber must
-    be contained in both endpoint fibers.  Every cell of X must lie in a
-    vertex fiber, or the diagram does not present X (FibersMissCell,
-    naming the least missed cell).  A face-closure fault of a fiber is a
-    validation error and comes first, so when a cell is missed the fibers
-    are checked for face closure in sorted order, the order leray reduces
-    them, before the miss is raised.
+    be contained in both endpoint fibers.  The fibers must present X: each
+    cell lies in one vertex fiber and no edge fiber, or in two vertex fibers
+    and the fiber of one edge that joins them.  Four counts over the unions
+    check that; on a fault the fibers are checked for face closure in sorted
+    order, the order leray reduces them, so that validation errors come
+    first, and FibersDoNotPresent names the least offending cell.
     """
     if gamma.poset.max_dim() > 1:
         raise NerveTooBig(
@@ -325,30 +319,43 @@ def validate_fibers(X, gamma, fibers):
     for cell in fibers:
         if cell not in gamma.poset:
             raise ValidationError("fiber assigned to unknown graph cell %r" % (cell,))
-    for edge in gamma.poset.elements_of_dim(1):
-        for end in sorted(gamma.poset.x_minus(edge)):
+    ends = gamma.poset.x_minus
+    verts, edges = gamma.poset.elements_of_dim(0), gamma.poset.elements_of_dim(1)
+    for edge in edges:
+        for end in sorted(ends(edge)):
             stray = sorted(checked[edge] - checked[end])
             if stray:
                 raise FiberInclusionViolated(
                     "fiber of edge %r reaches outside the fiber of endpoint %r:"
                     " cell %r" % (edge, end, stray[0])
                 )
-    missed = X.poset.dims.keys() - set().union(
-        *(checked[v] for v in gamma.poset.elements_of_dim(0)))
-    if missed:
+    held = set().union(*(checked[v] for v in verts))
+    joined = set().union(*(checked[e] for e in edges))
+    if (X.poset.dims.keys() - held
+            or sum(len(checked[e]) for e in edges) != len(joined)
+            or sum(len(checked[v]) for v in verts) - len(held) != len(joined)
+            or any(checked[e] and len(ends(e)) != 2 for e in edges)):
         for cell in sorted(checked):
             check_face_closed(X, checked[cell])
-        raise FibersMissCell("no vertex fiber holds cell %r of the complex"
-                             % (min(missed),))
+        for cell in sorted(X.poset.dims):
+            vs = [v for v in verts if cell in checked[v]]
+            es = [e for e in edges if cell in checked[e]]
+            if not vs:
+                raise FibersDoNotPresent(
+                    "no vertex fiber holds cell %r of the complex" % (cell,))
+            if ((len(vs), len(es)) not in ((1, 0), (2, 1))
+                    or es and set(vs) != ends(es[0])):
+                raise FibersDoNotPresent(
+                    "cell %r lies in vertex fibers %r and edge fibers %r"
+                    % (cell, vs, es))
     return checked
 
 
 def leray_sheaf(X, gamma, fibers, n, field=RATIONAL, workers=1):
     """Degree-n cohomology of the fibers as a sheaf on the graph gamma.
 
-    fibers maps every cell of gamma to a face-closed subset of X; each edge
-    fiber must sit inside both endpoint fibers, mirroring how preimages of
-    open stars shrink as cells grow.  Stalks are in the reduced fibers'
+    fibers maps every cell of gamma to a face-closed subset of X and must
+    present X (see validate_fibers).  Stalks are in the reduced fibers'
     flagged bases, and restrictions copy each edge's reduced fiber out of
     its endpoints' (see _stalk_tables).  workers is accepted and selects
     nothing; stalks are computed in order.

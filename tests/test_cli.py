@@ -459,6 +459,36 @@ def test_leray_refuses_fibers_that_miss_a_cell(capsys, data_dir, tmp_path):
             3, "", want)
 
 
+@pytest.mark.parametrize("graph, fibers, want", [
+    ({"cells": [{"id": "u0", "dim": 0}, {"id": "u1", "dim": 0},
+                {"id": "a", "dim": 1}],
+      "covers": [{"from": "u0", "to": "a", "incidence": -1},
+                 {"from": "u1", "to": "a", "incidence": 1}]},
+     {"u0": "all", "u1": "all", "a": ["v00"]},
+     "cell 'e00' lies in vertex fibers ['u0', 'u1'] and edge fibers []"),
+    ({"cells": [{"id": "u", "dim": 0}, {"id": "a", "dim": 1}],
+      "covers": [{"from": "u", "to": "a", "incidence": 1}]},
+     {"u": "all", "a": ["v00"]},
+     "cell 'v00' lies in vertex fibers ['u'] and edge fibers ['a']"),
+], ids=["wedge", "loop"])
+def test_leray_refuses_fibers_that_do_not_present_the_space(
+        capsys, data_dir, tmp_path, graph, fibers, want):
+    # two whole circles glued at v00 are a wedge, and a loop edge at the one
+    # vertex of a whole circle glues it to itself: neither diagram is the
+    # circle, so no answer, exit 3, naming the least offending cell
+    circle = str(data_dir / "circle6.json")
+    whole = [cell["id"] for cell in
+             json.loads((data_dir / "circle6.json").read_text())["cells"]]
+    path = tmp_path / "fibers.json"
+    path.write_text(dumps({
+        "kind": "fibers", "graph": dict(graph, kind="complex"),
+        "fibers": {c: whole if f == "all" else f for c, f in fibers.items()}}))
+    want = "theorem precondition failed: %s\n" % want
+    assert run_cli(capsys, "leray", circle, str(path)) == (3, "", want)
+    assert run_cli(capsys, "validate", str(path), "--base", circle) == (
+        3, "", want)
+
+
 # the option strings each subcommand accepts; a new flag edits this table
 FLAG_ROWS = {
     "compute": ["--field", "--sheaf", "--iterate", "--no-reduce",

@@ -28,7 +28,7 @@ from scythe.cw import build_cw, subcomplex
 from scythe.equivalence import Equivalence, lift_cocycle
 from scythe.errors import (
     FiberInclusionViolated,
-    FibersMissCell,
+    FibersDoNotPresent,
     NerveTooBig,
     NotACover,
     NotASubcomplex,
@@ -265,7 +265,7 @@ def test_fibers_that_miss_a_cell_are_refused():
                  lambda: cohomology_via_leray(t, tg, holed, reduce_first=False),
                  lambda: leray_sheaf(t, tg, holed, 1),
                  lambda: complexity_estimate(t, tg, holed)):
-        with pytest.raises(FibersMissCell, match=want):
+        with pytest.raises(FibersDoNotPresent, match=want):
             call()
     # a fiber that is not face-closed is a validation error, and wins
     with pytest.raises(UnknownCell, match="'zzz'"):
@@ -431,14 +431,110 @@ def _triple_overlap_cells():
                         ("C", ["u", "v", "e"])]
 
 
+def _circle_fibering(graph_cells, incidence, fibers):
+    """circle_subdivided(6) fibered over the graph given as for build_cw;
+    a fiber "all" is the whole circle."""
+    X = circle_subdivided(6)
+    whole = set(X.cells())
+    return X, build_cw(graph_cells, incidence), {
+        c: whole if cells == "all" else set(cells)
+        for c, cells in fibers.items()}
+
+
+def _circle_wedge():
+    """Two whole circles glued at v00: the wedge of two circles, not X."""
+    return _circle_fibering([("u0", 0), ("u1", 0), ("a", 1)],
+                            {("u0", "a"): -1, ("u1", "a"): 1},
+                            {"u0": "all", "u1": "all", "a": ["v00"]})
+
+
+def _circle_loop():
+    """One whole circle and a loop edge at its vertex with fiber v00."""
+    return _circle_fibering([("u", 0), ("a", 1)], {("u", "a"): 1},
+                            {"u": "all", "a": ["v00"]})
+
+
+def _arc(first, last):
+    """The cells of circle_subdivided(6) from v(first) up to v(last)."""
+    return (["v%02d" % (i % 6) for i in range(first, last + 1)]
+            + ["e%02d" % (i % 6) for i in range(first, last)])
+
+
+def _circle_three_fibers():
+    """Three arcs over a 3-cycle, with the middle arc widened by v00, which
+    then lies in all three vertex fibers."""
+    return _circle_fibering(
+        [("u0", 0), ("u1", 0), ("u2", 0), ("a0", 1), ("a1", 1), ("a2", 1)],
+        {("u0", "a0"): -1, ("u1", "a0"): 1, ("u1", "a1"): -1,
+         ("u2", "a1"): 1, ("u2", "a2"): -1, ("u0", "a2"): 1},
+        {"u0": _arc(0, 2), "u1": _arc(2, 4) + ["v00"], "u2": _arc(4, 6),
+         "a0": ["v02"], "a1": ["v04"], "a2": ["v00"]})
+
+
+def _circle_parallel_edges():
+    """Two arcs joined by parallel edges a and b whose fibers share v00."""
+    return _circle_fibering(
+        [("u0", 0), ("u1", 0), ("a", 1), ("b", 1)],
+        {("u0", "a"): -1, ("u1", "a"): 1, ("u0", "b"): 1, ("u1", "b"): -1},
+        {"u0": _arc(0, 3), "u1": _arc(3, 6), "a": ["v00"],
+         "b": ["v00", "v03"]})
+
+
+# fiberings whose diagram is not X, each with the refusal naming its least
+# offending cell
+NOT_PRESENTING = {
+    "overlap": (_torus_reeb_overlap, "cell 'h0000' lies in vertex fibers"
+                " ['u0', 'u1', 'u2'] and edge fibers []"),
+    "wedge": (_circle_wedge,
+              "cell 'e00' lies in vertex fibers ['u0', 'u1'] and edge fibers []"),
+    "loop": (_circle_loop,
+             "cell 'v00' lies in vertex fibers ['u'] and edge fibers ['a']"),
+    "three_vertex_fibers": (_circle_three_fibers, "cell 'v00' lies in vertex"
+                            " fibers ['u0', 'u1', 'u2'] and edge fibers ['a2']"),
+    "parallel_edges_share_a_cell": (_circle_parallel_edges, "cell 'v00' lies"
+                                    " in vertex fibers ['u0', 'u1'] and edge"
+                                    " fibers ['a', 'b']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PRESENTING))
+def test_fibers_that_do_not_present_the_space_are_refused(name):
+    make, want = NOT_PRESENTING[name]
+    X, graph, fibers = make()
+    for call in (lambda: validate_fibers(X, graph, fibers),
+                 lambda: cohomology_via_leray(X, graph, fibers),
+                 lambda: leray_sheaf(X, graph, fibers, 1),
+                 lambda: complexity_estimate(X, graph, fibers)):
+        with pytest.raises(FibersDoNotPresent) as info:
+            call()
+        assert str(info.value) == want
+    # a fiber that is not face-closed is a validation error, and wins
+    last = graph.poset.elements_of_dim(0)[-1]
+    with pytest.raises(UnknownCell, match="'zzz'"):
+        validate_fibers(X, graph, dict(fibers, **{last: fibers[last] | {"zzz"}}))
+
+
+def test_cech_sheaf_refuses_a_nerve_above_dimension_one():
+    base, pieces = _triple_overlap_cells()
+    cover = Cover(base, pieces)
+    with pytest.raises(NerveTooBig) as via:
+        cohomology_via_cech(base, cover)
+    with pytest.raises(NerveTooBig) as sheaf:
+        cech_sheaf(cover, 0)
+    assert str(sheaf.value) == str(via.value) == (
+        "nerve has a 2-simplex; the decomposition needs dimension <= 1")
+    assert "nerve" not in vars(cover)  # refused before the nerve is built
+
+
 PIPELINE_CASES = {
     "genus2_reeb": lambda: _leray_case(genus2_reeb),
     "torus_reeb": lambda: _leray_case(torus_reeb),
     "torus_reeb_fine": lambda: _leray_case(torus_reeb_fine),
-    "torus_reeb_overlap": lambda: _leray_case(_torus_reeb_overlap),
+    # two vertices joined by two parallel edges
+    "fibered_torus_2": lambda: _leray_case(
+        lambda: _fibered_torus(random.Random(0), 2)),
     "two_arc_cover": lambda: _cech_case(two_arc_cover_cells),
     "three_arc_cover": lambda: _cech_case(three_arc_cover_cells),
-    "triple_overlap_cover": lambda: _cech_case(_triple_overlap_cells),
 }
 
 
@@ -512,8 +608,8 @@ def test_transported_restrictions_are_induced_maps_in_reduced_bases(
 def test_reduced_supports_nest_along_every_cover(name):
     # for each cover sigma < tau, R(tau) is R(sigma) cut down to R(tau)'s
     # cells: the same cells in the same order in each degree, and the same
-    # blocks into them, none from elsewhere; and every cell an edge support
-    # shares with a neighbouring edge support survives its reduction
+    # blocks into them, none from elsewhere; and the edge supports at each
+    # vertex are disjoint, which lets every edge support be swept plainly
     base, graph, supports, _ = PIPELINE_CASES[name]()
     for field in (RATIONAL, fp(2)):
         reduced, _ = _stalk_tables(graph, base, supports, field)
@@ -526,18 +622,20 @@ def test_reduced_supports_nest_along_every_cover(name):
             assert {k: m for k, m in big.blocks.items()
                     if k[1] in cells[tau]} == small.blocks
         for vertex in graph.poset.elements_of_dim(0):
-            for e, f in itertools.permutations(graph.poset.x_plus(vertex), 2):
-                assert supports[e] & supports[f] <= cells[e]
+            for e, f in itertools.combinations(graph.poset.x_plus(vertex), 2):
+                assert not supports[e] & supports[f]
 
 
-def _fibered_torus(rng):
-    """A seeded torus_grid fibered over a cycle graph of 3 to 6 vertices.
+def _fibered_torus(rng, k=None):
+    """A seeded torus_grid fibered over a cycle graph of k vertices, 3 to 6
+    seeded if k is None.
 
     Vertex fibers are annuli of seeded widths starting at a seeded column;
     neighbours overlap in an annulus of 2 * gap + 1 columns (gap 0 or 1),
     which is the edge fiber.
     """
-    k = rng.randint(3, 6)
+    if k is None:
+        k = rng.randint(3, 6)
     gap = rng.randint(0, 1)
     widths = [rng.randint(2 * gap + 1, 2 * gap + 2) for _ in range(k)]
     rows, cols = rng.randint(2, 3), sum(widths)
@@ -581,3 +679,92 @@ def test_pipelines_agree_with_direct_cohomology_on_fibered_tori(seed):
             assert cohomology_via_cech(
                 X, cover, field=field, reduce_first=reduce_first
             ).betti == direct
+
+
+def _fault(X, graph, fibers):
+    """The oracle: the precondition error validate_fibers owes face-closed
+    fibers, or None, decided by a scan of every cell of X for the vertex
+    and edge fibers that hold it."""
+    ends = {e: set(graph.poset.x_minus(e))
+            for e in graph.poset.elements_of_dim(1)}
+    if any(not fibers[e] <= fibers[v] for e in ends for v in ends[e]):
+        return FiberInclusionViolated
+    for cell in X.cells():
+        held = {v for v in graph.poset.elements_of_dim(0) if cell in fibers[v]}
+        joins = [ends[e] for e in ends if cell in fibers[e]]
+        if not (len(held) == 1 and not joins
+                or len(held) == 2 and joins == [held]):
+            return FibersDoNotPresent
+    return None
+
+
+def _regraphed(graph, edge, ends):
+    """graph with one more edge, its faces and signs given by ends."""
+    cells = [(c, graph.dim(c)) for c in graph.cells()] + [(edge, 1)]
+    signs = {cover: graph.sign(*cover) for cover in graph.poset.covers()}
+    signs.update({(end, edge): sign for end, sign in ends.items()})
+    return build_cw(cells, signs)
+
+
+def _widen_vertex(rng, X, graph, fibers):
+    edge = rng.choice(graph.poset.elements_of_dim(1))
+    v, w = rng.sample(sorted(graph.poset.x_minus(edge)), 2)
+    return graph, dict(fibers, **{v: fibers[v] | fibers[w]})
+
+
+def _drop_lone_top_cell(rng, X, graph, fibers):
+    top = X.poset.elements_of_dim(X.poset.max_dim())
+    holders = {c: [v for v in graph.poset.elements_of_dim(0)
+                   if c in fibers[v]] for c in top}
+    cell = rng.choice([c for c in top if len(holders[c]) == 1])
+    v = holders[cell][0]
+    return graph, dict(fibers, **{v: fibers[v] - {cell}})
+
+
+def _merge_edges(rng, X, graph, fibers):
+    v = rng.choice([v for v in graph.poset.elements_of_dim(0)
+                    if len(graph.poset.x_plus(v)) > 1])
+    e, f = rng.sample(sorted(graph.poset.x_plus(v)), 2)
+    both = fibers[e] | fibers[f]
+    return graph, dict(fibers, **{e: both, f: both})
+
+
+def _add_loop(rng, X, graph, fibers):
+    v = rng.choice(graph.poset.elements_of_dim(0))
+    point = rng.choice(sorted(c for c in fibers[v] if X.dim(c) == 0))
+    return _regraphed(graph, "loop", {v: 1}), dict(fibers, loop={point})
+
+
+def _add_parallel_edge(rng, X, graph, fibers):
+    e = rng.choice(graph.poset.elements_of_dim(1))
+    ends = {s: graph.sign(s, e) for s in graph.poset.x_minus(e)}
+    return _regraphed(graph, "twin", ends), dict(fibers, twin=fibers[e])
+
+
+MUTATIONS = [_widen_vertex, _drop_lone_top_cell, _merge_edges, _add_loop,
+             _add_parallel_edge]
+MUTATED = {"fibered_torus_%d" % k: (lambda k=k: _fibered_torus(
+    random.Random(k), k)) for k in range(2, 7)}
+MUTATED.update(torus_reeb=torus_reeb, genus2_reeb=genus2_reeb)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_validate_fibers_agrees_with_a_cell_scan_and_leray_with_direct(name):
+    # each mutant changes the fibering one way, three seeded times per
+    # mutation; the unmutated input is kept, so leray meets at least one
+    # diagram that presents X
+    X, graph, fibers = MUTATED[name]()
+    rng = random.Random(name)
+    mutants = [(graph, fibers)] + [
+        mutate(rng, X, graph, fibers) for mutate in MUTATIONS for _ in range(3)]
+    direct = {field: sheaf_cohomology(constant_sheaf(X, 1, field)).betti
+              for field in (RATIONAL, fp(2), fp(5))}
+    for g, f in mutants:
+        fault = _fault(X, g, f)
+        if fault is not None:
+            with pytest.raises(fault):
+                validate_fibers(X, g, f)
+            continue
+        validate_fibers(X, g, f)
+        for field, betti in direct.items():
+            assert cohomology_via_leray(X, g, f, field=field).betti == betti
