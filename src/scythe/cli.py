@@ -12,16 +12,16 @@ import time
 
 from . import complexes
 from .cohomology import betti
-from .cw import CWComplex, check_face_closed
+from .cw import CWComplex
 from .equivalence import lift_cocycle
 from .errors import ParseError, ScytheError, TheoremPrecondition
 from .field import RATIONAL, fp
 from .matrix import Matrix
 from .morse import iterate_scythe, scythe
 from .nerve import (
+    ComplexityEstimate,
     cohomology_via_cech,
     cohomology_via_leray,
-    complexity_estimate,
     validate_fibers,
 )
 from .parametrization import Parametrization
@@ -184,8 +184,8 @@ def cmd_cech(args):
         base, cover, field=field, workers=args.workers,
         reduce_first=not args.no_reduce,
     )
-    nv = cover.nerve
-    estimate = complexity_estimate(base, nv.cw, nv.supports)
+    nv = cover.nerve  # the pipeline's graph nerve: its supports present base
+    estimate = ComplexityEstimate(base, nv.cw, nv.supports)
     _emit(args, {"profile": profile.to_json(), "estimate": estimate.to_json()})
     return 0
 
@@ -198,7 +198,7 @@ def cmd_leray(args):
         base, gamma, fibers, field=field, workers=args.workers,
         reduce_first=not args.no_reduce,
     )
-    estimate = complexity_estimate(base, gamma, fibers)
+    estimate = ComplexityEstimate(base, gamma, fibers)  # validated above
     _emit(args, {"profile": profile.to_json(), "estimate": estimate.to_json()})
     return 0
 
@@ -216,10 +216,8 @@ def cmd_validate(args):
     else:
         obj = parse(doc)
         if args.base is not None:
-            base = _complex_arg(args, args.base, "validate --base")
-            checked = validate_fibers(base, *obj)
-            for cell in sorted(checked):  # the order leray reduces them
-                check_face_closed(base, checked[cell])
+            validate_fibers(_complex_arg(args, args.base, "validate --base"),
+                            *obj)
         elif isinstance(obj, CellularSheaf):
             check_sheaf(obj)
         kind = kind or type(obj).__name__.lower()

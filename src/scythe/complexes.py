@@ -8,8 +8,7 @@ left side.  Interfaces between pieces then cancel, which keeps the surfaces
 orientable.
 """
 
-from .cw import CWComplex, build_cw
-from .poset import build_poset
+from .cw import build_cw
 
 
 def point():

@@ -86,23 +86,21 @@ def incidence_violations(poset, incidence):
 
 
 def check_face_closed(cw, cells):
-    """Raise unless the set cells holds only cells of cw and all their faces;
-    return the cells, sorted.
+    """Raise unless the set cells holds only cells of cw and all their faces.
 
-    Cells are read in sorted order, so the error is the same on every run:
-    UnknownCell for the first unknown cell, or NotASubcomplex for the first
-    cell missing a face, naming the least face it misses.
+    The offending cells are gathered and the least one is named, so the
+    error is the same on every run: UnknownCell for an unknown cell, or
+    NotASubcomplex for a cell missing a face, naming the least face it
+    misses.
     """
-    poset = cw.poset
-    faces = poset.x_minus
-    kept = sorted(cells)
-    for cell in kept:
-        if cell not in poset:
+    dims, down = cw.poset.dims, cw.poset.down
+    bad = [c for c in cells if c not in dims or not down[c] <= cells]
+    if bad:
+        cell = min(bad)
+        if cell not in dims:
             raise UnknownCell("no cell %r in the complex" % (cell,))
-        if not faces(cell) <= cells:
-            raise NotASubcomplex("cell %r kept but its face %r dropped"
-                                 % (cell, min(faces(cell) - cells)))
-    return kept
+        raise NotASubcomplex("cell %r kept but its face %r dropped"
+                             % (cell, min(down[cell] - cells)))
 
 
 def subcomplex(cw, cells):
@@ -113,7 +111,9 @@ def subcomplex(cw, cells):
     Since cw's incidences sit on exactly its covers, the kept covers are
     the faces of the kept cells, read in sorted order.
     """
-    kept = check_face_closed(cw, set(cells))
+    cells = set(cells)
+    check_face_closed(cw, cells)
+    kept = sorted(cells)
     poset = cw.poset
     incidence = {(f, c): cw.incidence[(f, c)]
                  for c in kept for f in sorted(poset.down[c])}

@@ -238,13 +238,12 @@ def _sweep(param, upward, strict, steps, observer, frozen=()):
                         observer.enqueue(e)
 
 
-def _run(param, upward, policy, track_equivalence, observer, until_stable,
-         frozen=()):
+def _run(param, upward, policy, track_equivalence, observer, until_stable):
     """Sweep param once, or until_stable until a sweep removes nothing.
 
-    Each sweep starts with every surviving cell outside frozen non-critical
-    again and appends its steps to the run's one list; the matching's pairs
-    are read off that list at the end.  An unknown policy is refused before
+    Each sweep starts with every surviving cell non-critical again and
+    appends its steps to the run's one list; the matching's pairs are read
+    off that list at the end.  An unknown policy is refused before
     anything is read.
     """
     if policy not in ("strict", "relaxed"):
@@ -254,7 +253,7 @@ def _run(param, upward, policy, track_equivalence, observer, until_stable,
     steps = []
     while True:
         done = len(steps)
-        _sweep(param, upward, strict, steps, observer, frozen)
+        _sweep(param, upward, strict, steps, observer)
         if not until_stable or len(steps) == done:
             break
     matching = Matching([(s.x, s.y) for s in steps])

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .field import RATIONAL
 from .matrix import Matrix
-from .morse import _run, reduce_pair, scythe
+from .morse import _sweep, reduce_pair, scythe
 from . import parametrization
 from .poset import _indexed
 from .sheaf import _built as _built_sheaf, constant_sheaf
@@ -126,15 +126,17 @@ def nerve(cover):
 def parallel_stalks(base, tasks, field=RATIONAL, workers=1):
     """Cohomology profiles of face-closed subsets, one per (cells, degree) task.
 
-    Each subset's constant sheaf is compiled in one pass (see _support) and
-    reduced before its Betti numbers are taken.  Tasks run in order in one
-    process, so results come back in task order and the first failing task
-    raises.  workers is accepted and selects nothing.  Profiles are padded
-    with zeros up to the requested degree so profile.betti[degree] always
-    exists.
+    Each subset is checked for face closure, then its constant sheaf is
+    compiled in one pass (see _support) and reduced before its Betti numbers
+    are taken.  Tasks run in order in one process, so results come back in
+    task order and the first failing task raises.  workers is accepted and
+    selects nothing.  Profiles are padded with zeros up to the requested
+    degree so profile.betti[degree] always exists.
     """
     results = []
     for cells, degree in tasks:
+        cells = set(cells)
+        check_face_closed(base, cells)
         param = _support(base, cells, field)
         scythe(param)
         profile = betti(param.assemble())
@@ -146,25 +148,22 @@ def parallel_stalks(base, tasks, field=RATIONAL, workers=1):
 
 def _support(base, cells, field):
     """compile_sheaf(constant_sheaf(subcomplex(base, cells), 1, field)), built
-    in one pass over the kept cells.
+    in one pass over the set cells, which its caller has checked face-closed.
 
-    check_face_closed raises as subcomplex does and hands back the cells
-    sorted; each cell gets rank 1 and its kept covers, and each face f of a
-    cell c, in sorted order, the shared +I or -I block of the sign [f:c].
-    No CWComplex or CellularSheaf is built and nothing is walked for d^2:
-    the blocks are +-I, so d^2 = 0 is the sign identity that base holds and
-    the face-closed cells inherit, as check_sheaf reasons for constant
-    sheaves.
+    Each cell, in sorted order, gets rank 1 and its kept covers, and each
+    face f of a cell c, in sorted order, the shared +I or -I block of the
+    sign [f:c].  No CWComplex or CellularSheaf is built and nothing is
+    walked for d^2: the blocks are +-I, so d^2 = 0 is the sign identity
+    that base holds and the face-closed cells inherit, as check_sheaf
+    reasons for constant sheaves.
     """
-    keep = set(cells)
-    kept = check_face_closed(base, keep)
     poset, incidence = base.poset, base.incidence
     one = Matrix.identity(field, 1)
     block = {1: one, -1: one.neg()}
     dims, up, down, maps = {}, {}, {}, {}
-    for c in kept:
+    for c in sorted(cells):
         dims[c] = poset.dims[c]
-        up[c] = poset.up[c] & keep
+        up[c] = poset.up[c] & cells
         down[c] = faces = set(poset.down[c])
         for f in sorted(faces):
             maps[(f, c)] = block[incidence[(f, c)]]
@@ -176,16 +175,16 @@ def _stalk_tables(graph, base, supports, field):
     """Reduced complex and its Betti profile for the support of every cell
     of graph, reduced so that each edge's sits inside its endpoints'.
 
-    Supports are compiled in sorted order, each in one pass from base (see
-    _support), so the first failing support raises.  Each edge support is
-    swept plainly.  Each vertex support replays its edges' pairs, in sorted
-    edge order, through reduce_pair, whose cover and inverse checks assert
-    the nesting, and is swept with all its edges' cells frozen.  Edge
-    supports at a vertex are disjoint and a frozen cell is never paired,
-    so a pair (x, y) outside an edge support only corrects blocks (w, z)
-    with z above x, so z outside it too: the edge's reduced complex is the
-    vertex's restricted to its cells, blocks included, and the vertex's
-    lift restricts to the edge's.
+    Supports are checked fibers or a cover's pieces and their intersections,
+    each compiled in one pass from base (see _support).  Each edge support
+    is swept plainly.  Each vertex support replays its edges' pairs, in
+    sorted edge order, through reduce_pair, whose cover and inverse checks
+    assert the nesting, and is swept with all its edges' cells frozen.
+    Edge supports at a vertex are disjoint and a frozen cell is never
+    paired, so a pair (x, y) outside an edge support only corrects blocks
+    (w, z) with z above x, so z outside it too: the edge's reduced complex
+    is the vertex's restricted to its cells, blocks included, and the
+    vertex's lift restricts to the edge's.
     """
     params = {name: _support(base, supports[name], field)
               for name in sorted(supports)}
@@ -196,8 +195,8 @@ def _stalk_tables(graph, base, supports, field):
         for tau in sorted(edges_at(sigma)):
             for x, y in pairs[tau]:
                 reduce_pair(params[sigma], x, y)
-        _run(params[sigma], True, "strict", False, None, False,
-             frozen=set().union(*(supports[e] for e in edges_at(sigma))))
+        _sweep(params[sigma], True, True, [], None,
+               set().union(*(supports[e] for e in edges_at(sigma))))
     reduced = {name: param.assemble() for name, param in params.items()}
     return reduced, {name: betti(cx) for name, cx in reduced.items()}
 
@@ -299,12 +298,13 @@ def validate_fibers(X, gamma, fibers):
     """Check a fiber assignment and return it with frozen cell sets.
 
     Every cell of gamma needs a fiber, no extras, and each edge fiber must
-    be contained in both endpoint fibers.  The fibers must present X: each
-    cell lies in one vertex fiber and no edge fiber, or in two vertex fibers
-    and the fiber of one edge that joins them.  Four counts over the unions
-    check that; on a fault the fibers are checked for face closure in sorted
-    order, the order leray reduces them, so that validation errors come
-    first, and FibersDoNotPresent names the least offending cell.
+    be contained in both endpoint fibers.  Each fiber must then be
+    face-closed in X; they are checked in sorted order, the order leray
+    compiles them.  Last, the fibers must present X: each cell lies in one
+    vertex fiber and no edge fiber, or in two vertex fibers and the fiber of
+    one edge that joins them.  Four counts over the unions check that; on a
+    fault FibersDoNotPresent names the least offending cell.  This is the
+    one check of a fibering: the pipelines trust what it returns.
     """
     if gamma.poset.max_dim() > 1:
         raise NerveTooBig(
@@ -329,14 +329,14 @@ def validate_fibers(X, gamma, fibers):
                     "fiber of edge %r reaches outside the fiber of endpoint %r:"
                     " cell %r" % (edge, end, stray[0])
                 )
+    for cell in sorted(checked):
+        check_face_closed(X, checked[cell])
     held = set().union(*(checked[v] for v in verts))
     joined = set().union(*(checked[e] for e in edges))
     if (X.poset.dims.keys() - held
             or sum(len(checked[e]) for e in edges) != len(joined)
             or sum(len(checked[v]) for v in verts) - len(held) != len(joined)
             or any(checked[e] and len(ends(e)) != 2 for e in edges)):
-        for cell in sorted(checked):
-            check_face_closed(X, checked[cell])
         for cell in sorted(X.poset.dims):
             vs = [v for v in verts if cell in checked[v]]
             es = [e for e in edges if cell in checked[e]]
@@ -434,16 +434,19 @@ def nerve_theorem_check(cover, field=RATIONAL, workers=1):
 
 
 class ComplexityEstimate:
-    """Pipeline versus direct cost in the units of the cubic bounds."""
+    """Pipeline versus direct cost in the units of the cubic bounds, for
+    fibers over graph already checked (see validate_fibers); with no fibers
+    K is 0, and on an empty complex d (-1) counts as 0 and the ratio is
+    None."""
 
-    def __init__(self, n_cells, graph_cells, max_fiber, dim):
-        self.n_cells = n_cells
-        self.graph_cells = graph_cells
-        self.max_fiber = max_fiber
-        self.dim = dim
-        self.pipeline_cost = (max_fiber ** 3
-                              + graph_cells ** 3 * max(dim, 0) ** 3)
-        self.direct_cost = n_cells ** 3
+    def __init__(self, X, graph, fibers):
+        self.n_cells = len(X.poset)
+        self.graph_cells = len(graph.poset)
+        self.max_fiber = max(map(len, fibers.values()), default=0)
+        self.dim = X.poset.max_dim()
+        self.pipeline_cost = (self.max_fiber ** 3
+                              + self.graph_cells ** 3 * max(self.dim, 0) ** 3)
+        self.direct_cost = self.n_cells ** 3
         self.ratio = (self.pipeline_cost / self.direct_cost
                       if self.direct_cost else None)
 
@@ -460,13 +463,6 @@ class ComplexityEstimate:
 
 
 def complexity_estimate(X, gamma, fibers):
-    """Cell counts and the K^3 + g^3 d^3 versus N^3 comparison; with no
-    fibers K is 0, and on an empty complex d (-1) counts as 0 and the ratio
-    is None."""
-    checked = validate_fibers(X, gamma, fibers)
-    return ComplexityEstimate(
-        n_cells=len(X.poset),
-        graph_cells=len(gamma.poset),
-        max_fiber=max(map(len, checked.values()), default=0),
-        dim=X.poset.max_dim(),
-    )
+    """Cell counts and the K^3 + g^3 d^3 versus N^3 comparison of fibers
+    that validate_fibers accepts (see ComplexityEstimate)."""
+    return ComplexityEstimate(X, gamma, validate_fibers(X, gamma, fibers))

@@ -272,6 +272,34 @@ def test_fibers_that_miss_a_cell_are_refused():
         validate_fibers(t, tg, dict(holed, u1=tf["u1"] | {"zzz"}))
 
 
+# torus_reeb fibers that present the torus by the counts but are not
+# face-closed, each with the validation error every entry owes
+NOT_FACE_CLOSED = {
+    "unknown_cell": (lambda tf: dict(tf, u0=tf["u0"] | {"zzz"}), UnknownCell,
+                     "no cell 'zzz' in the complex"),
+    "dropped_face": (lambda tf: dict(tf, u0=tf["u0"] - {"v0001"},
+                                     a0=tf["a0"] - {"v0001"}),
+                     NotASubcomplex,
+                     "cell 'w0001' kept but its face 'v0001' dropped"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FACE_CLOSED))
+def test_fibers_that_are_not_face_closed_are_refused_by_every_entry(name):
+    edit, error, want = NOT_FACE_CLOSED[name]
+    t, tg, tf = torus_reeb()
+    fibers = edit(tf)
+    for call in (lambda: validate_fibers(t, tg, fibers),
+                 lambda: complexity_estimate(t, tg, fibers),
+                 lambda: leray_sheaf(t, tg, fibers, 1),
+                 lambda: cohomology_via_leray(t, tg, fibers),
+                 lambda: cohomology_via_leray(t, tg, fibers,
+                                              reduce_first=False)):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == want
+
+
 def test_parallel_stalks_deterministic():
     surface, graph, fibers = genus2_reeb()
     tasks = [(fibers[c], n) for c in sorted(fibers) for n in (0, 1)]
@@ -294,8 +322,8 @@ def test_parallel_stalks_raises_lowest_index_failure():
             parallel_stalks(t, tasks, workers=workers)
     with pytest.raises(UnknownCell):
         parallel_stalks(t, [(tf["u0"], 0), ({"missing"}, 0)], workers=8)
-    # the one-pass support build fails as subcomplex does: same class, same
-    # text, naming the least offending cell and the least face it misses
+    # parallel_stalks fails as subcomplex does: same class, same text,
+    # naming the least offending cell and the least face it misses
     faults = [
         ({"missing"}, UnknownCell, "no cell 'missing' in the complex"),
         ({"q0000"}, NotASubcomplex,
@@ -314,10 +342,6 @@ def test_parallel_stalks_raises_lowest_index_failure():
         with pytest.raises(error) as want:
             subcomplex(t, cells)
         assert str(want.value) == text
-        for field in (RATIONAL, fp(5)):
-            with pytest.raises(error) as got:
-                _support(t, cells, field)
-            assert str(got.value) == text
         with pytest.raises(error) as got:
             parallel_stalks(t, [(tf["u0"], 0), (cells, 0)])
         assert str(got.value) == text
@@ -626,6 +650,21 @@ def test_reduced_supports_nest_along_every_cover(name):
                 assert not supports[e] & supports[f]
 
 
+def _annulus(rows, cols, first, last):
+    """The cells of torus_grid(rows, cols) in columns first to last, taken
+    mod cols: the vertical circles at each column and the squares between."""
+    cells = set()
+    for j in range(first, last + 1):
+        j %= cols
+        cells |= {"%s%02d%02d" % (kind, i, j) for kind in ("v", "w")
+                  for i in range(rows)}
+    for j in range(first, last):
+        j %= cols
+        cells |= {"%s%02d%02d" % (kind, i, j) for kind in ("h", "q")
+                  for i in range(rows)}
+    return cells
+
+
 def _fibered_torus(rng, k=None):
     """A seeded torus_grid fibered over a cycle graph of k vertices, 3 to 6
     seeded if k is None.
@@ -641,18 +680,6 @@ def _fibered_torus(rng, k=None):
     rows, cols = rng.randint(2, 3), sum(widths)
     offset = rng.randrange(cols)
 
-    def annulus(first, last):
-        cells = set()
-        for j in range(first, last + 1):
-            j %= cols
-            cells |= {"%s%02d%02d" % (kind, i, j) for kind in ("v", "w")
-                      for i in range(rows)}
-        for j in range(first, last):
-            j %= cols
-            cells |= {"%s%02d%02d" % (kind, i, j) for kind in ("h", "q")
-                      for i in range(rows)}
-        return cells
-
     cuts = [offset + sum(widths[:t]) for t in range(k + 1)]
     elements, incidence, fibers = [], {}, {}
     for t in range(k):
@@ -660,14 +687,33 @@ def _fibered_torus(rng, k=None):
         elements += [(u, 0), (a, 1)]
         incidence[(u, a)] = -1
         incidence[(nxt, a)] = 1
-        fibers[u] = annulus(cuts[t] - gap, cuts[t + 1] + gap)
-        fibers[a] = annulus(cuts[t + 1] - gap, cuts[t + 1] + gap)
+        fibers[u] = _annulus(rows, cols, cuts[t] - gap, cuts[t + 1] + gap)
+        fibers[a] = _annulus(rows, cols, cuts[t + 1] - gap, cuts[t + 1] + gap)
     return torus_grid(rows, cols), build_cw(elements, incidence), fibers
+
+
+def _two_annuli():
+    """torus_grid(3, 6) as the annuli of columns 0-3 and 3-6 over one edge,
+    whose fiber is the two vertical circles they share: a path graph with
+    a disconnected edge fiber."""
+    circles = {"%s%02d%02d" % (kind, i, j) for kind in ("v", "w")
+               for i in range(3) for j in (0, 3)}
+    graph = build_cw([("u0", 0), ("u1", 0), ("a", 1)],
+                     {("u0", "a"): -1, ("u1", "a"): 1})
+    return torus_grid(3, 6), graph, {
+        "u0": _annulus(3, 6, 0, 3), "u1": _annulus(3, 6, 3, 6), "a": circles}
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pipelines_agree_with_direct_cohomology_on_fibered_tori(seed):
-    X, graph, fibers = _fibered_torus(random.Random(seed))
+    _check_pipelines_against_direct(*_fibered_torus(random.Random(seed)))
+
+
+def test_pipelines_agree_with_direct_over_a_disconnected_edge_fiber():
+    _check_pipelines_against_direct(*_two_annuli())
+
+
+def _check_pipelines_against_direct(X, graph, fibers):
     cover = Cover(X, [(c, fibers[c]) for c in graph.poset.elements_of_dim(0)])
     for field in (RATIONAL, fp(5), fp(2)):
         direct = sheaf_cohomology(constant_sheaf(X, 1, field)).betti
@@ -682,13 +728,20 @@ def test_pipelines_agree_with_direct_cohomology_on_fibered_tori(seed):
 
 
 def _fault(X, graph, fibers):
-    """The oracle: the precondition error validate_fibers owes face-closed
-    fibers, or None, decided by a scan of every cell of X for the vertex
-    and edge fibers that hold it."""
+    """The oracle: the error class validate_fibers owes, or None.  After
+    the inclusions, each fiber in sorted order is scanned for a cell not in
+    X or missing a face; then every cell of X for the vertex and edge
+    fibers that hold it."""
     ends = {e: set(graph.poset.x_minus(e))
             for e in graph.poset.elements_of_dim(1)}
     if any(not fibers[e] <= fibers[v] for e in ends for v in ends[e]):
         return FiberInclusionViolated
+    for name in sorted(fibers):
+        for cell in sorted(fibers[name]):
+            if cell not in X:
+                return UnknownCell
+            if not set(X.poset.x_minus(cell)) <= set(fibers[name]):
+                return NotASubcomplex
     for cell in X.cells():
         held = {v for v in graph.poset.elements_of_dim(0) if cell in fibers[v]}
         joins = [ends[e] for e in ends if cell in fibers[e]]
@@ -722,8 +775,11 @@ def _drop_lone_top_cell(rng, X, graph, fibers):
 
 
 def _merge_edges(rng, X, graph, fibers):
-    v = rng.choice([v for v in graph.poset.elements_of_dim(0)
-                    if len(graph.poset.x_plus(v)) > 1])
+    forks = [v for v in graph.poset.elements_of_dim(0)
+             if len(graph.poset.x_plus(v)) > 1]
+    if not forks:  # a path of one edge has no two edges to merge
+        return graph, fibers
+    v = rng.choice(forks)
     e, f = rng.sample(sorted(graph.poset.x_plus(v)), 2)
     both = fibers[e] | fibers[f]
     return graph, dict(fibers, **{e: both, f: both})
@@ -741,11 +797,24 @@ def _add_parallel_edge(rng, X, graph, fibers):
     return _regraphed(graph, "twin", ends), dict(fibers, twin=fibers[e])
 
 
+def _open_a_fiber(rng, X, graph, fibers):
+    name = rng.choice(graph.cells())
+    cell = rng.choice(sorted(c for c in fibers[name] if X.poset.x_minus(c)))
+    face = rng.choice(sorted(X.poset.x_minus(cell)))
+    return graph, dict(fibers, **{name: fibers[name] - {face}})
+
+
+def _name_a_cell_not_in_X(rng, X, graph, fibers):
+    name = rng.choice(graph.cells())
+    return graph, dict(fibers, **{name: fibers[name] | {"zzz"}})
+
+
 MUTATIONS = [_widen_vertex, _drop_lone_top_cell, _merge_edges, _add_loop,
-             _add_parallel_edge]
+             _add_parallel_edge, _open_a_fiber, _name_a_cell_not_in_X]
 MUTATED = {"fibered_torus_%d" % k: (lambda k=k: _fibered_torus(
     random.Random(k), k)) for k in range(2, 7)}
-MUTATED.update(torus_reeb=torus_reeb, genus2_reeb=genus2_reeb)
+MUTATED.update(torus_reeb=torus_reeb, genus2_reeb=genus2_reeb,
+               two_annuli=_two_annuli)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATED))
@@ -762,8 +831,9 @@ def test_validate_fibers_agrees_with_a_cell_scan_and_leray_with_direct(name):
     for g, f in mutants:
         fault = _fault(X, g, f)
         if fault is not None:
-            with pytest.raises(fault):
+            with pytest.raises(fault) as info:
                 validate_fibers(X, g, f)
+            assert type(info.value) is fault
             continue
         validate_fibers(X, g, f)
         for field, betti in direct.items():

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from scythe.cw import CWComplex, build_cw, incidence_violations, subcomplex
+from scythe.cw import (
+    CWComplex,
+    build_cw,
+    check_face_closed,
+    incidence_violations,
+    subcomplex,
+)
 from scythe.errors import (
     DanglingId,
     IncidenceIdentityViolation,
@@ -13,7 +19,12 @@ from scythe.errors import (
 )
 from scythe.poset import build_poset
 
-from scythe.complexes import filled_triangle, interval, torus_grid
+from scythe.complexes import (
+    filled_triangle,
+    genus2_surface,
+    interval,
+    torus_grid,
+)
 
 from randgen import random_face_closed, random_simplicial
 from test_morse import FIXTURES
@@ -137,6 +148,59 @@ def test_subcomplex_is_build_cw_over_its_cells():
             # built cell by cell in sorted order, whatever the set order
             assert list(sub.incidence) == sorted(ref.incidence,
                                                  key=lambda p: (p[1], p[0]))
+
+
+def _sorted_scan(cw, cells):
+    """The oracle: the (class, text) of the first fault met reading cells
+    in sorted order, or None."""
+    for cell in sorted(cells):
+        if cell not in cw.poset.dims:
+            return UnknownCell, "no cell %r in the complex" % (cell,)
+        missed = cw.poset.down[cell] - cells
+        if missed:
+            return NotASubcomplex, ("cell %r kept but its face %r dropped"
+                                    % (cell, min(missed)))
+    return None
+
+
+def _faulted(rng, base, cells):
+    """cells with zero to three seeded faults: an unknown cell, a dropped
+    face of a kept cell, or a cell added without its faces."""
+    cells = set(cells)
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            cells.add(rng.choice(["a", "zz", "q0000x", "h9"]))
+        elif kind == 1:
+            faces = sorted(f for c in cells if c in base.poset.dims
+                           for f in base.poset.down[c] if f in cells)
+            if faces:
+                cells.discard(rng.choice(faces))
+        else:
+            cells.add(rng.choice([c for c in base.cells()
+                                  if base.dim(c) > 0]))
+    return cells
+
+
+def test_check_face_closed_names_what_a_sorted_scan_names():
+    rng = random.Random(41)
+    seen = set()
+    for base in (torus_grid(3, 4), genus2_surface()):
+        for _ in range(150):
+            cells = _faulted(rng, base, random_face_closed(rng, base))
+            want = _sorted_scan(base, cells)
+            if want is None:
+                check_face_closed(base, cells)
+                seen.add(None)
+                continue
+            with pytest.raises(want[0]) as got:
+                check_face_closed(base, cells)
+            assert str(got.value) == want[1]
+            faults = sum(c not in base.poset.dims
+                         or not base.poset.down[c] <= cells for c in cells)
+            seen.add((want[0], faults > 1))
+    assert seen == {None, (UnknownCell, False), (UnknownCell, True),
+                    (NotASubcomplex, False), (NotASubcomplex, True)}
 
 
 def test_cw_accessors():
