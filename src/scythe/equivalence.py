@@ -135,9 +135,7 @@ def _apply_step(f, psi, phi, theta, step):
         rows_z = kept.get(z)
         if rows_z is None:
             continue
-        blk = mul_sub(None, fxz, step.inv)  # -F_xz.inv, None when zero
-        if blk is None:
-            continue
+        blk = mul_sub(None, fxz, step.inv)  # -F_xz.inv
         for row_z, blk_row in zip(rows_z, blk.data):
             for coeff, row_y in zip(blk_row, rows_y):
                 _axpy(f, row_z, coeff, row_y)
@@ -146,9 +144,7 @@ def _apply_step(f, psi, phi, theta, step):
         cols_w = kept.get(w)
         if cols_w is None:
             continue
-        blk = mul_sub(None, step.inv, fwy)  # -inv.F_wy, None when zero
-        if blk is None:
-            continue
+        blk = mul_sub(None, step.inv, fwy)  # -inv.F_wy
         for j, col_w in enumerate(cols_w):
             for blk_row, col_x in zip(blk.data, cols_x):
                 _axpy(f, col_w, blk_row[j], col_x)

@@ -21,7 +21,7 @@ only orders each candidate pair's key by it.
 from collections import deque
 
 from .errors import NotACover, NotInvertible, ValidationError
-from .matrix import Matrix, _built, mul_sub, try_invert
+from .matrix import _built, mul_sub, try_invert
 from . import equivalence as _equiv
 
 
@@ -62,7 +62,7 @@ def reduce_pair(param, x, y):
     """
     if not param.poset.has_cover(x, y):
         raise NotACover("(%s, %s) is not a covering pair" % (x, y))
-    inv = try_invert(param.map_of(x, y))
+    inv = try_invert(param.maps[(x, y)])
     if inv is None:
         raise NotInvertible("map of (%s, %s) has no inverse" % (x, y))
     _reduce_pair(param, x, y, inv)
@@ -85,11 +85,11 @@ def _reduce_pair(param, x, y, inv):
     blocks in their order; the scalar head becomes a 1x1 matrix once, for
     the first w of another rank.  Every other head is mul_sub(None, F_xz,
     -inv), 0 - F_xz.(-inv): the entries of F_xz.inv, each the same int or
-    Fraction the generic product loop gives.  A zero head stays a zero
-    matrix, so it still deletes a cover whose map is absent or zero.
-    Every other correction is one mul_sub.  Skipping the kernels' checks
-    is safe: check_blocks fixed every block's field and shape when the
-    parametrization was built, and the kernels' results keep them.
+    Fraction the generic product loop gives.  F_xz is nonzero and inv
+    invertible, so no head is zero.  Every other correction is one
+    mul_sub.  Skipping the kernels' checks is safe: check_blocks fixed
+    every block's field and shape when the parametrization was built, and
+    the kernels' results keep them.
     """
     poset = param.poset
     dims, above, below = poset.dims, poset.up, poset.down
@@ -99,23 +99,19 @@ def _reduce_pair(param, x, y, inv):
     for z in sorted(above.pop(x)):
         if z != y:
             below[z].discard(x)
-            fxz = pop((x, z), None)
-            if fxz is not None:
-                up[z] = fxz
+            up[z] = pop((x, z))
     down = {}
     for w in sorted(below.pop(y)):
         if w != x:
             above[w].discard(y)
-            fwy = pop((w, y), None)
-            if fwy is not None:
-                down[w] = fwy
-    pop((x, y), None)
+            down[w] = pop((w, y))
+    pop((x, y))
     for s in below.pop(x):
         above[s].discard(x)
-        pop((s, x), None)
+        pop((s, x))
     for t in above.pop(y):
         below[t].discard(y)
-        pop((y, t), None)
+        pop((y, t))
     step = _equiv.StepMaps(x, y, dims.pop(x), dims.pop(y), inv, up, down)
     del param.stalk_rank[x], param.stalk_rank[y]
     # a step with nothing below y corrects no block, so it forms no F_xz.inv
@@ -130,14 +126,11 @@ def _reduce_pair(param, x, y, inv):
     corrections = []
     for z, fxz in up.items():
         if iv is not None and fxz.rows == 1:
-            a = fxz.data[0][0]
-            corrections.append([z, mul(a, iv) if a else zero, None])
+            corrections.append([z, mul(fxz.data[0][0], iv), None])
         else:
             if ninv is None:
                 ninv = inv.neg()
-            head = (mul_sub(None, fxz, ninv)
-                    or Matrix.zeros(f, fxz.rows, inv.cols))
-            corrections.append([z, None, head])
+            corrections.append([z, None, mul_sub(None, fxz, ninv)])
     get = maps.get
     for w, fwy in down.items():
         b = fwy.data[0][0] if iv is not None and fwy.cols == 1 else None
@@ -146,9 +139,7 @@ def _reduce_pair(param, x, y, inv):
             z, h, head = correction
             if h is not None and b is not None:
                 fwz = get((w, z))
-                v = zero if fwz is None else fwz.data[0][0]
-                if h and b:
-                    v = sub(v, mul(h, b))
+                v = sub(zero if fwz is None else fwz.data[0][0], mul(h, b))
                 updated = _built(f, 1, 1, [[v]]) if v else None
             else:
                 if head is None:
@@ -158,7 +149,7 @@ def _reduce_pair(param, x, y, inv):
                 if z in ahead:
                     ahead.discard(z)
                     below[z].discard(w)
-                    pop((w, z), None)
+                    pop((w, z))
             else:
                 if z not in ahead:
                     ahead.add(z)
@@ -182,7 +173,7 @@ def _sweep(param, upward, strict, steps, observer, frozen=()):
     """
     poset = param.poset
     dims = poset.dims
-    get = param.maps.get
+    maps = param.maps
     if upward:
         ahead, behind, sign = poset.up, poset.down, 1
     else:
@@ -206,10 +197,7 @@ def _sweep(param, upward, strict, steps, observer, frozen=()):
             hit = None
             if not strict or len(free) == 1:
                 for e in free:
-                    key = (e, y) if upward else (y, e)
-                    block = get(key)
-                    inv = try_invert(param.map_of(*key) if block is None
-                                     else block)
+                    inv = try_invert(maps[(e, y) if upward else (y, e)])
                     if inv is not None:
                         if hit is not None:
                             hit = None

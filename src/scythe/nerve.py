@@ -243,13 +243,12 @@ def _graph_nerve(cover):
     return cover.nerve
 
 
-def cech_sheaf(cover, n, field=RATIONAL, workers=1):
+def cech_sheaf(cover, n, field=RATIONAL):
     """Degree-n cohomology of supports arranged as a sheaf on the nerve.
 
     Refuses a nerve above dimension 1 (see _graph_nerve).  Stalks are in the
     reduced supports' flagged bases, and restrictions copy the smaller
-    reduced support out of the larger (see _stalk_tables).  workers is
-    accepted and selects nothing; stalks are computed in order.
+    reduced support out of the larger (see _stalk_tables).
     """
     nv = _graph_nerve(cover)
     reduced, profiles = _stalk_tables(nv.cw, cover.base, nv.supports, field)
@@ -300,11 +299,12 @@ def validate_fibers(X, gamma, fibers):
     Every cell of gamma needs a fiber, no extras, and each edge fiber must
     be contained in both endpoint fibers.  Each fiber must then be
     face-closed in X; they are checked in sorted order, the order leray
-    compiles them.  Last, the fibers must present X: each cell lies in one
-    vertex fiber and no edge fiber, or in two vertex fibers and the fiber of
-    one edge that joins them.  Four counts over the unions check that; on a
-    fault FibersDoNotPresent names the least offending cell.  This is the
-    one check of a fibering: the pipelines trust what it returns.
+    compiles them, and a fault names its fiber.  Last, the fibers must
+    present X: each cell lies in one vertex fiber and no edge fiber, or in
+    two vertex fibers and the fiber of one edge that joins them.  Four
+    counts over the unions check that; on a fault FibersDoNotPresent names
+    the least offending cell.  This is the one check of a fibering: the
+    pipelines trust what it returns.
     """
     if gamma.poset.max_dim() > 1:
         raise NerveTooBig(
@@ -330,7 +330,10 @@ def validate_fibers(X, gamma, fibers):
                     " cell %r" % (edge, end, stray[0])
                 )
     for cell in sorted(checked):
-        check_face_closed(X, checked[cell])
+        try:
+            check_face_closed(X, checked[cell])
+        except (UnknownCell, NotASubcomplex) as exc:
+            raise type(exc)("fiber of %r: %s" % (cell, exc)) from None
     held = set().union(*(checked[v] for v in verts))
     joined = set().union(*(checked[e] for e in edges))
     if (X.poset.dims.keys() - held
@@ -351,14 +354,13 @@ def validate_fibers(X, gamma, fibers):
     return checked
 
 
-def leray_sheaf(X, gamma, fibers, n, field=RATIONAL, workers=1):
+def leray_sheaf(X, gamma, fibers, n, field=RATIONAL):
     """Degree-n cohomology of the fibers as a sheaf on the graph gamma.
 
     fibers maps every cell of gamma to a face-closed subset of X and must
     present X (see validate_fibers).  Stalks are in the reduced fibers'
     flagged bases, and restrictions copy each edge's reduced fiber out of
-    its endpoints' (see _stalk_tables).  workers is accepted and selects
-    nothing; stalks are computed in order.
+    its endpoints' (see _stalk_tables).
     """
     checked = validate_fibers(X, gamma, fibers)
     reduced, profiles = _stalk_tables(gamma, X, checked, field)
@@ -410,17 +412,13 @@ def _acyclic(profile):
     return _trimmed(profile) == [1]
 
 
-def nerve_theorem_check(cover, field=RATIONAL, workers=1):
-    """Check every support is acyclic; if so compare nerve and base Betti.
-
-    workers is accepted and selects nothing; supports are checked in order.
-    """
+def nerve_theorem_check(cover, field=RATIONAL):
+    """Check every support is acyclic, in order; if so compare nerve and
+    base Betti."""
     nv = cover.nerve
     names = sorted(nv.supports)
     results = parallel_stalks(
-        cover.base, [(nv.supports[name], 0) for name in names],
-        field=field, workers=workers,
-    )
+        cover.base, [(nv.supports[name], 0) for name in names], field=field)
     failures = [
         (name, profile) for name, profile in zip(names, results)
         if not _acyclic(profile)

@@ -1,23 +1,26 @@
 """Poset-parametrized cochain complexes, stored as covering-pair blocks.
 
 A Parametrization attaches a free module of some rank to each poset element
-and a matrix to each covering pair; missing pairs are zero maps.  assemble
-snapshots the blocks with one layout per degree, ordering cells by id, over
-the degree range fixed when the parametrization was built.
+and a nonzero matrix to each covering pair; a pair that is not a cover has
+the zero map.  assemble snapshots the blocks with one layout per degree,
+ordering cells by id, over the degree range fixed when the parametrization
+was built.
 d-squared, the cocycle test and cocycle transport read the blocks one
 interval at a time; a dense coboundary is stacked only when d(n) is asked
 for, as elimination does.
 
-This module owns d^2 = 0.  Parametrization(...) checks it on the blocks it
-is handed; every other way in holds it already: compile_sheaf and the
-reader walk it or rest on the sign identity (nerve._support too), copy
-copies, and the sweep preserves it.  So elimination never checks it.
+This module owns d^2 = 0 and the one nonzero block per cover.
+Parametrization(...) checks d^2, then drops zero blocks and indexes its
+own poset from the rest; compile_sheaf, the reader and nerve._support
+build both in, copy copies, and the sweep preserves both.  So elimination
+never checks d^2, and the sweep finds a block on every cover.
 """
 
 from itertools import compress
 
 from .errors import InvalidSheafData
 from .matrix import Matrix, matvec_add
+from .poset import GradedPoset
 
 
 class Layout:
@@ -60,16 +63,19 @@ class Parametrization:
     Only the reduction engine may mutate one, and it requires exclusive
     ownership; everything else treats instances as read-only.  top is the
     greatest degree of the poset it was built on; copies keep it.  The
-    constructor checks the blocks and d^2 = 0 (InvalidSheafData); the
-    program's own builders (_built) have made sure of both already.
+    constructor checks the blocks and d^2 = 0 (InvalidSheafData), then
+    drops zero blocks with their covers and indexes its own poset and
+    ranks, sharing nothing its caller may edit; the program's own builders
+    (_built) have made sure of all this already.
     """
 
     def __init__(self, field, poset, stalk_rank, maps):
         check_blocks(field, poset, stalk_rank, maps)
         check_d_squared(field, maps, poset.dims)
+        maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
         self.field = field
-        self.poset = poset
-        self.stalk_rank = stalk_rank
+        self.poset = GradedPoset(dict(poset.dims), maps)
+        self.stalk_rank = dict(stalk_rank)
         self.maps = maps
         self.top = poset.max_dim()
 
@@ -81,7 +87,8 @@ class Parametrization:
         return cp
 
     def map_of(self, x, y):
-        """The matrix attached to (x, y); absent covers give the zero map."""
+        """The matrix attached to (x, y); a pair that is not a cover has the
+        zero map."""
         m = self.maps.get((x, y))
         if m is None:
             return Matrix.zeros(self.field, self.stalk_rank[y], self.stalk_rank[x])

@@ -30,7 +30,7 @@ from .cw import CWComplex, _signed
 from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .nerve import Cover
-from .poset import _indexed, cover_fault, duplicate_id
+from .poset import GradedPoset, _indexed, cover_fault, duplicate_id
 from .sheaf import _built as _built_sheaf
 
 
@@ -172,22 +172,20 @@ def sheaf_to_json(sheaf):
 
 
 def param_to_json(param):
-    """Parametrizations write incidence 1 and the signed map on every cover.
-
-    Zero maps and their covers are omitted; absence is the zero map.  A
-    degree range reaching past the top cell, as a reduction leaves it, is
-    written as "top".
+    """Parametrizations write incidence 1 and the signed map on every cover,
+    each of which carries a nonzero block; a pair that is not a cover has
+    the zero map.  A degree range reaching past the top cell, as a
+    reduction leaves it, is written as "top".
     """
     cells = [
         {"id": c, "dim": param.poset.dim(c), "rank": param.stalk_rank[c]}
         for c in param.poset.elements()
     ]
-    covers = []
-    for s, t in param.poset.covers():
-        m = param.maps.get((s, t))
-        if m is None or m.is_zero():
-            continue
-        covers.append({"from": s, "to": t, "incidence": 1, "map": m.to_json()})
+    covers = [
+        {"from": s, "to": t, "incidence": 1,
+         "map": param.maps[(s, t)].to_json()}
+        for s, t in param.poset.covers()
+    ]
     out = {
         "kind": "parametrization",
         "field": param.field.to_json(),
@@ -515,10 +513,7 @@ def _parse_complex_family(data, kind, path="$"):
         return _built_sheaf(base, field, ranks, maps)
     maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
     parametrization.check_d_squared(field, maps, dims)
-    for s, t in incidence.keys() - maps.keys():  # covers with no nonzero map
-        up[s].discard(t)
-        down[t].discard(s)
-    poset = _indexed(dims, up, down)
+    poset = GradedPoset(dims, maps)
     top = _int(data.get("top", poset.max_dim()), path + ".top",
                poset.max_dim())
     param = parametrization._built(field, poset, ranks, maps)

@@ -425,9 +425,10 @@ def test_validate_base_checks_the_cells_of_every_fiber(capsys, data_dir,
     torus = str(data_dir / "torus.json")
     original = json.loads((data_dir / "torus_reeb.json").read_text())
     edits = [(lambda cells: cells + ["zzz"],
-              "error: no cell 'zzz' in the complex\n"),
+              "error: fiber of 'u0': no cell 'zzz' in the complex\n"),
              (lambda cells: [c for c in cells if c != "v0000"],
-              "error: cell 'h0000' kept but its face 'v0000' dropped\n")]
+              "error: fiber of 'u0': cell 'h0000' kept but its face 'v0000'"
+              " dropped\n")]
     for edit, want in edits:
         doc = json.loads(json.dumps(original))
         doc["fibers"]["u0"] = edit(doc["fibers"]["u0"])

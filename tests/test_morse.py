@@ -95,8 +95,8 @@ def assert_passes_legal(passes, runner):
 
 def assert_consistent(param):
     """Stalk ranks, maps and poset describe the same live cells and covers,
-    the up and down adjacency mirror each other, and no stored block is
-    zero."""
+    the up and down adjacency mirror each other, and every cover carries
+    exactly one stored block, which is not zero."""
     poset = param.poset
     assert set(param.stalk_rank) == set(poset.dims)
     live = set(poset.dims)
@@ -110,8 +110,9 @@ def assert_consistent(param):
         assert below <= live, (z, below - live)
         for w in below:
             assert z in poset.up[w], (w, z)
+    covers = {(w, z) for w, above in poset.up.items() for z in above}
+    assert set(param.maps) == covers, set(param.maps) ^ covers
     for (x, y), m in param.maps.items():
-        assert poset.has_cover(x, y), (x, y)
         assert (m.rows, m.cols) == (param.stalk_rank[y], param.stalk_rank[x])
         assert not m.is_zero(), (x, y)
 
@@ -165,6 +166,39 @@ def test_reduction_drops_ranks_of_removed_cells():
     assert param.max_stalk_rank() == 1
 
 
+def test_a_built_parametrization_shares_nothing_with_its_caller():
+    # the sweep edits the parametrization's own poset and ranks, never the
+    # caller's, which still describe the three cells they were built with
+    poset = build_poset([("u", 0), ("v", 0), ("e", 1)],
+                        [("u", "e"), ("v", "e")])
+    ranks = {"u": 1, "v": 1, "e": 1}
+    one = Matrix.identity(RATIONAL, 1)
+    maps = {("u", "e"): one, ("v", "e"): one.neg()}
+    param = Parametrization(RATIONAL, poset, ranks, maps)
+    assert scythe(param).matching.pairs == [("v", "e")]
+    assert sorted(param.poset.dims) == ["u"] and param.stalk_rank == {"u": 1}
+    assert poset.dims == {"u": 0, "v": 0, "e": 1}
+    assert poset.up == {"u": {"e"}, "v": {"e"}, "e": set()}
+    assert poset.down == {"u": set(), "v": set(), "e": {"u", "v"}}
+    assert ranks == {"u": 1, "v": 1, "e": 1}
+    assert maps == {("u", "e"): one, ("v", "e"): one.neg()}
+
+
+def test_a_built_parametrization_drops_zero_and_missing_blocks():
+    # (v, e) is a cover with a zero block and (w, e) one with no block:
+    # neither is a cover of the parametrization
+    poset = build_poset([("u", 0), ("v", 0), ("w", 0), ("e", 1)],
+                        [("u", "e"), ("v", "e"), ("w", "e")])
+    maps = {("u", "e"): Matrix.identity(RATIONAL, 1),
+            ("v", "e"): Matrix.zeros(RATIONAL, 1, 1)}
+    param = Parametrization(RATIONAL, poset, dict.fromkeys("uvwe", 1), maps)
+    assert param.poset.covers() == [("u", "e")]
+    assert sorted(param.poset.dims) == ["e", "u", "v", "w"]
+    assert list(param.maps) == [("u", "e")]
+    assert_consistent(param)
+    assert param.map_of("v", "e").is_zero()
+
+
 def test_reduce_pair_circle_cancels_to_zero():
     # removing (a, e) corrects F_bf to 1 - (-1)(-1) = 0, deleting the cover
     param = compile_sheaf(constant_sheaf(circle()))
@@ -176,9 +210,10 @@ def test_reduce_pair_circle_cancels_to_zero():
 
 @pytest.mark.parametrize("field", [RATIONAL, fp(5)], ids=["Q", "F5"])
 def test_a_zero_head_deletes_a_cover_with_no_map(field):
-    # removing (x, y) forms the rank-2 head F_xz.inv = 0 through the kernel;
-    # it still corrects (w, z), whose absent map stays zero, so the cover
-    # goes; the dual sweep finds no invertible block and pairs nothing
+    # the zero block on (x, z) is dropped with its cover when the
+    # parametrization is built, so no zero head can arise: removing (x, y)
+    # corrects nothing above x, and the dual sweep, finding no invertible
+    # block, pairs nothing and leaves no (x, z) block
     def build():
         poset = build_poset([("w", 0), ("x", 0), ("y", 1), ("z", 1)],
                             [("w", "y"), ("w", "z"), ("x", "y"), ("x", "z")])
@@ -199,9 +234,8 @@ def test_a_zero_head_deletes_a_cover_with_no_map(field):
     assert coscythe(param).matching.pairs == []
     identity = (2, 2, [["1", "0"], ["0", "1"]])
     assert survivors(param) == (
-        [("w", ["y", "z"]), ("x", ["y", "z"]), ("y", []), ("z", [])],
-        [(("x", "y"), identity), (("w", "y"), identity),
-         (("x", "z"), (2, 2, [["0", "0"], ["0", "0"]]))])
+        [("w", ["y"]), ("x", ["y"]), ("y", []), ("z", [])],
+        [(("x", "y"), identity), (("w", "y"), identity)])
 
 
 def test_reduce_pair_errors():

@@ -276,11 +276,12 @@ def test_fibers_that_miss_a_cell_are_refused():
 # face-closed, each with the validation error every entry owes
 NOT_FACE_CLOSED = {
     "unknown_cell": (lambda tf: dict(tf, u0=tf["u0"] | {"zzz"}), UnknownCell,
-                     "no cell 'zzz' in the complex"),
+                     "fiber of 'u0': no cell 'zzz' in the complex"),
     "dropped_face": (lambda tf: dict(tf, u0=tf["u0"] - {"v0001"},
                                      a0=tf["a0"] - {"v0001"}),
                      NotASubcomplex,
-                     "cell 'w0001' kept but its face 'v0001' dropped"),
+                     "fiber of 'a0': cell 'w0001' kept but its face 'v0001'"
+                     " dropped"),
 }
 
 

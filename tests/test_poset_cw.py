@@ -20,10 +20,18 @@ from scythe.errors import (
 from scythe.poset import build_poset
 
 from scythe.complexes import (
+    circle,
+    circle_subdivided,
     filled_triangle,
+    genus2_reeb,
     genus2_surface,
     interval,
+    path_complex,
+    point,
+    theta_graph,
     torus_grid,
+    torus_reeb,
+    torus_reeb_fine,
 )
 
 from randgen import random_face_closed, random_simplicial
@@ -125,6 +133,22 @@ def test_hand_built_complex_refuses_a_cover_without_incidence():
     # with both faults the least pair is named
     with pytest.raises(ValidationError, match=r"^incidence \[a:b\] on a pair"):
         CWComplex(poset, {("a", "e"): -1, ("a", "b"): 1})
+
+
+def test_hand_built_complex_equals_build_cw_on_every_fixture():
+    fixtures = [point(), interval(), path_complex(4), circle(),
+                circle_subdivided(6), filled_triangle(), theta_graph(),
+                torus_grid(3, 4), genus2_surface()]
+    for fibering in (torus_reeb, torus_reeb_fine, genus2_reeb):
+        surface, graph, _ = fibering()
+        fixtures += [surface, graph]
+    for cw in fixtures:
+        poset = build_poset(cw.poset.dims.items(), cw.incidence)
+        made = CWComplex(poset, dict(cw.incidence))
+        assert made.cells() == cw.cells()
+        assert made.poset.dims == cw.poset.dims
+        assert made.poset.covers() == cw.poset.covers()
+        assert made.incidence == cw.incidence
 
 
 def test_subcomplex_is_build_cw_over_its_cells():
