@@ -1,13 +1,13 @@
 """Cohomology of assembled complexes: Betti numbers, cocycle bases, and the
 maps induced on cohomology by inclusions of complexes.
 
-Elimination is the one reader of dense coboundaries: it asks the complex
-for d^n, which is stacked from the covering-pair blocks on first request.
-Each complex caches two echelon factorizations per dimension n next to it:
-that of d^n, which every rank and kernel reuses, and that of
-[d^{n-1} | kernel], which flags the cohomology representatives and solves
-for class coordinates.  The cocycle checks read the blocks.  A complex is
-not checked for d-squared here: every Parametrization squares to zero from
+Elimination reads the covering-pair blocks straight into sparse rows; no
+dense coboundary is stacked.  Each complex caches two echelons per
+dimension n next to it: that of d^n, with no transform, which every rank
+and kernel reuses, and that of [d^{n-1} | kernel], whose pivots flag the
+cohomology representatives and whose transform solves for class
+coordinates.  The cocycle checks read the blocks.  A complex is not
+checked for d-squared here: every Parametrization squares to zero from
 construction (see parametrization), and assemble is the only maker of one.
 """
 
@@ -55,8 +55,20 @@ def sheaf_cohomology(sheaf, reduce_first=True):
 def _solver(cx, n):
     key = ("echelon", n)
     if key not in cx._cache:
-        cx._cache[key] = EchelonSolver(cx.d(n))
+        cx._cache[key] = EchelonSolver.of_rows(
+            cx.field, cx.rank_c(n + 1), cx.rank_c(n), _coboundary_rows(cx, n), False)
     return cx._cache[key]
+
+
+def _coboundary_rows(cx, n):
+    """d^n as {row: {column: entry}} with the blocks' entries, zeros too."""
+    src, dst = cx.layout(n), cx.layout(n + 1)
+    leaving, rows = cx.blocks_from(), {}
+    for x, c0 in src.offsets.items():
+        for y, m in leaving.get(x, ()):
+            for i, entries in enumerate(m.data, dst.offsets[y]):
+                rows.setdefault(i, {}).update(zip(range(c0, c0 + m.cols), entries))
+    return rows
 
 
 def betti(cx, generators=False):
@@ -68,13 +80,12 @@ def betti(cx, generators=False):
     numbers = []
     gens = {} if generators else None
     for n in range(cx.top + 1):
-        kernel_dim = cx.rank_c(n) - _solver(cx, n).rank
-        image_dim = _solver(cx, n - 1).rank if n > 0 else 0
-        numbers.append(kernel_dim - image_dim)
+        numbers.append(cx.rank_c(n) - _solver(cx, n).rank
+                       - (_solver(cx, n - 1).rank if n else 0))
         if generators:
             basis = cocycle_basis(cx, n)
-            cols = [basis.matrix.column(j) for j in basis.flagged]
-            gens[n] = Matrix(cx.field, len(cols), cx.rank_c(n), cols).transpose()
+            gens[n] = Matrix(cx.field, cx.rank_c(n), len(basis.flagged),
+                             [[row[j] for j in basis.flagged] for row in basis.matrix.data])
     return CohomologyProfile(numbers, gens)
 
 
@@ -83,35 +94,28 @@ class CocycleBasis:
 
     matrix columns span the cocycles; flagged lists the column indices that
     stay independent after quotienting by coboundaries.  classes is the
-    echelon of [d^{n-1} | matrix] the flags were read from, whose first
-    offset columns are the coboundaries.
+    echelon of [d^{n-1} | matrix] the flags were read from.
     """
 
-    def __init__(self, matrix, flagged, classes, offset):
+    def __init__(self, matrix, flagged, classes):
         self.matrix = matrix
         self.flagged = flagged
         self.classes = classes
-        self.offset = offset
 
 
 def cocycle_basis(cx, n):
     key = ("basis", n)
-    if key in cx._cache:
-        return cx._cache[key]
-    if 0 <= n <= cx.top:
+    if key not in cx._cache:
         kernel = _solver(cx, n).kernel_basis()
-        bound = cx.d(n - 1)
-    else:
-        kernel = bound = Matrix.zeros(cx.field, 0, 0)
-    total = kernel.rows
-    data = [bound.data[i] + kernel.data[i] for i in range(total)]
-    classes = EchelonSolver(
-        Matrix(cx.field, total, bound.cols + kernel.cols, data)
-    )
-    flagged = [j - bound.cols for j in classes.pivots if j >= bound.cols]
-    out = CocycleBasis(kernel, flagged, classes, bound.cols)
-    cx._cache[key] = out
-    return out
+        offset, rows = cx.rank_c(n - 1), _coboundary_rows(cx, n - 1)
+        for i, entries in enumerate(kernel.data):
+            rows.setdefault(i, {}).update(
+                (offset + j, v) for j, v in enumerate(entries) if v)
+        classes = EchelonSolver.of_rows(
+            cx.field, kernel.rows, offset + kernel.cols, rows, True)
+        flagged = [j - offset for j in classes.pivots if j >= offset]
+        cx._cache[key] = CocycleBasis(kernel, flagged, classes)
+    return cx._cache[key]
 
 
 def class_coordinates(cx, vec, n):
@@ -127,7 +131,7 @@ def class_coordinates(cx, vec, n):
     sol = basis.classes.solve(vec)
     if sol is None:
         raise SolveFailed("cocycle not spanned by coboundaries and representatives")
-    return [sol[basis.offset + j] for j in basis.flagged]
+    return [sol[cx.rank_c(n - 1) + j] for j in basis.flagged]
 
 
 def induced_map(big, small, embedding, n):

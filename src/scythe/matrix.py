@@ -1,4 +1,4 @@
-"""Dense exact matrices over a FieldSpec, with row-reduction kernels.
+"""Exact matrices over a FieldSpec, the sweep's kernels and a sparse echelon.
 
 Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
@@ -20,6 +20,8 @@ kernels here (zeros, identity, add, sub, neg, transpose, mat_mul,
 mul_sub, try_invert) and the JSON reader, which checks each row, build
 with _built, which skips the re-check of a grid they shaped.
 """
+
+from itertools import compress
 
 from .errors import SolveFailed
 
@@ -316,7 +318,8 @@ def try_invert(a):
     ech = EchelonSolver(a)
     if ech.rank != a.rows:
         return None
-    return _built(a.field, a.rows, a.cols, ech.transform)
+    return _built(a.field, a.rows, a.cols, [
+        [row.get(a.cols + j, rz) for j in range(a.rows)] for row, rz in ech._reduced])
 
 
 def _det2(f, p, q, r, s):
@@ -326,98 +329,106 @@ def _det2(f, p, q, r, s):
 
 
 class EchelonSolver:
-    """Reduced row echelon factorization of one matrix, built once and reused.
+    """Reduced row echelon form of one matrix, by Gauss-Jordan on sparse rows.
 
-    Stores E with E·A in reduced echelon form, the pivot columns, and the
-    rank; answers kernel bases and solves A·x = b without re-eliminating.
+    Rows are {column: entry} dicts with an implicit zero each, made only
+    for rows some entry reaches: an echelon costs its entries, not its
+    shape.  Each entry gets the dense loop's value and type (int or
+    Fraction): the pivot is the first row in the current order at or below
+    r holding a nonzero, rows swap places as in a grid, scaling scales the
+    implicit zero too (0 becomes Fraction(0) under a Fraction inverse), and
+    a computed zero is dropped only where the implicit zero reads the same.
+    An echelon that solves (that of a Matrix, whose E try_invert reads as
+    the inverse, or of_rows when asked) carries E, with E.A reduced, as the
+    columns cols + i, from an identity entry per stored row.
     """
 
     def __init__(self, a):
-        f = a.field
-        work = a.copy_data()
-        trans = Matrix.identity(f, a.rows).copy_data()
-        pivots = []
-        r = 0
-        for col in range(a.cols):
-            pivot = None
-            for i in range(r, a.rows):
-                if work[i][col]:
-                    pivot = i
-                    break
-            if pivot is None:
+        rows = {i: dict(enumerate(row)) for i, row in enumerate(a.data)}
+        self._eliminate(a.field, a.rows, a.cols, rows, True)
+
+    @classmethod
+    def of_rows(cls, field, nrows, ncols, rows, transform):
+        """The echelon of rows, {row: {column: entry}}, taken over."""
+        ech = object.__new__(cls)
+        ech._eliminate(field, nrows, ncols, rows, transform)
+        return ech
+
+    def _eliminate(self, f, nrows, ncols, rows, transform):
+        self.field, self.rows, self.cols = f, nrows, ncols
+        self._solves, self._rows = transform, rows
+        pivots, one, mul, sub = [], f.one, f.mul, f.sub
+        zero = self._zero = dict.fromkeys(rows, f.zero)
+        holders = {}  # column of A -> rows that have held a nonzero there
+        for i, row in rows.items():
+            for j in compress(row, row.values()):
+                holders.setdefault(j, set()).add(i)
+            if transform:
+                row[ncols + i] = one
+        place = self._place = {i: i for i in rows}  # row -> position
+        at = dict(place)  # position -> row, None where an unmade row sits
+        for col in sorted(holders):
+            r = len(pivots)
+            held = [i for i in holders.pop(col) if rows[i].get(col)]
+            below = [i for i in held if place[i] >= r]
+            if not below:
                 continue
-            work[r], work[pivot] = work[pivot], work[r]
-            trans[r], trans[pivot] = trans[pivot], trans[r]
-            pv = work[r][col]
-            if pv != f.one:
-                pinv = f.inv(pv)
-                work[r] = [f.mul(pinv, v) for v in work[r]]
-                trans[r] = [f.mul(pinv, v) for v in trans[r]]
-            wr, tr = work[r], trans[r]
-            for i in range(a.rows):
-                if i == r:
-                    continue
-                factor = work[i][col]
-                if not factor:
-                    continue
-                wi, ti = work[i], trans[i]
-                for j in range(a.cols):
-                    if wr[j]:
-                        wi[j] = f.sub(wi[j], f.mul(factor, wr[j]))
-                for j in range(a.rows):
-                    if tr[j]:
-                        ti[j] = f.sub(ti[j], f.mul(factor, tr[j]))
+            best = below[0] if len(below) == 1 else min(below, key=place.get)
+            if place[best] != r:
+                moved = at[place[best]] = at.get(r)
+                if moved is not None:
+                    place[moved] = place[best]
+                at[r], place[best] = best, r
+            wr = rows[best]
+            if wr[col] != one:
+                pinv = f.inv(wr[col])
+                for j, v in wr.items():
+                    wr[j] = mul(pinv, v)
+                zero[best] = mul(pinv, zero[best])
+            live = [(j, v) for j, v in wr.items() if v]
+            for i in held:
+                wi, zi, factor = rows[i], zero[i], rows[i][col]
+                for j, v in live if i != best else ():
+                    new = sub(wi.get(j, zi), mul(factor, v))
+                    if new:
+                        if j < ncols:
+                            holders[j].add(i)
+                    elif type(new) is type(zi):
+                        wi.pop(j, None)
+                        continue
+                    wi[j] = new
             pivots.append(col)
-            r += 1
-        self.field = f
-        self.rows = a.rows
-        self.cols = a.cols
-        self.rref = work
-        self.transform = trans
-        self.pivots = pivots
-        self.rank = r
+        self.pivots, self.rank = pivots, len(pivots)
+        self._reduced = [(rows[at[p]], zero[at[p]]) for p in range(self.rank)]
 
     def kernel_basis(self):
-        """Columns spanning the kernel, one per free column, as a Matrix.
-
-        The basis vector for free column j has a 1 in slot j, so distinct
-        vectors are visibly independent.
-        """
-        f = self.field
-        z = f.zero
-        pivot_set = set(self.pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        cols = []
-        for j in free:
-            vec = [z] * self.cols
-            vec[j] = f.one
-            for i, pc in enumerate(self.pivots):
-                vec[pc] = f.neg(self.rref[i][j])
-            cols.append(vec)
-        return Matrix(f, len(free), self.cols, cols).transpose()
+        """Columns spanning the kernel as a Matrix, one per free column j
+        with a 1 in slot j, so distinct vectors are visibly independent."""
+        f, free = self.field, sorted(set(range(self.cols)) - set(self.pivots))
+        data = [[f.zero] * len(free) for _ in range(self.cols)]
+        for k, j in enumerate(free):
+            data[j][k] = f.one
+            for pc, (row, rz) in zip(self.pivots, self._reduced):
+                data[pc][k] = f.neg(row.get(j, rz))
+        return Matrix(f, self.cols, len(free), data)
 
     def solve(self, b):
-        """One solution x of A·x = b (free variables zero), or None if none."""
+        """One solution x of A.x = b (free variables zero), or None if none:
+        E.b must vanish past the rank, and so must b on rows never made."""
         if len(b) != self.rows:
             raise SolveFailed("rhs length %d, expected %d" % (len(b), self.rows))
-        f = self.field
-        z = f.zero
-        eb = []
-        for i in range(self.rows):
-            ti = self.transform[i]
-            acc = z
-            for j in range(self.rows):
-                tij = ti[j]
-                if tij and b[j]:
-                    acc = f.add(acc, f.mul(tij, b[j]))
-            eb.append(acc)
-        for i in range(self.rank, self.rows):
-            if eb[i]:
+        assert self._solves, "echelon made without its transform"
+        f, n = self.field, self.cols
+        if any(i not in self._rows for i in compress(range(len(b)), b)):
+            return None
+        x = [f.zero] * n
+        for i, row in self._rows.items():
+            acc = f.zero
+            for j, t in row.items():
+                if j >= n and t and b[j - n]:
+                    acc = f.add(acc, f.mul(t, b[j - n]))
+            if self._place[i] < self.rank:
+                x[self.pivots[self._place[i]]] = acc
+            elif acc:
                 return None
-        x = [z] * self.cols
-        for i, pc in enumerate(self.pivots):
-            x[pc] = eb[i]
         return x
-
-    def in_image(self, b):
-        return self.solve(b) is not None

@@ -6,8 +6,7 @@ the zero map.  assemble snapshots the blocks with one layout per degree,
 ordering cells by id, over the degree range fixed when the parametrization
 was built.
 d-squared, the cocycle test and cocycle transport read the blocks one
-interval at a time; a dense coboundary is stacked only when d(n) is asked
-for, as elimination does.
+interval at a time; elimination reads them into sparse rows.
 
 This module owns d^2 = 0 and the one nonzero block per cover.
 Parametrization(...) checks d^2, then drops zero blocks and indexes its
@@ -147,9 +146,8 @@ class CochainComplex:
 
     Made only by Parametrization.assemble, so the blocks square to zero.
     blocks maps (lower cell, upper cell) to its matrix; absent pairs are
-    zero blocks.  The dense coboundary d^n and the blocks indexed by their
-    lower cell are built on first request and cached with the echelons in
-    _cache.
+    zero blocks.  The blocks indexed by their lower cell are built on
+    first request and cached with the echelons in _cache.
     """
 
     def __init__(self, field, layouts, blocks):
@@ -166,20 +164,6 @@ class CochainComplex:
 
     def rank_c(self, n):
         return self.layout(n).total
-
-    def d(self, n):
-        """The dense coboundary C^n -> C^{n+1}, zero-shaped outside the range."""
-        key = ("d", n)
-        if key not in self._cache:
-            src, dst = self.layout(n), self.layout(n + 1)
-            data = [[self.field.zero] * src.total for _ in range(dst.total)]
-            for (x, y), m in self.blocks.items():
-                if x in src and y in dst:
-                    r0, c0 = dst.offsets[y], src.offsets[x]
-                    for i, row in enumerate(m.data):
-                        data[r0 + i][c0:c0 + m.cols] = row
-            self._cache[key] = Matrix(self.field, dst.total, src.total, data)
-        return self._cache[key]
 
     def blocks_from(self):
         """{cell x: [(y, F_xy), ...]}, the blocks leaving each cell."""

@@ -8,15 +8,19 @@ exceptions are ref_degree_sheaf, the pipelines' degree sheaves built the
 direct way on unreduced fibers with scythe's induced_map, kept as the
 reference the transported restrictions are compared with; psi_matrix,
 phi_matrix and theta_matrix, which densify an equivalence's sparse rows
-into scythe Matrix objects for the law checks; and loop_mat_mul and
+into scythe Matrix objects for the law checks; loop_mat_mul and
 loop_mul_sub, the product kernels' generic loops, which pin the value and
-the type of every entry the kernels' small-block forms give.
+the type of every entry the kernels' small-block forms give; and
+dense_coboundary and DenseEchelon, the stacked d^n as a scythe Matrix and
+Gauss-Jordan on a dense grid with a dense transform, which pin the value
+and the type of every entry the sparse echelon gives.
 """
 
 from fractions import Fraction
 
 from scythe.cohomology import betti, induced_map
 from scythe.cw import subcomplex
+from scythe.errors import SolveFailed
 from scythe.matrix import Matrix
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
@@ -104,6 +108,13 @@ def coboundary_grid(cx, n):
                 for j in range(m.cols):
                     grid[rows[y] + i][cols[x] + j] = m.data[i][j]
     return grid
+
+
+def dense_coboundary(cx, n):
+    """d^n of cx as a scythe Matrix over its field, stacked by
+    coboundary_grid: zero-shaped outside the degree range."""
+    return Matrix(cx.field, cx.rank_c(n + 1), cx.rank_c(n),
+                  coboundary_grid(cx, n))
 
 
 def complex_to_grids(cx):
@@ -378,3 +389,92 @@ def loop_mul_sub(c, a, b):
                     if bkj:
                         orow[j] = f.sub(orow[j], f.mul(aik, bkj))
     return out if any(map(any, out)) else None
+
+
+class DenseEchelon:
+    """Gauss-Jordan on a dense grid, carrying a dense rows x rows transform.
+
+    E.A is the reduced echelon form, with the pivot columns and the rank.
+    Every row is scaled whole by the pivot's inverse and every nonzero of
+    the pivot row is eliminated from every other row, so each entry has
+    the value and the type (int or Fraction) that the sparse EchelonSolver
+    must give it.
+    """
+
+    def __init__(self, a):
+        f = a.field
+        work = a.copy_data()
+        trans = Matrix.identity(f, a.rows).copy_data()
+        pivots = []
+        r = 0
+        for col in range(a.cols):
+            pivot = None
+            for i in range(r, a.rows):
+                if work[i][col]:
+                    pivot = i
+                    break
+            if pivot is None:
+                continue
+            work[r], work[pivot] = work[pivot], work[r]
+            trans[r], trans[pivot] = trans[pivot], trans[r]
+            pv = work[r][col]
+            if pv != f.one:
+                pinv = f.inv(pv)
+                work[r] = [f.mul(pinv, v) for v in work[r]]
+                trans[r] = [f.mul(pinv, v) for v in trans[r]]
+            wr, tr = work[r], trans[r]
+            for i in range(a.rows):
+                if i == r:
+                    continue
+                factor = work[i][col]
+                if not factor:
+                    continue
+                wi, ti = work[i], trans[i]
+                for j in range(a.cols):
+                    if wr[j]:
+                        wi[j] = f.sub(wi[j], f.mul(factor, wr[j]))
+                for j in range(a.rows):
+                    if tr[j]:
+                        ti[j] = f.sub(ti[j], f.mul(factor, tr[j]))
+            pivots.append(col)
+            r += 1
+        self.field = f
+        self.rows = a.rows
+        self.cols = a.cols
+        self.rref = work
+        self.transform = trans
+        self.pivots = pivots
+        self.rank = r
+
+    def kernel_basis(self):
+        """One kernel column per free column j, with a 1 in slot j."""
+        f = self.field
+        pivot_set = set(self.pivots)
+        free = [j for j in range(self.cols) if j not in pivot_set]
+        cols = []
+        for j in free:
+            vec = [f.zero] * self.cols
+            vec[j] = f.one
+            for i, pc in enumerate(self.pivots):
+                vec[pc] = f.neg(self.rref[i][j])
+            cols.append(vec)
+        return Matrix(f, len(free), self.cols, cols).transpose()
+
+    def solve(self, b):
+        """One x with A.x = b (free variables zero), or None if none."""
+        if len(b) != self.rows:
+            raise SolveFailed("rhs length %d, expected %d" % (len(b), self.rows))
+        f = self.field
+        eb = []
+        for ti in self.transform:
+            acc = f.zero
+            for tij, bj in zip(ti, b):
+                if tij and bj:
+                    acc = f.add(acc, f.mul(tij, bj))
+            eb.append(acc)
+        if any(eb[self.rank:]):
+            return None
+        x = [f.zero] * self.cols
+        for i, pc in enumerate(self.pivots):
+            x[pc] = eb[i]
+        return x

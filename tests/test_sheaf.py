@@ -29,7 +29,7 @@ from scythe.sheaf import (
     skyscraper_sheaf,
 )
 
-from oracles import ref_d_squared_witnesses
+from oracles import dense_coboundary, ref_d_squared_witnesses
 from randgen import (
     TWISTED_SUMS, random_sheaf, random_simplicial, twisted_torus_sum,
 )
@@ -128,7 +128,8 @@ def test_missing_restriction_means_zero():
     param = compile_sheaf(sh)
     assert ("v", "e") not in param.maps
     cx = param.assemble()
-    assert cx.d(0).data == [[RATIONAL.one, RATIONAL.zero]]
+    assert dense_coboundary(cx, 0).data == \
+        [[RATIONAL.one, RATIONAL.zero]]
 
 
 def _unchecked_param(sheaf):
