@@ -30,7 +30,7 @@ from .errors import (
 from .field import RATIONAL, FieldSpec, fp
 from .matrix import EchelonSolver, Matrix, mat_mul, matvec, try_invert
 from .poset import GradedPoset, build_poset
-from .cw import CWComplex, build_cw, incidence_violations, subcomplex
+from .cw import CWComplex, build_cw, subcomplex
 from .parametrization import Parametrization, verify_d_squared
 from .sheaf import (
     CellularSheaf,
@@ -48,8 +48,6 @@ from .cohomology import (
     sheaf_cohomology,
 )
 from .morse import (
-    Matching,
-    MorseData,
     coscythe,
     iterate_scythe,
     reduce_pair,
@@ -63,9 +61,6 @@ from .equivalence import (
 from .nerve import (
     ComplexityEstimate,
     Cover,
-    Nerve,
-    NerveReport,
-    SheafOverNerve,
     cech_sheaf,
     cohomology_via_cech,
     cohomology_via_leray,
@@ -76,7 +71,7 @@ from .nerve import (
     parallel_stalks,
     validate_fibers,
 )
-from .report import ComplexityReport, build_report, input_parameters
+from .report import build_report, input_parameters
 from .serialize import (
     complex_to_json,
     cover_to_json,
@@ -84,12 +79,9 @@ from .serialize import (
     equivalence_to_json,
     fibers_to_json,
     loads,
-    param_to_json,
     parse,
     parse_cover,
     parse_fibers,
-    parse_field,
-    parse_profile,
     reduced_to_json,
     sheaf_to_json,
 )
@@ -100,7 +92,6 @@ __all__ = [
     "CellularSheaf",
     "CohomologyProfile",
     "ComplexityEstimate",
-    "ComplexityReport",
     "Cover",
     "DanglingId",
     "EchelonSolver",
@@ -111,11 +102,7 @@ __all__ = [
     "GradedPoset",
     "IncidenceIdentityViolation",
     "InvalidSheafData",
-    "Matching",
     "Matrix",
-    "MorseData",
-    "Nerve",
-    "NerveReport",
     "NerveTooBig",
     "NonGradedCover",
     "NotACocycle",
@@ -126,7 +113,6 @@ __all__ = [
     "ParseError",
     "RATIONAL",
     "ScytheError",
-    "SheafOverNerve",
     "SolveFailed",
     "TheoremPrecondition",
     "UnknownCell",
@@ -151,7 +137,6 @@ __all__ = [
     "equivalence_to_json",
     "fibers_to_json",
     "fp",
-    "incidence_violations",
     "induced_map",
     "input_parameters",
     "iterate_scythe",
@@ -163,12 +148,9 @@ __all__ = [
     "nerve",
     "nerve_theorem_check",
     "parallel_stalks",
-    "param_to_json",
     "parse",
     "parse_cover",
     "parse_fibers",
-    "parse_field",
-    "parse_profile",
     "project_cocycle",
     "pushforward_constant",
     "reduce_pair",

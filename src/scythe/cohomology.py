@@ -61,13 +61,25 @@ def _solver(cx, n):
 
 
 def _coboundary_rows(cx, n):
-    """d^n as {row: {column: entry}} with the blocks' entries, zeros too."""
+    """d^n as {row: {column: entry}} with the blocks' entries.
+
+    A stored zero of the field zero's type is left out, as elimination
+    leaves out the zeros it computes, so a rank-r identity block costs r
+    entries, not r^2; a zero of another type (Fraction(0)) stays.
+    """
     src, dst = cx.layout(n), cx.layout(n + 1)
     leaving, rows = cx.blocks_from(), {}
+    zero = cx.field.zero
+    zero_type = type(zero)
     for x, c0 in src.offsets.items():
         for y, m in leaving.get(x, ()):
+            cols = range(c0, c0 + m.cols)
             for i, entries in enumerate(m.data, dst.offsets[y]):
-                rows.setdefault(i, {}).update(zip(range(c0, c0 + m.cols), entries))
+                pairs = zip(cols, entries)
+                if zero in entries:
+                    pairs = ((j, v) for j, v in pairs
+                             if v or type(v) is not zero_type)
+                rows.setdefault(i, {}).update(pairs)
     return rows
 
 

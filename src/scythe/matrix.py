@@ -72,9 +72,6 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(map(tuple, self.data))))
-
     def __repr__(self):
         body = "; ".join(
             " ".join(self.field.format(v) for v in row) for row in self.data

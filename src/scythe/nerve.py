@@ -228,10 +228,6 @@ class SheafOverNerve:
         self.sheaf = sheaf
         self.supports = supports
 
-    @property
-    def base(self):
-        return self.sheaf.base
-
 
 def _graph_nerve(cover):
     """cover.nerve, refused before it is built if a cell is in three pieces."""

@@ -18,7 +18,7 @@ never checks d^2, and the sweep finds a block on every cover.
 from itertools import compress
 
 from .errors import InvalidSheafData
-from .matrix import Matrix, matvec_add
+from .matrix import matvec_add
 from .poset import GradedPoset
 
 
@@ -51,10 +51,6 @@ class Layout:
     def __contains__(self, cell):
         return cell in self.offsets
 
-    def slot(self, cell):
-        off = self.offsets[cell]
-        return off, off + self.ranks[cell]
-
 
 class Parametrization:
     """Stalk ranks and covering-pair matrices over a graded poset.
@@ -84,14 +80,6 @@ class Parametrization:
         )
         cp.top = self.top
         return cp
-
-    def map_of(self, x, y):
-        """The matrix attached to (x, y); a pair that is not a cover has the
-        zero map."""
-        m = self.maps.get((x, y))
-        if m is None:
-            return Matrix.zeros(self.field, self.stalk_rank[y], self.stalk_rank[x])
-        return m
 
     def layout(self, n):
         cells = self.poset.elements_of_dim(n)
@@ -233,21 +221,6 @@ def d_kills(cx, blocks):
     return not any(map(any, image.values()))
 
 
-class SquareReport:
-    """Outcome of a d-squared check; truthy iff every product block vanished."""
-
-    def __init__(self, witnesses):
-        self.witnesses = witnesses
-
-    def __bool__(self):
-        return not self.witnesses
-
-    def __repr__(self):
-        if self.witnesses:
-            return "SquareReport(failures=%r)" % (self.witnesses,)
-        return "SquareReport(ok)"
-
-
 def d_squared_witnesses(field, maps, dims):
     """The intervals sigma < tau over which the two-step map sums are nonzero.
 
@@ -326,9 +299,9 @@ def verify_d_squared(cx):
     """Check d^{n+1} . d^n = 0 for all n, one codimension-two interval at a time.
 
     Walks the complex's covering-pair blocks (see d_squared_witnesses); no
-    coboundary matrices are multiplied.  Witnesses are (n, target cell,
-    source cell) naming the offending block of the composite from C^n into
-    C^{n+2}, sorted.
+    coboundary matrices are multiplied.  Returns the sorted witnesses, so
+    an empty list means d^2 = 0: (n, target cell, source cell) naming the
+    offending block of the composite from C^n into C^{n+2}.
     """
     dims = {c: n for n, layout in cx.layouts.items() for c in layout.cells}
-    return SquareReport(d_squared_witnesses(cx.field, cx.blocks, dims))
+    return d_squared_witnesses(cx.field, cx.blocks, dims)

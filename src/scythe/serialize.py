@@ -17,8 +17,7 @@ offending spot; the readers of cells, covers and matrices format that
 path and message only when they raise.  A complex, sheaf or compiled
 document is read in one pass that makes each check once: each distinct
 entry string is parsed once, equal map grids share one Matrix, and the
-poset is indexed by the cell and cover loops themselves (see the readers'
-notes below).
+poset is indexed once (see the readers' notes below).
 """
 
 import json
@@ -30,7 +29,7 @@ from .cw import CWComplex, _signed
 from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .nerve import Cover
-from .poset import GradedPoset, _indexed, cover_fault, duplicate_id
+from .poset import GradedPoset, cover_fault, duplicate_id
 from .sheaf import _built as _built_sheaf
 
 
@@ -318,11 +317,13 @@ def parse_field(obj):
 #   str is remembered, with its column count (the grid [] fits any), and a
 #   later grid reuses it only when it equals that grid as a list, so "1",
 #   ["1"] or [[1.0]] never stand for [["1"]];
-# - the cell loop indexes the dimensions and the cover loop the up and
-#   down sets, making the checks of build_poset (duplicate ids, dangling
-#   endpoints, grading) with its texts.  Such a fault is raised only after
-#   the document's structure and kind are checked, as a build_poset call
-#   after the reading would raise it.
+# - the cell loop indexes the dimensions and the cover loop makes the
+#   checks of build_poset (duplicate ids, dangling endpoints, grading)
+#   with its texts; the poset is indexed once, after both loops, from the
+#   covers of a complex or sheaf and from the nonzero maps of a compiled
+#   document.  Such a fault is raised only after the document's structure
+#   and kind are checked, as a build_poset call after the reading would
+#   raise it.
 
 def _parse_matrix(field, entries, grid, rows, cols, path, i):
     if not isinstance(grid, list):
@@ -411,14 +412,12 @@ def _parse_cells(data, path):
 
 
 def _parse_covers(data, field, dims, ranks, path):
-    """The incidences, the up and down sets of the graded covers, the maps,
-    and the error of the first cover that is not graded, if any."""
+    """The incidences, the maps, and the error of the first cover that is
+    not graded, if any."""
     raw = data.get("covers", [])
     if not isinstance(raw, list):
         raise ParseError("%s.covers: expected an array" % path)
     incidence = {}
-    up = {x: set() for x in dims}
-    down = {x: set() for x in dims}
     maps = {}
     fault = None
     dim_of = dims.get
@@ -449,12 +448,10 @@ def _parse_covers(data, field, dims, ranks, path):
             raise ParseError("%s.covers[%d]: duplicate cover (%s, %s)"
                              % (path, i, s, t))
         incidence[(s, t)] = sign
-        ds = dim_of(s)
-        if ds is not None and dim_of(t) == ds + 1:
-            up[s].add(t)
-            down[t].add(s)
-        elif fault is None:
-            fault = cover_fault(dims, s, t)
+        if fault is None:
+            ds = dim_of(s)
+            if ds is None or dim_of(t) != ds + 1:
+                fault = cover_fault(dims, s, t)
         if "map" in entry:
             if ranks is None:
                 raise ParseError("%s.covers[%d].map: maps need cell ranks"
@@ -478,14 +475,13 @@ def _parse_covers(data, field, dims, ranks, path):
                                            for row in key[0] for v in row):
                     grids[key] = (grid, m)
             maps[(s, t)] = m
-    return incidence, up, down, maps, fault
+    return incidence, maps, fault
 
 
 def _parse_complex_family(data, kind, path="$"):
     field = parse_field(data.get("field"))
     dims, ranks, duplicate = _parse_cells(data, path)
-    incidence, up, down, maps, fault = _parse_covers(data, field, dims, ranks,
-                                                     path)
+    incidence, maps, fault = _parse_covers(data, field, dims, ranks, path)
     if kind is None:
         kind = "sheaf" if ranks is not None or maps else "complex"
     if kind == "complex":
@@ -507,7 +503,7 @@ def _parse_complex_family(data, kind, path="$"):
     if fault is not None:
         raise fault
     if kind in ("complex", "sheaf"):
-        base = _signed(_indexed(dims, up, down), incidence)
+        base = _signed(GradedPoset(dims, incidence), incidence)
         if kind == "complex":
             return base
         return _built_sheaf(base, field, ranks, maps)

@@ -12,7 +12,17 @@ oracles.py, this module uses scythe's own linear algebra.
 import heapq
 
 from scythe.errors import NotInvertible, ValidationError
-from scythe.matrix import mat_mul, try_invert
+from scythe.matrix import Matrix, mat_mul, try_invert
+
+
+def map_of(param, x, y):
+    """The block of param on (x, y); a pair that is not a cover has the
+    zero map."""
+    m = param.maps.get((x, y))
+    if m is None:
+        return Matrix.zeros(param.field, param.stalk_rank[y],
+                            param.stalk_rank[x])
+    return m
 
 
 class CyclicMatching(ValidationError):
@@ -122,7 +132,7 @@ def _validate_for_oracle(original, matching):
         raise CyclicMatching(report.cycle)
     inverses = {}
     for x, y in matching.pairs:
-        inv = try_invert(original.map_of(x, y))
+        inv = try_invert(map_of(original, x, y))
         if inv is None:
             raise NotInvertible("matched map (%s, %s) has no inverse" % (x, y))
         inverses[(x, y)] = inv
@@ -156,12 +166,12 @@ def morse_coboundary_oracle(original, matching):
     for m in critical:
         for mp in sorted(poset.x_plus(m)):
             if mp not in matched:
-                accumulate(m, mp, original.map_of(m, mp))
+                accumulate(m, mp, map_of(original, m, mp))
         for y1 in sorted(poset.x_plus(m)):
             if y1 not in upper_pair:
                 continue
             first = upper_pair[y1]
-            fm = original.map_of(m, y1)
+            fm = map_of(original, m, y1)
             stack = [(first, mat_mul(inverses[first].neg(), fm), {first})]
             while stack:
                 (x, y), acc, on_path = stack.pop()
@@ -175,11 +185,11 @@ def morse_coboundary_oracle(original, matching):
                                 raise CyclicMatching(sorted(on_path))
                             step = mat_mul(
                                 inverses[nxt].neg(),
-                                mat_mul(original.map_of(x, mp), acc),
+                                mat_mul(map_of(original, x, mp), acc),
                             )
                             stack.append((nxt, step, on_path | {nxt}))
                     else:
-                        accumulate(m, mp, mat_mul(original.map_of(x, mp), acc))
+                        accumulate(m, mp, mat_mul(map_of(original, x, mp), acc))
     return {
         key: blk for key, blk in sorted(blocks.items()) if not blk.is_zero()
     }

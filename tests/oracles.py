@@ -150,13 +150,19 @@ def ref_d_squared_witnesses(cx, p=None):
             prod.append(out)
         src, dst = cx.layout(n), cx.layout(n + 2)
         for t in dst.cells:
-            r0, r1 = dst.slot(t)
+            r0, r1 = slot(dst, t)
             for s in src.cells:
-                c0, c1 = src.slot(s)
+                c0, c1 = slot(src, s)
                 if any(prod[i][j] != 0
                        for i in range(r0, r1) for j in range(c0, c1)):
                     witnesses.append((n, t, s))
     return witnesses
+
+
+def slot(layout, cell):
+    """The coordinates [start, stop) of cell's block in layout."""
+    off = layout.offsets[cell]
+    return off, off + layout.ranks[cell]
 
 
 def ref_coboundary(cx, vec, n, p=None):

@@ -314,6 +314,46 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     assert code == 2 and "prime" in err
 
 
+# documents written next to the shipped ones for the refusals below
+WRITTEN_DOCUMENTS = {
+    "sheaf.json": dumps(sheaf_to_json(constant_sheaf(circle_subdivided(6)))),
+    "profile.json": '{"betti": [1, 1]}',
+    "array.json": "[1, 2]",
+}
+FLAG_AND_KIND_ERRORS = [
+    (["compute", "circle6.json", "--field", "fp:x"],
+     "--field fp wants an integer modulus, got 'fp:x'"),
+    (["compute", "circle6.json", "--field", "real"],
+     "--field takes rational or fp:<p>, got 'real'"),
+    (["compute", "circle6.json", "--sheaf", "constant:x"],
+     "--sheaf constant:<rank> wants an integer"),
+    (["compute", "sheaf.json", "--sheaf", "constant"],
+     "--sheaf only applies to bare complex documents"),
+    (["compute", "torus_reeb.json"],
+     "input document is not a complex, sheaf, or parametrization"),
+    (["compute", "profile.json"],
+     "input document is not a complex, sheaf, or parametrization"),
+    (["validate", "array.json"], "top level: expected an object"),
+]
+
+
+@pytest.mark.parametrize("argv, message", FLAG_AND_KIND_ERRORS,
+                         ids=[" ".join(a) for a, _ in FLAG_AND_KIND_ERRORS])
+def test_bad_flags_and_document_kinds_exit_2(capsys, data_dir, tmp_path, argv,
+                                             message):
+    for name, text in WRITTEN_DOCUMENTS.items():
+        (tmp_path / name).write_text(text)
+    paths = [str((tmp_path if a in WRITTEN_DOCUMENTS else data_dir) / a)
+             if a.endswith(".json") else a for a in argv]
+    assert run_cli(capsys, *paths) == (2, "", "error: %s\n" % message)
+
+
+def test_field_rational_is_the_default(capsys, data_dir):
+    circle = str(data_dir / "circle6.json")
+    assert (run_cli(capsys, "compute", circle, "--field", "rational")
+            == run_cli(capsys, "compute", circle))
+
+
 def test_modulus_past_2_64_exits_2_fast(capsys, data_dir, tmp_path):
     # a 30-digit modulus; trial division up to its square root never ends
     modulus = 10 ** 30 + 57
@@ -344,10 +384,19 @@ def test_deep_cover_exits_3_fast(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+# a vertex and an edge of rank 10^8 with no cover between them
+WIDE_DOCUMENT = (
+    '{"cells":[{"dim":1,"id":"e","rank":100000000},'
+    '{"dim":0,"id":"v","rank":1}],"covers":[],'
+    '"field":{"kind":"rational"},"kind":"reduced","matching":[]}')
+
+
 def test_out_of_memory_exits_2(tmp_path):
+    # the generators of the edge's 10^8-dimensional H^1 are the columns of
+    # a dense kernel basis, far beyond the cap
     resource = pytest.importorskip("resource")
-    doc = tmp_path / "torus20.json"
-    doc.write_text(dumps(complex_to_json(torus_grid(20, 20))))
+    doc = tmp_path / "wide.json"
+    doc.write_text(WIDE_DOCUMENT)
     limit = 300 * 2 ** 20
 
     def cap_address_space():
@@ -356,7 +405,7 @@ def test_out_of_memory_exits_2(tmp_path):
     src = str(pathlib.Path(scythe.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "scythe.cli", "compute", str(doc),
-         "--sheaf", "constant:50", "--no-reduce"],
+         "--generators"],
         capture_output=True, text=True, preexec_fn=cap_address_space,
         env=dict(os.environ, PYTHONPATH=src),
     )
@@ -369,10 +418,7 @@ def test_rank_of_an_uncovered_stalk_costs_no_memory(tmp_path):
     # no row for them and Betti is read off the layout totals
     resource = pytest.importorskip("resource")
     doc = tmp_path / "wide.json"
-    doc.write_text(
-        '{"cells":[{"dim":1,"id":"e","rank":100000000},'
-        '{"dim":0,"id":"v","rank":1}],"covers":[],'
-        '"field":{"kind":"rational"},"kind":"reduced","matching":[]}')
+    doc.write_text(WIDE_DOCUMENT)
     limit = 2 ** 30
 
     def cap_address_space():

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -28,10 +29,10 @@ from scythe.complexes import (
     torus_reeb,
 )
 from scythe.cw import subcomplex
-from scythe.errors import InvalidSheafData, SolveFailed
+from scythe.errors import InvalidSheafData, SolveFailed, UnknownCell
 from scythe.field import RATIONAL, fp
 from scythe.matrix import Matrix, mat_mul, matvec
-from scythe.parametrization import Parametrization
+from scythe.parametrization import CochainComplex, Layout, Parametrization
 from scythe.sheaf import (
     compile_sheaf,
     constant_sheaf,
@@ -92,6 +93,7 @@ def test_profile_equality_and_json():
     assert p == CohomologyProfile([1, 2])
     assert p != CohomologyProfile([1, 2, 1])
     assert p.to_json() == {"betti": [1, 2]}
+    assert repr(p) == "CohomologyProfile([1, 2])"  # printed by a failed ==
     g = betti(compile_sheaf(constant_sheaf(circle())).assemble(), generators=True)
     j = g.to_json()
     assert set(j) == {"betti", "generators"}
@@ -205,6 +207,20 @@ def test_stacked_coboundaries_match_reference_grids():
             assert repr(stacked) == repr(coboundary_grid(cx, n))
 
 
+def test_rows_hold_only_the_nonzero_entries():
+    # a rank-3 identity block puts one entry in each of its rows, not three
+    cx = compile_sheaf(constant_sheaf(circle_subdivided(4), 3)).assemble()
+    rows = _coboundary_rows(cx, 0)
+    assert len(rows) == 12
+    assert all(len(row) == 2 and all(row.values()) for row in rows.values())
+    # a stored zero of another type than the field's zero stays, as a
+    # computed one does in elimination
+    block = Matrix(RATIONAL, 1, 3, [[Fraction(0), 1, 0]])
+    cx = CochainComplex(RATIONAL, {0: Layout([("a", 3)]), 1: Layout([("e", 1)])},
+                        {("a", "e"): block})
+    assert repr(_coboundary_rows(cx, 0)) == repr({0: {0: Fraction(0), 1: 1}})
+
+
 def test_class_coordinates_match_reference_solve():
     # a kernel combination plus a coboundary, solved for against
     # [d^{n-1} | flagged representatives] by plain elimination
@@ -254,6 +270,18 @@ def test_induced_map_circle_into_annulus():
     # inclusion of the boundary circle into the annulus is an H^1 iso
     assert m.rows == 1 and m.cols == 1
     assert m.data[0][0] != big.field.zero
+
+
+def test_induced_map_refuses_an_embedding_that_does_not_fit():
+    line = compile_sheaf(constant_sheaf(circle())).assemble()
+    plane = compile_sheaf(constant_sheaf(circle(), 2)).assemble()
+    names = dict.fromkeys(line.layout(0).cells, "zz")
+    with pytest.raises(UnknownCell,
+                       match=r"^embedding target 'zz' missing at dimension 0$"):
+        induced_map(line, line, names, 0)
+    with pytest.raises(SolveFailed,
+                       match=r"^stalk ranks differ across the embedding at "):
+        induced_map(plane, line, None, 0)
 
 
 # H^n(vertex fiber) -> H^n(edge fiber) on every cover of the shipped Reeb

@@ -63,6 +63,17 @@ def test_field_json_roundtrip():
         FieldSpec.from_json({"kind": "fp", "p": 4})
     with pytest.raises(ParseError):
         FieldSpec.from_json("rational")
+    with pytest.raises(ParseError, match=r"^unknown field kind 'real'$"):
+        FieldSpec.from_json({"kind": "real"})
+
+
+def test_field_and_matrix_reprs():
+    # pytest prints these when a comparison fails
+    assert repr(RATIONAL) == "FieldSpec('rational')"
+    assert repr(fp(5)) == "FieldSpec('fp', 5)"
+    m = Matrix.from_rows(RATIONAL, [[1, 0], [0, -1]])
+    assert repr(m.add(Matrix(RATIONAL, 2, 2, [[0, Fraction(1, 2)], [0, 0]]))) \
+        == "Matrix(2x2 [1 1/2; 0 -1])"
 
 
 @given(st.fractions(max_denominator=50))
@@ -113,6 +124,12 @@ def test_rational_exponent_bound_follows_digit_limit(digit_limit):
     assert RATIONAL.parse("1e-4300") == Fraction(1, 10 ** 4300)
     sys.set_int_max_str_digits(0)  # disabled: exponents are unbounded
     assert RATIONAL.parse("1e5000") == 10 ** 5000
+
+
+def test_rational_literal_with_a_non_integer_exponent_is_refused(digit_limit):
+    # "x" after the e is no exponent, so Fraction gives the verdict
+    with pytest.raises(ParseError, match=r"^bad rational literal '1ex'$"):
+        RATIONAL.parse("1ex")
 
 
 _mixed_entries = st.one_of(
@@ -510,6 +527,29 @@ def test_product_kernels_give_the_loops_entries_and_types(p, r, k, c, c_kind,
     else:
         assert (got.rows, got.cols) == (r, c)
         assert _reprs(got.data) == _reprs(want)
+
+
+def test_add_sub_mat_mul_and_matvec_refuse_mismatched_operands():
+    f = RATIONAL
+    a, b = Matrix.identity(f, 2), Matrix.zeros(f, 2, 3)
+    for op in (a.add, a.sub):
+        with pytest.raises(ValueError, match=r"^shape mismatch 2x2 vs 2x3$"):
+            op(b)
+        with pytest.raises(ValueError, match=r"^field mismatch$"):
+            op(Matrix.identity(fp(5), 2))
+    with pytest.raises(ValueError, match=r"^inner dimensions 3 vs 2$"):
+        mat_mul(b, a)
+    with pytest.raises(ValueError, match=r"^field mismatch$"):
+        mat_mul(a, Matrix.zeros(fp(5), 2, 3))
+    with pytest.raises(ValueError, match=r"^vector length 2, matrix wants 3$"):
+        matvec(b, [1, 0])
+
+
+def test_solve_needs_zero_right_hand_side_on_rows_never_made():
+    # row 1 holds no entry, so A.x has a zero there whatever x is
+    ech = EchelonSolver.of_rows(RATIONAL, 2, 1, {0: {0: 2}}, True)
+    assert ech.solve([4, 0]) == [2]
+    assert ech.solve([4, 1]) is None
 
 
 def test_mul_sub_refuses_mismatched_operands():

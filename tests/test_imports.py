@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -88,3 +89,102 @@ def test_module_reads_every_parameter(name):
     found = unread_parameters((PACKAGE / name).read_text())
     allowed = [(fn, p) for module, fn, p in UNREAD_ALLOWED if module == name]
     assert found == allowed
+
+
+ROOT = PACKAGE.parent.parent
+# where a name may be read: the library, its tests, the benchmark, scripts
+READERS = sorted(p for d in ("src", "tests", "perfbench", "scripts")
+                 for p in (ROOT / d).rglob("*.py"))
+
+
+def _names_read(tree, reexport):
+    """Each name a tree reads, as a variable, an attribute or an import; a
+    re-export module's imports read nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and not reexport:
+            yield from (alias.name for alias in node.names)
+
+
+def unnamed_definitions(defining, sources):
+    """(file, name) for each function, class or method defined in a file
+    of defining that no file of sources ({file: text}) names outside that
+    definition, sorted.  Dunder names are exempt, and a file called
+    __init__.py re-exports: its imports name nothing."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {}
+    for name, tree in trees.items():
+        for word in _names_read(tree, name.endswith("__init__.py")):
+            read[word] = read.get(word, 0) + 1
+    out = []
+    for name in defining:
+        for node in ast.walk(trees[name]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            word = node.name
+            if word.startswith("__") and word.endswith("__"):
+                continue
+            inside = sum(w == word for w in _names_read(node, False))
+            if read.get(word, 0) == inside:
+                out.append((name, word))
+    return sorted(out)
+
+
+def test_unnamed_definitions_are_found():
+    lib = ("class A:\n"
+           "    def used(self):\n        return 1\n"
+           "    def spin(self):\n        return self.spin()\n"
+           "    def __repr__(self):\n        return 'A'\n"
+           "def helper():\n    return helper()\n"
+           "def caller():\n    return A().used()\n"
+           "def imported():\n    pass\n")
+    sources = {"lib.py": lib,
+               "__init__.py": "from .lib import A, helper, caller\n",
+               "test_lib.py": "from lib import imported\n"
+                              "def test():\n    caller()\n"}
+    assert unnamed_definitions(["lib.py"], sources) == [
+        ("lib.py", "helper"), ("lib.py", "spin")]
+
+
+def test_every_definition_is_named_outside_itself():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
+    defining = ["src/scythe/" + name for name in MODULES]
+    assert unnamed_definitions(defining, sources) == []
+
+
+def readme_api():
+    """The names the README's API section lists, in order: every
+    backquoted name on its bullet lines."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- "):]
+    return re.findall(r"`([A-Za-z_]\w*)`", bullets)
+
+
+def imported_from_scythe(source):
+    """The names a module imports with `from scythe import ...`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "scythe"
+            and not node.level for alias in node.names}
+
+
+def test_readme_lists_the_package_exports():
+    listed = readme_api()
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(scythe.__all__)
+    assert len(scythe.__all__) == len(set(scythe.__all__))
+
+
+def test_benchmark_and_scripts_import_only_exported_names():
+    assert imported_from_scythe("from scythe import a, b\n"
+                                "from scythe.cli import c\n"
+                                "from .scythe import d\n") == {"a", "b"}
+    used = set()
+    for path in READERS:
+        if path.parent.name in ("perfbench", "scripts"):
+            used |= imported_from_scythe(path.read_text())
+    assert used and used <= set(scythe.__all__)

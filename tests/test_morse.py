@@ -31,6 +31,7 @@ from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from morse_oracle import (
     CyclicMatching,
+    map_of,
     morse_coboundary_oracle,
     verify_acyclic,
     verify_matching_axioms,
@@ -196,7 +197,7 @@ def test_a_built_parametrization_drops_zero_and_missing_blocks():
     assert sorted(param.poset.dims) == ["e", "u", "v", "w"]
     assert list(param.maps) == [("u", "e")]
     assert_consistent(param)
-    assert param.map_of("v", "e").is_zero()
+    assert map_of(param, "v", "e").is_zero()
 
 
 def test_reduce_pair_circle_cancels_to_zero():

@@ -87,6 +87,8 @@ def test_cover_validation():
         Cover(cw, [("A", ["u", "e"])])
     with pytest.raises(NotACover):
         Cover(cw, [("A", ["u"])])
+    with pytest.raises(NotACover, match=r"^a cover needs at least one piece$"):
+        Cover(cw, [])
 
 
 def test_nerve_shapes():

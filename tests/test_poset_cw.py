@@ -256,3 +256,5 @@ def test_torus_grid_shape():
     assert by_dim == {0: 4, 1: 8, 2: 4}
     with pytest.raises(ValueError):
         torus_grid(1, 5)
+    with pytest.raises(ValueError, match=r"^need at least 2 edges$"):
+        circle_subdivided(1)

@@ -385,6 +385,16 @@ def test_cover_round_trip():
         parse_cover({"kind": "complex", "pieces": []}, cw)
 
 
+def test_cover_and_fibers_documents_name_a_missing_key():
+    cw = circle()
+    with pytest.raises(ParseError, match=r"^\$: missing 'pieces'$"):
+        parse_cover({"kind": "cover"}, cw)
+    with pytest.raises(ParseError, match=r"^pieces\[0\]: missing 'cells'$"):
+        parse_cover({"pieces": [{"name": "A"}]}, cw)
+    with pytest.raises(ParseError, match=r"^\$: missing 'graph'$"):
+        parse({"kind": "fibers", "fibers": {}})
+
+
 def test_fibers_round_trip():
     _, graph, fibers = torus_reeb()
     doc = fibers_to_json(graph, fibers)
@@ -482,6 +492,8 @@ READER_ERRORS = [
      "$.covers[1].map: expected 1 rows, got 2"),
     ("short-row", _set(("covers", 1, "map"), [[]]),
      "$.covers[1].map[0]: expected 1 entries"),
+    ("unhashable-grid", _set(("covers", 1, "map"), [1, 2]),
+     "$.covers[1].map: expected 1 rows, got 2"),
     ("float-entry", _set(("covers", 1, "map"), [[1.5]]),
      "$.covers[1].map[0][0]: expected an element string"),
     ("zero-denominator", _set(("covers", 1, "map"), [["1/0"]]),
@@ -506,6 +518,12 @@ READER_ERRORS = [
      "$.covers[0]: from/to must be cell ids"),
     ("missing-to", lambda d: d["covers"][0].pop("to"),
      "$.covers[0]: missing 'to'"),
+    ("missing-from", lambda d: d["covers"][1].pop("from"),
+     "$.covers[1]: missing 'from'"),
+    ("missing-incidence", lambda d: d["covers"][1].pop("incidence"),
+     "$.covers[1]: missing 'incidence'"),
+    ("cover-not-object", _set(("covers", 0), ["u", "e"]),
+     "$.covers[0]: expected an object"),
     ("incidence-2", _set(("covers", 1, "incidence"), 2),
      "$.covers[1].incidence: expected +1 or -1"),
     ("incidence-string", _set(("covers", 1, "incidence"), "1"),
