@@ -27,6 +27,7 @@ from .nerve import (
 from .parametrization import Parametrization
 from .report import build_report, input_parameters
 from .serialize import (
+    _stream,
     complex_to_json,
     document_kind,
     dumps,
@@ -117,12 +118,14 @@ def _obtain_param(args):
 
 
 def _emit(args, obj):
-    text = dumps(obj)
+    """Stream obj's canonical text to the -o file or stdout.  Its entries
+    are formatted when obj is built, so an element that cannot be written
+    fails before the file is opened or a byte is written."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _stream(obj, fh.write)
     else:
-        sys.stdout.write(text)
+        _stream(obj, sys.stdout.write)
 
 
 def _lift_generators(eq, profile):

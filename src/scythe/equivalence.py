@@ -12,8 +12,10 @@ steps are folded once into sparse rows and columns, kept as
 {coordinate: value} dicts.  The fold keeps no psi row for a cell some step
 removes as its lower cell and no phi column for one removed as its upper
 cell: neither is read before it is deleted.  The document is written
-straight from the fold's rows (psi_vecs, phi_vecs, theta_vecs; see
-serialize.equivalence_to_json).
+straight from the fold's rows (psi_vecs, phi_vecs, theta_vecs), each made
+into a row of strings only when the writer reaches it (see
+serialize.equivalence_to_json), so writing holds the sparse fold, its
+rows as dicts and one dense row, never a dense matrix.
 """
 
 from .errors import NotACocycle

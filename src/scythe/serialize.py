@@ -9,10 +9,13 @@ indent=2, sort_keys=True) plus a newline, but json has no C path for
 indent and would encode every matrix entry in pure Python; plain ints are
 written with int.__repr__, a row of strings that need no escape is
 written with one join, and a tuple that recurs in one array is written
-once.  The --equivalence document's rows are built from the sparse fold
-of the reduction steps with no dense matrix of field elements: zeros are
-one shared string, and all the all-zero rows of a matrix are one shared
-tuple.  Parse errors carry a JSON-ish path to the
+once.  The writer passes its chunks to a write callable: dumps joins them
+into one string, and the CLI streams them to stdout or its -o file, so it
+never holds a whole document.  The --equivalence document's rows are
+made from the sparse fold of the reduction steps only as the writer
+reaches them, so such a document can be written only once, and writing
+it holds one dense row at a time: zeros are one shared string, and all
+the all-zero rows of a matrix are one shared tuple.  Parse errors carry a JSON-ish path to the
 offending spot; the readers of cells, covers and matrices format that
 path and message only when they raise.  A complex, sheaf or compiled
 document is read in one pass that makes each check once: each distinct
@@ -22,6 +25,7 @@ poset is indexed once (see the readers' notes below).
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 from . import matrix, parametrization
 from .cohomology import CohomologyProfile
@@ -48,65 +52,82 @@ def dumps(obj):
     again (the same object, by id) is written from the text of its first
     writing; a tuple cannot change between the two, and the shared
     all-zero rows of the --equivalence matrices are each written once.
-    A plain int is int.__repr__ (what json's
-    encoder calls for it; bools are not plain ints and stay true/false),
-    and other scalars go through json.dumps.
+    A generator is an array too, written item by item as it yields them
+    (json refuses one): the --equivalence matrices are generators of
+    rows.  A plain int is int.__repr__ (what json's encoder calls for it;
+    bools are not plain ints and stay true/false), and other scalars go
+    through json.dumps.
     """
     out = []
-    _write(obj, "\n", out)
-    out.append("\n")
+    _stream(obj, out.append)
     return "".join(out)
 
 
-def _write(obj, newline, out):
-    """Append obj's chunks to out; newline carries the current indent."""
+def _stream(obj, write):
+    """Pass dumps(obj) to write chunk by chunk; the CLI writes its output
+    this way, so it never holds a whole document."""
+    _write(obj, "\n", write)
+    write("\n")
+
+
+def _write(obj, newline, write):
+    """Pass obj's chunks to write; newline carries the current indent."""
     if isinstance(obj, str):
-        out.append(_quote(obj))
+        write(_quote(obj))
     elif type(obj) is int:
-        out.append(int.__repr__(obj))
+        write(int.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
         try:
             text = "".join(obj)
         except TypeError:
             text = None  # not all strings
-        if text is None:
-            opener = "["
-            written = {}  # id of a tuple item -> its text at this indent
-            for item in obj:
-                out.append(opener + inner)
-                opener = ","
-                if type(item) is not tuple:
-                    _write(item, inner, out)
-                elif id(item) in written:
-                    out.append(written[id(item)])
-                else:
-                    start = len(out)
-                    _write(item, inner, out)
-                    written[id(item)] = "".join(out[start:])
-            out.append(newline + "]")
-        elif _plain(text):  # each item's JSON form is "item"
-            out.append("[" + inner + '"' + ('",' + inner + '"').join(obj)
-                       + '"' + newline + "]")
+        if text is None or not obj:
+            _write_items(obj, newline, write)
+            return
+        inner = newline + "  "
+        if _plain(text):  # each item's JSON form is "item"
+            write("[" + inner + '"' + ('",' + inner + '"').join(obj)
+                  + '"' + newline + "]")
         else:
-            out.append("[" + inner + ("," + inner).join(map(_quote, obj))
-                       + newline + "]")
+            write("[" + inner + ("," + inner).join(map(_quote, obj))
+                  + newline + "]")
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         opener = "{"
         for key, value in sorted(obj.items()):
-            out.append(opener + inner + _quote(_key(key)) + ": ")
-            _write(value, inner, out)
+            write(opener + inner + _quote(_key(key)) + ": ")
+            _write(value, inner, write)
             opener = ","
-        out.append(newline + "}")
+        write(newline + "}")
+    elif isinstance(obj, GeneratorType):
+        _write_items(obj, newline, write)
     else:
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
+
+
+def _write_items(items, newline, write):
+    """An array item by item.  A tuple item met again is written from the
+    text of its first writing; the tuple is kept with its text, so its id
+    cannot pass to another object while the array is written."""
+    inner = newline + "  "
+    opener = "["
+    written = {}  # id of a tuple item -> (the tuple, its text at this indent)
+    for item in items:
+        write(opener + inner)
+        opener = ","
+        if type(item) is not tuple:
+            _write(item, inner, write)
+            continue
+        seen = written.get(id(item))
+        if seen is None:
+            parts = []
+            _write(item, inner, parts.append)
+            seen = written[id(item)] = (item, "".join(parts))
+        write(seen[1])
+    write("[]" if opener == "[" else newline + "]")
 
 
 def _plain(text):
@@ -200,45 +221,49 @@ def equivalence_to_json(eq):
     """Dense psi/phi/theta matrices by dimension, with their cell orders,
     for degrees 0..top of the source complex.
 
-    Each matrix is built from the sparse fold's rows (_rows); no matrix of
-    field elements is made.  Its all-zero rows are one shared tuple, which
-    dumps writes once per matrix.
+    Each matrix is a generator of rows that _rows makes from the sparse
+    fold as the writer reaches them, so the document is written once and
+    no list of its rows is ever built.  Its all-zero rows are one shared
+    tuple, which dumps writes once per matrix.  Every distinct entry is
+    formatted before this returns, so an entry that cannot be written
+    fails before any byte is.
     """
     src, dst = eq.src_complex, eq.dst_complex
     degrees = range(src.top + 1)
     f = eq.field
+    texts = {}
     return {
-        "psi": {str(n): _rows(f, eq.psi_vecs(n), src.rank_c(n))
+        "psi": {str(n): _rows(f, texts, eq.psi_vecs(n), src.rank_c(n))
                 for n in degrees},
-        "phi": {str(n): _rows(f, eq.phi_vecs(n), dst.rank_c(n))
+        "phi": {str(n): _rows(f, texts, eq.phi_vecs(n), dst.rank_c(n))
                 for n in degrees},
-        "theta": {str(n): _rows(f, eq.theta_vecs(n), src.rank_c(n))
+        "theta": {str(n): _rows(f, texts, eq.theta_vecs(n), src.rank_c(n))
                   for n in degrees[1:]},
         "source_cells": {str(n): list(src.layout(n).cells) for n in degrees},
         "target_cells": {str(n): list(dst.layout(n).cells) for n in degrees},
     }
 
 
-def _rows(field, vecs, width):
+def _rows(field, texts, vecs, width):
     """The rows of one matrix from {column: value} dicts of its nonzero
-    entries, as strings: each distinct value is formatted once, a row with
-    entries is a list, and every empty dict gives the one all-zero tuple."""
+    entries, as strings.  Each value not in texts is formatted and put
+    there now; the rows come one at a time: a row with entries is a list,
+    and every empty dict gives the one all-zero tuple."""
+    for vec in vecs:
+        for v in vec.values():
+            if v not in texts:
+                texts[v] = field.format(v)
     zero = field.format(field.zero)
     blank = (zero,) * width
-    texts = {}
-    rows = []
-    for vec in vecs:
-        if not vec:
-            rows.append(blank)
-            continue
-        row = [zero] * width
-        for j, v in vec.items():
-            text = texts.get(v)
-            if text is None:
-                text = texts[v] = field.format(v)
-            row[j] = text
-        rows.append(row)
-    return rows
+    return (_row(vec, width, zero, texts) if vec else blank for vec in vecs)
+
+
+def _row(vec, width, zero, texts):
+    """A row with entries: zero's text but at the columns of vec."""
+    row = [zero] * width
+    for j, v in vec.items():
+        row[j] = texts[v]
+    return row
 
 
 def reduced_to_json(morse_data, equivalence=None):

@@ -7,19 +7,21 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import scythe
-from scythe.cli import build_parser, main
+from scythe import morse
+from scythe.cli import _emit, build_parser, main
 from scythe.complexes import circle_subdivided, filled_triangle, torus_grid
 from scythe.field import RATIONAL
 from scythe.matrix import Matrix, mat_mul, matvec, try_invert
 from scythe.nerve import Cover, nerve
 from scythe.serialize import (
     complex_to_json, cover_to_json, dumps, loads, param_to_json, parse,
-    sheaf_to_json,
+    reduced_to_json, sheaf_to_json,
 )
 from scythe.sheaf import CellularSheaf, compile_sheaf, constant_sheaf
 
@@ -76,14 +78,28 @@ def test_compute_lifted_generators_are_cocycles(capsys, data_dir):
             assert all(v == RATIONAL.zero for v in image)
 
 
+# one run of each command whose output is byte-stable (bench prints timings)
+OUTPUT_RUNS = [
+    ["compute", "torus.json", "--generators"],
+    ["compute", "torus.json", "--lift"],
+    ["reduce", "torus.json", "--equivalence"],
+    ["nerve", "circle8.json", "two_arc_cover.json"],
+    ["cech", "circle6.json", "three_arc_cover.json"],
+    ["leray", "torus.json", "torus_reeb.json"],
+    ["validate", "torus_reeb.json", "--base", "torus.json"],
+]
+
+
 def test_output_flag_matches_stdout(capsys, data_dir, tmp_path):
-    torus = str(data_dir / "torus.json")
-    _, out, _ = run_cli(capsys, "compute", torus, "--generators")
+    # the writer streams to stdout or to the -o file: the same bytes
     dest = tmp_path / "result.json"
-    code, silent, _ = run_cli(capsys, "compute", torus, "--generators",
-                              "-o", str(dest))
-    assert code == 0 and silent == ""
-    assert dest.read_text() == out
+    for argv in OUTPUT_RUNS:
+        argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.endswith("}\n")
+        code, silent, _ = run_cli(capsys, *argv, "-o", str(dest))
+        assert code == 0 and silent == ""
+        assert dest.read_bytes() == out.encode("utf-8")
 
 
 def test_reduce_report_and_equivalence(capsys, data_dir):
@@ -829,6 +845,41 @@ def test_element_beyond_digit_limit_exits_2_when_written(capsys, tmp_path,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
     assert "Traceback" not in proc.stderr
+
+
+def test_failed_run_leaves_the_output_file_untouched(capsys, tmp_path,
+                                                     data_dir, digit_limit):
+    # every entry is formatted before the -o file is opened
+    cw = parse(loads((data_dir / "circle6.json").read_text()))
+    sheaf = sheaf_to_json(constant_sheaf(cw, 1, RATIONAL))
+    sheaf["covers"][0]["map"] = [["1e4300"]]
+    doc = tmp_path / "huge.json"
+    doc.write_text(dumps(sheaf))
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b'{"kept": true}\n')
+    code, out, err = run_cli(capsys, "reduce", str(doc), "--equivalence",
+                             "-o", str(existing))
+    assert (code, out, err) == (
+        2, "", "error: cannot write an element of more than 4300 digits, "
+        "the limit of sys.get_int_max_str_digits()\n")
+    assert existing.read_bytes() == b'{"kept": true}\n'
+
+
+def test_writing_the_equivalence_document_holds_no_matrix(tmp_path):
+    # the 16x16 rank-2 document is 15.3 MiB of text; its rows are made as
+    # the writer streams them to the -o file
+    data = morse.scythe(compile_sheaf(constant_sheaf(torus_grid(16, 16), 2)),
+                        track_equivalence=True)
+    data.equivalence.psi_vecs(0)  # fold the steps before the trace
+    args = argparse.Namespace(output=str(tmp_path / "eq.json"))
+    tracemalloc.start()
+    try:
+        _emit(args, reduced_to_json(data, equivalence=data.equivalence))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(args.output) > 15 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def test_bench_emits_growing_sizes(capsys):
