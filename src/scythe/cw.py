@@ -6,10 +6,14 @@ reporting every pair that breaks it; a face-closed subcomplex inherits all
 three.  Over each sigma < tau with dim tau = dim sigma + 2,
 
     sum over lambda with sigma < lambda < tau of [sigma:lambda][lambda:tau] = 0.
+
+A complex never changes, so its poset keeps each cell's covers in tuples,
+and one that build_cw or subcomplex returns holds one id object per cell:
+every incidence key and every adjacency entry is the cell's own id.
 """
 
 from .errors import IncidenceIdentityViolation, NotASubcomplex, UnknownCell, ValidationError
-from .poset import GradedPoset, build_poset
+from .poset import GradedPoset, _graded
 
 
 class CWComplex:
@@ -94,13 +98,15 @@ def check_face_closed(cw, cells):
     misses.
     """
     dims, down = cw.poset.dims, cw.poset.down
-    bad = [c for c in cells if c not in dims or not down[c] <= cells]
+    held = cells.issuperset
+    bad = [c for c in cells if c not in dims or not held(down[c])]
     if bad:
         cell = min(bad)
         if cell not in dims:
             raise UnknownCell("no cell %r in the complex" % (cell,))
+        missed = min(f for f in down[cell] if f not in cells)
         raise NotASubcomplex("cell %r kept but its face %r dropped"
-                             % (cell, min(down[cell] - cells)))
+                             % (cell, missed))
 
 
 def subcomplex(cw, cells):
@@ -109,12 +115,13 @@ def subcomplex(cw, cells):
     Cell ids carry over unchanged, so inclusions into the ambient complex
     are identity maps on ids, and nothing checked in cw is checked again.
     Since cw's incidences sit on exactly its covers, the kept covers are
-    the faces of the kept cells, read in sorted order.
+    the faces of the kept cells, read in sorted order.  The result holds
+    cw's id objects, not the caller's.
     """
     cells = set(cells)
     check_face_closed(cw, cells)
-    kept = sorted(cells)
     poset = cw.poset
+    kept = sorted(c for c in poset.dims if c in cells)
     incidence = {(f, c): cw.incidence[(f, c)]
                  for c in kept for f in sorted(poset.down[c])}
     dims = {c: poset.dims[c] for c in kept}
@@ -122,8 +129,14 @@ def subcomplex(cw, cells):
 
 
 def build_cw(elements, signed_incidence):
-    """A CWComplex on cells (id, dim) whose covers are the keys of {pair: sign}."""
-    incidence = dict(signed_incidence)
-    poset = build_poset(elements, incidence)
+    """A CWComplex on cells (id, dim) whose covers are the keys of
+    {pair: sign}.
+
+    The covers keep the caller's order, each endpoint the id object that
+    elements declares it with.
+    """
+    signs = dict(signed_incidence)
+    dims, pairs = _graded(elements, signs)
+    incidence = dict(zip(pairs, signs.values()))
     _check_signs(incidence)
-    return _signed(poset, incidence)
+    return _signed(GradedPoset(dims, incidence), incidence)

@@ -15,12 +15,17 @@ cell: neither is read before it is deleted.  The document is written
 straight from the fold's rows (psi_vecs, phi_vecs, theta_vecs), each made
 into a row of strings only when the writer reaches it (see
 serialize.equivalence_to_json), so writing holds the sparse fold, its
-rows as dicts and one dense row, never a dense matrix.
+rows as dicts and one dense row, never a dense matrix.  Every empty phi
+or Theta row is one shared read-only mapping.
 """
+
+from types import MappingProxyType
 
 from .errors import NotACocycle
 from .matrix import matvec, matvec_add, mul_sub
 from .parametrization import d_kills, nonzero_blocks
+
+_EMPTY = MappingProxyType({})
 
 
 class StepMaps:
@@ -72,20 +77,24 @@ class Equivalence:
 
     def phi_vecs(self, n):
         """The rows of phi^n as dicts, scattered from the fold's columns;
-        C^n(reduced) wide."""
+        C^n(reduced) wide.  A row with no entry is the shared empty one."""
         phi = self._maps()[1].get(n, {})
-        rows = [{} for _ in range(self.src_complex.rank_c(n))]
+        rows = [_EMPTY] * self.src_complex.rank_c(n)
         cols = (v for c in self.dst_complex.layout(n).cells for v in phi[c])
         for j, col in enumerate(cols):
             for i, v in col.items():
-                rows[i][j] = v
+                row = rows[i]
+                if row is _EMPTY:
+                    row = rows[i] = {}
+                row[j] = v
         return rows
 
     def theta_vecs(self, n):
         """The rows of Theta^n as dicts, one per coordinate of C^{n-1};
-        C^n(original) wide."""
+        C^n(original) wide.  A row Theta lacks is the shared empty one."""
         theta = self._maps()[2].get(n, {})
-        return [theta.get(i, {}) for i in range(self.src_complex.rank_c(n - 1))]
+        return [theta.get(i, _EMPTY)
+                for i in range(self.src_complex.rank_c(n - 1))]
 
 
 def _fold(field, layouts, steps):

@@ -150,22 +150,25 @@ def _support(base, cells, field):
     """compile_sheaf(constant_sheaf(subcomplex(base, cells), 1, field)), built
     in one pass over the set cells, which its caller has checked face-closed.
 
-    Each cell, in sorted order, gets rank 1 and its kept covers, and each
-    face f of a cell c, in sorted order, the shared +I or -I block of the
-    sign [f:c].  No CWComplex or CellularSheaf is built and nothing is
-    walked for d^2: the blocks are +-I, so d^2 = 0 is the sign identity
-    that base holds and the face-closed cells inherit, as check_sheaf
-    reasons for constant sheaves.
+    Each cell, in sorted order, gets rank 1 and a set of its faces, and
+    each face f of a cell c, in sorted order, c in f's up-set and the
+    shared +I or -I block of the sign [f:c], so the up-sets are made in
+    the face loop and base's up tuples are not read.  No CWComplex or
+    CellularSheaf is built and nothing is walked for d^2: the blocks are
+    +-I, so d^2 = 0 is the sign identity that base holds and the
+    face-closed cells inherit, as check_sheaf reasons for constant sheaves.
     """
     poset, incidence = base.poset, base.incidence
     one = Matrix.identity(field, 1)
     block = {1: one, -1: one.neg()}
-    dims, up, down, maps = {}, {}, {}, {}
-    for c in sorted(cells):
+    kept = sorted(cells)
+    up = {c: set() for c in kept}
+    dims, down, maps = {}, {}, {}
+    for c in kept:
         dims[c] = poset.dims[c]
-        up[c] = poset.up[c] & cells
         down[c] = faces = set(poset.down[c])
         for f in sorted(faces):
+            up[f].add(c)
             maps[(f, c)] = block[incidence[(f, c)]]
     return parametrization._built(field, _indexed(dims, up, down),
                                   dict.fromkeys(dims, 1), maps)
@@ -343,7 +346,7 @@ def validate_fibers(X, gamma, fibers):
                 raise FibersDoNotPresent(
                     "no vertex fiber holds cell %r of the complex" % (cell,))
             if ((len(vs), len(es)) not in ((1, 0), (2, 1))
-                    or es and set(vs) != ends(es[0])):
+                    or es and set(vs) != set(ends(es[0]))):
                 raise FibersDoNotPresent(
                     "cell %r lies in vertex fibers %r and edge fibers %r"
                     % (cell, vs, es))

@@ -10,16 +10,18 @@ interval at a time; elimination reads them into sparse rows.
 
 This module owns d^2 = 0 and the one nonzero block per cover.
 Parametrization(...) checks d^2, then drops zero blocks and indexes its
-own poset from the rest; compile_sheaf, the reader and nerve._support
-build both in, copy copies, and the sweep preserves both.  So elimination
-never checks d^2, and the sweep finds a block on every cover.
+own poset from the rest, in the sets the sweep edits (poset._editable,
+which compile_sheaf and the reader use too); compile_sheaf, the reader
+and nerve._support build both in, copy copies, and the sweep preserves
+both.  So elimination never checks d^2, and the sweep finds a block on
+every cover.
 """
 
 from itertools import compress
 
 from .errors import InvalidSheafData
 from .matrix import matvec_add
-from .poset import GradedPoset
+from .poset import _editable
 
 
 class Layout:
@@ -69,7 +71,7 @@ class Parametrization:
         check_d_squared(field, maps, poset.dims)
         maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
         self.field = field
-        self.poset = GradedPoset(dict(poset.dims), maps)
+        self.poset = _editable(dict(poset.dims), maps)
         self.stalk_rank = dict(stalk_rank)
         self.maps = maps
         self.top = poset.max_dim()

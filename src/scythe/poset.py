@@ -3,6 +3,11 @@
 Elements carry a dimension; a cover (x, y) means x is immediately below y
 and must raise dimension by exactly one.  Ids are opaque strings ordered
 lexicographically, and that order breaks every tie downstream.
+
+A poset is never edited, so it keeps each element's covers in a frozen
+tuple.  The one exception is the poset of a Parametrization, which the
+reduction engine edits in place: _editable builds it, and copy() copies
+it, over sets.
 """
 
 from .errors import DanglingId, NonGradedCover, ValidationError
@@ -11,18 +16,23 @@ from .errors import DanglingId, NonGradedCover, ValidationError
 class GradedPoset:
     """Elements with dimensions plus up/down adjacency of the cover relation.
 
+    covers are distinct (x, y) pairs of elements of dims, which build_poset
+    checks; up[x] and down[x] are tuples, in the order they were given.
     Treat instances as immutable.  The reduction engine alone edits dims,
     up and down in place, on the poset of the parametrization it reduces,
-    and keeps the three describing the same cells and covers.
+    whose adjacency is sets (see _editable), and keeps the three
+    describing the same cells and covers.
     """
 
     def __init__(self, dims, covers):
-        self.dims = dims
-        self.up = {x: set() for x in dims}
-        self.down = {x: set() for x in dims}
+        up = {x: [] for x in dims}
+        down = {x: [] for x in dims}
         for x, y in covers:
-            self.up[x].add(y)
-            self.down[y].add(x)
+            up[x].append(y)
+            down[y].append(x)
+        self.dims = dims
+        self.up = {x: tuple(ys) for x, ys in up.items()}
+        self.down = {y: tuple(xs) for y, xs in down.items()}
 
     def __contains__(self, x):
         return x in self.dims
@@ -56,6 +66,7 @@ class GradedPoset:
         return max((len(s) for s in self.up.values()), default=0)
 
     def copy(self):
+        """An editable copy: the same dims and covers, adjacency in sets."""
         return _indexed(dict(self.dims),
                         {x: set(s) for x, s in self.up.items()},
                         {x: set(s) for x, s in self.down.items()})
@@ -68,8 +79,17 @@ def build_poset(elements, covers):
     """Validate and index a graded poset.
 
     elements is an iterable of (id, dim) with unique ids; covers is an
-    iterable of (x, y) pairs whose dimensions must differ by one.
+    iterable of (x, y) pairs whose dimensions must differ by one.  A cover
+    given twice is kept once, where it first appears.
     """
+    dims, pairs = _graded(elements, covers)
+    return GradedPoset(dims, dict.fromkeys(pairs))
+
+
+def _graded(elements, covers):
+    """The dims of elements and the list of covers, checked, each endpoint
+    replaced by the key object of dims that equals it, so a poset built
+    from them holds one id object per element."""
     dims = {}
     for x, d in elements:
         if x in dims:
@@ -77,13 +97,15 @@ def build_poset(elements, covers):
         if not isinstance(d, int) or d < 0:
             raise ValidationError("dimension of %r must be a nonneg integer" % (x,))
         dims[x] = d
-    cov = set()
+    own = {x: x for x in dims}.get
+    pairs = []
     for x, y in covers:
+        x, y = own(x, x), own(y, y)
         dx = dims.get(x)
         if dx is None or dims.get(y) != dx + 1:
             raise cover_fault(dims, x, y)
-        cov.add((x, y))
-    return GradedPoset(dims, cov)
+        pairs.append((x, y))
+    return dims, pairs
 
 
 # The two checks below are made by build_poset and by the JSON reader,
@@ -105,8 +127,19 @@ def cover_fault(dims, x, y):
     )
 
 
+def _editable(dims, covers):
+    """The poset of a Parametrization: adjacency in sets, which the
+    reduction engine edits in place."""
+    up = {x: set() for x in dims}
+    down = {x: set() for x in dims}
+    for x, y in covers:
+        up[x].add(y)
+        down[y].add(x)
+    return _indexed(dims, up, down)
+
+
 def _indexed(dims, up, down):
-    """A GradedPoset over adjacency sets its caller built from checked covers."""
+    """A GradedPoset over adjacency its caller built from checked covers."""
     poset = GradedPoset.__new__(GradedPoset)
     poset.dims = dims
     poset.up = up

@@ -33,7 +33,7 @@ from .cw import CWComplex, _signed
 from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .nerve import Cover
-from .poset import GradedPoset, cover_fault, duplicate_id
+from .poset import GradedPoset, _editable, cover_fault, duplicate_id
 from .sheaf import _built as _built_sheaf
 
 
@@ -344,11 +344,11 @@ def parse_field(obj):
 #   ["1"] or [[1.0]] never stand for [["1"]];
 # - the cell loop indexes the dimensions and the cover loop makes the
 #   checks of build_poset (duplicate ids, dangling endpoints, grading)
-#   with its texts; the poset is indexed once, after both loops, from the
-#   covers of a complex or sheaf and from the nonzero maps of a compiled
-#   document.  Such a fault is raised only after the document's structure
-#   and kind are checked, as a build_poset call after the reading would
-#   raise it.
+#   with its texts; the poset is indexed once, after both loops: in
+#   tuples from the covers of a complex or sheaf, and in the engine's
+#   editable sets from the nonzero maps of a compiled document.  Such a
+#   fault is raised only after the document's structure and kind are
+#   checked, as a build_poset call after the reading would raise it.
 
 def _parse_matrix(field, entries, grid, rows, cols, path, i):
     if not isinstance(grid, list):
@@ -534,7 +534,7 @@ def _parse_complex_family(data, kind, path="$"):
         return _built_sheaf(base, field, ranks, maps)
     maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
     parametrization.check_d_squared(field, maps, dims)
-    poset = GradedPoset(dims, maps)
+    poset = _editable(dims, maps)
     top = _int(data.get("top", poset.max_dim()), path + ".top",
                poset.max_dim())
     param = parametrization._built(field, poset, ranks, maps)

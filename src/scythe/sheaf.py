@@ -11,7 +11,7 @@ from .field import RATIONAL
 from .matrix import Matrix
 from . import parametrization
 from .parametrization import check_blocks, check_d_squared
-from .poset import GradedPoset
+from .poset import _editable
 
 
 class CellularSheaf:
@@ -109,5 +109,5 @@ def compile_sheaf(sheaf):
     checked when the sheaf was built, are not checked again.
     """
     maps = check_sheaf(sheaf)
-    poset = GradedPoset(dict(sheaf.base.poset.dims), maps)
+    poset = _editable(dict(sheaf.base.poset.dims), maps)
     return parametrization._built(sheaf.field, poset, dict(sheaf.stalk_rank), maps)

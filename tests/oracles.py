@@ -25,6 +25,12 @@ from scythe.matrix import Matrix
 from scythe.sheaf import compile_sheaf, constant_sheaf
 
 
+def adjacency_sets(adjacency):
+    """{element: set of its neighbours}: a poset's up or down as the
+    relation it holds, whether its values are tuples or sets."""
+    return {x: set(ys) for x, ys in adjacency.items()}
+
+
 def ref_rank(grid, p=None):
     """Rank by row reduction; grid is a list of rows of ints/Fractions."""
     if not grid or not grid[0]:
