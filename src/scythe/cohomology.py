@@ -14,7 +14,7 @@ construction (see parametrization), and assemble is the only maker of one.
 from .errors import SolveFailed, UnknownCell
 from .matrix import EchelonSolver, Matrix
 from .morse import scythe
-from .parametrization import is_cocycle
+from .parametrization import d_kills, nonzero_blocks
 from .sheaf import compile_sheaf
 
 
@@ -137,7 +137,7 @@ def class_coordinates(cx, vec, n):
     has one expression in them; its coefficients on the flagged kernel
     columns are the coordinates.
     """
-    if not is_cocycle(cx, vec, n):
+    if not d_kills(cx, nonzero_blocks(cx, vec, n)):
         raise SolveFailed("vector at dimension %d is not a cocycle" % n)
     basis = cocycle_basis(cx, n)
     sol = basis.classes.solve(vec)

@@ -411,10 +411,13 @@ class EchelonSolver:
 
     def solve(self, b):
         """One solution x of A.x = b (free variables zero), or None if none:
-        E.b must vanish past the rank, and so must b on rows never made."""
+        E.b must vanish past the rank, and so must b on rows never made.
+        Raises SolveFailed if b has the wrong length or the echelon was made
+        without its transform."""
         if len(b) != self.rows:
             raise SolveFailed("rhs length %d, expected %d" % (len(b), self.rows))
-        assert self._solves, "echelon made without its transform"
+        if not self._solves:
+            raise SolveFailed("echelon made without its transform")
         f, n = self.field, self.cols
         if any(i not in self._rows for i in compress(range(len(b)), b)):
             return None

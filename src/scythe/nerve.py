@@ -6,8 +6,9 @@ is at most one-dimensional, so higher nerves are refused, not approximated.
 Stalk computations are independent tasks; they run in task order in one
 process.  Each fiber (support) is compiled straight from the base complex,
 in one pass over its cells, as the rank-1 constant sheaf with a shared +I or
--I block on each kept cover.  It needs no d-squared walk: for +-I blocks d^2
-is the sign identity of the base, which every face-closed subset inherits.
+-I block on each kept cover; parametrization._built indexes its poset from
+those blocks.  It needs no d-squared walk: for +-I blocks d^2 is the sign
+identity of the base, which every face-closed subset inherits.
 Supports are reduced so that each edge support's reduced complex sits
 inside its endpoints', with the same cells and blocks: a pair outside an
 edge support never corrects a block into it.  A restriction H^n(sigma) ->
@@ -35,7 +36,6 @@ from .field import RATIONAL
 from .matrix import Matrix
 from .morse import _sweep, reduce_pair, scythe
 from . import parametrization
-from .poset import _indexed
 from .sheaf import _built as _built_sheaf, constant_sheaf
 
 
@@ -150,28 +150,23 @@ def _support(base, cells, field):
     """compile_sheaf(constant_sheaf(subcomplex(base, cells), 1, field)), built
     in one pass over the set cells, which its caller has checked face-closed.
 
-    Each cell, in sorted order, gets rank 1 and a set of its faces, and
-    each face f of a cell c, in sorted order, c in f's up-set and the
-    shared +I or -I block of the sign [f:c], so the up-sets are made in
-    the face loop and base's up tuples are not read.  No CWComplex or
-    CellularSheaf is built and nothing is walked for d^2: the blocks are
-    +-I, so d^2 = 0 is the sign identity that base holds and the
-    face-closed cells inherit, as check_sheaf reasons for constant sheaves.
+    Each cell c, in sorted order, gets rank 1, and each of its faces f,
+    in sorted order, the shared +I or -I block of the sign [f:c]; the
+    poset is indexed from those blocks (parametrization._built), so base's
+    up tuples are not read.  No CWComplex or CellularSheaf is built and
+    nothing is walked for d^2: the blocks are +-I, so d^2 = 0 is the sign
+    identity that base holds and the face-closed cells inherit, as
+    check_sheaf reasons for constant sheaves.
     """
     poset, incidence = base.poset, base.incidence
     one = Matrix.identity(field, 1)
     block = {1: one, -1: one.neg()}
-    kept = sorted(cells)
-    up = {c: set() for c in kept}
-    dims, down, maps = {}, {}, {}
-    for c in kept:
+    dims, maps = {}, {}
+    for c in sorted(cells):
         dims[c] = poset.dims[c]
-        down[c] = faces = set(poset.down[c])
-        for f in sorted(faces):
-            up[f].add(c)
+        for f in sorted(poset.down[c]):
             maps[(f, c)] = block[incidence[(f, c)]]
-    return parametrization._built(field, _indexed(dims, up, down),
-                                  dict.fromkeys(dims, 1), maps)
+    return parametrization._built(field, dims, dict.fromkeys(dims, 1), maps)
 
 
 def _stalk_tables(graph, base, supports, field):

@@ -9,11 +9,11 @@ d-squared, the cocycle test and cocycle transport read the blocks one
 interval at a time; elimination reads them into sparse rows.
 
 This module owns d^2 = 0 and the one nonzero block per cover.
-Parametrization(...) checks d^2, then drops zero blocks and indexes its
-own poset from the rest, in the sets the sweep edits (poset._editable,
-which compile_sheaf and the reader use too); compile_sheaf, the reader
-and nerve._support build both in, copy copies, and the sweep preserves
-both.  So elimination never checks d^2, and the sweep finds a block on
+Parametrization(...) checks d^2 and drops zero blocks; compile_sheaf, the
+reader and nerve._support build both in; the sweep preserves both.  Every
+parametrization, copies included, is made by _built, the one code that
+indexes its poset: from the keys of its maps, in the sets the sweep
+edits.  So elimination never checks d^2, and the sweep finds a block on
 every cover.
 """
 
@@ -21,7 +21,7 @@ from itertools import compress
 
 from .errors import InvalidSheafData
 from .matrix import matvec_add
-from .poset import _editable
+from .poset import GradedPoset
 
 
 class Layout:
@@ -61,27 +61,22 @@ class Parametrization:
     ownership; everything else treats instances as read-only.  top is the
     greatest degree of the poset it was built on; copies keep it.  The
     constructor checks the blocks and d^2 = 0 (InvalidSheafData), then
-    drops zero blocks with their covers and indexes its own poset and
-    ranks, sharing nothing its caller may edit; the program's own builders
-    (_built) have made sure of all this already.
+    drops zero blocks with their covers and takes the fields _built makes
+    over copies of the cells, ranks and blocks, so it shares nothing its
+    caller may edit; the program's own builders call _built, having made
+    sure of all this already.
     """
 
     def __init__(self, field, poset, stalk_rank, maps):
         check_blocks(field, poset, stalk_rank, maps)
         check_d_squared(field, maps, poset.dims)
         maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
-        self.field = field
-        self.poset = _editable(dict(poset.dims), maps)
-        self.stalk_rank = dict(stalk_rank)
-        self.maps = maps
-        self.top = poset.max_dim()
+        built = _built(field, dict(poset.dims), dict(stalk_rank), maps)
+        self.__dict__.update(built.__dict__)
 
     def copy(self):
-        cp = _built(
-            self.field, self.poset.copy(), dict(self.stalk_rank), dict(self.maps)
-        )
-        cp.top = self.top
-        return cp
+        return _built(self.field, dict(self.poset.dims), dict(self.stalk_rank),
+                      dict(self.maps), self.top)
 
     def layout(self, n):
         cells = self.poset.elements_of_dim(n)
@@ -119,15 +114,24 @@ def check_blocks(field, poset, stalk_rank, maps):
             raise InvalidSheafData("map (%s, %s) over the wrong field" % (x, y))
 
 
-def _built(field, poset, stalk_rank, maps):
+def _built(field, dims, stalk_rank, maps, top=None):
     """A Parametrization over blocks checked where they were made, d^2
-    included: no re-check."""
+    included: no re-check.  It takes over its arguments and indexes its
+    poset over dims from the keys of maps, in sets, which the sweep edits
+    in place; its degrees run to top, by default the largest of dims."""
+    up = {x: set() for x in dims}
+    down = {x: set() for x in dims}
+    for x, y in maps:
+        up[x].add(y)
+        down[y].add(x)
+    poset = object.__new__(GradedPoset)
+    poset.dims, poset.up, poset.down = dims, up, down
     param = object.__new__(Parametrization)
     param.field = field
     param.poset = poset
     param.stalk_rank = stalk_rank
     param.maps = maps
-    param.top = poset.max_dim()
+    param.top = poset.max_dim() if top is None else top
     return param
 
 
@@ -165,26 +169,6 @@ class CochainComplex:
         return out
 
 
-def is_cocycle(cx, vec, n):
-    """Whether d^n vec = 0, summed over the covering-pair blocks of cx.
-
-    Raises ValueError unless vec has the rank of C^n.  A complex with no
-    blocks, as a fully reduced one often is, kills every vector at once;
-    otherwise see d_kills.
-    """
-    if not cx.blocks_from():
-        _check_length(cx.layout(n), vec, n)
-        return True
-    return d_kills(cx, nonzero_blocks(cx, vec, n))
-
-
-def _check_length(layout, vec, n):
-    if len(vec) != layout.total:
-        raise ValueError(
-            "vector length %d, C^%d has rank %d" % (len(vec), n, layout.total)
-        )
-
-
 def nonzero_blocks(cx, vec, n):
     """{cell: its block of vec} for the cells of C^n where vec is nonzero,
     in layout order.
@@ -195,7 +179,10 @@ def nonzero_blocks(cx, vec, n):
     C^n.
     """
     layout = cx.layout(n)
-    _check_length(layout, vec, n)
+    if len(vec) != layout.total:
+        raise ValueError(
+            "vector length %d, C^%d has rank %d" % (len(vec), n, layout.total)
+        )
     owners, offsets, ranks = layout.owners(), layout.offsets, layout.ranks
     blocks = {}
     last = None

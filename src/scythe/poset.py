@@ -5,9 +5,9 @@ and must raise dimension by exactly one.  Ids are opaque strings ordered
 lexicographically, and that order breaks every tie downstream.
 
 A poset is never edited, so it keeps each element's covers in a frozen
-tuple.  The one exception is the poset of a Parametrization, which the
-reduction engine edits in place: _editable builds it, and copy() copies
-it, over sets.
+tuple, and copy() gives such a poset too.  The one exception is the poset
+of a Parametrization, which the reduction engine edits in place:
+parametrization._built indexes it, over sets.
 """
 
 from .errors import DanglingId, NonGradedCover, ValidationError
@@ -20,8 +20,8 @@ class GradedPoset:
     checks; up[x] and down[x] are tuples, in the order they were given.
     Treat instances as immutable.  The reduction engine alone edits dims,
     up and down in place, on the poset of the parametrization it reduces,
-    whose adjacency is sets (see _editable), and keeps the three
-    describing the same cells and covers.
+    whose adjacency is sets (see parametrization._built), and keeps the
+    three describing the same cells and covers.
     """
 
     def __init__(self, dims, covers):
@@ -66,10 +66,8 @@ class GradedPoset:
         return max((len(s) for s in self.up.values()), default=0)
 
     def copy(self):
-        """An editable copy: the same dims and covers, adjacency in sets."""
-        return _indexed(dict(self.dims),
-                        {x: set(s) for x, s in self.up.items()},
-                        {x: set(s) for x, s in self.down.items()})
+        """A snapshot: the same dims and covers, in tuples of its own."""
+        return GradedPoset(dict(self.dims), self.covers())
 
     def has_cover(self, x, y):
         return x in self.up and y in self.up[x]
@@ -125,23 +123,3 @@ def cover_fault(dims, x, y):
     return NonGradedCover(
         "cover (%s, %s) spans dims %d -> %d" % (x, y, dims[x], dims[y])
     )
-
-
-def _editable(dims, covers):
-    """The poset of a Parametrization: adjacency in sets, which the
-    reduction engine edits in place."""
-    up = {x: set() for x in dims}
-    down = {x: set() for x in dims}
-    for x, y in covers:
-        up[x].add(y)
-        down[y].add(x)
-    return _indexed(dims, up, down)
-
-
-def _indexed(dims, up, down):
-    """A GradedPoset over adjacency its caller built from checked covers."""
-    poset = GradedPoset.__new__(GradedPoset)
-    poset.dims = dims
-    poset.up = up
-    poset.down = down
-    return poset

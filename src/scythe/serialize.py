@@ -33,7 +33,7 @@ from .cw import CWComplex, _signed
 from .errors import ParseError
 from .field import RATIONAL, FieldSpec
 from .nerve import Cover
-from .poset import GradedPoset, _editable, cover_fault, duplicate_id
+from .poset import GradedPoset, cover_fault, duplicate_id
 from .sheaf import _built as _built_sheaf
 
 
@@ -345,8 +345,9 @@ def parse_field(obj):
 # - the cell loop indexes the dimensions and the cover loop makes the
 #   checks of build_poset (duplicate ids, dangling endpoints, grading)
 #   with its texts; the poset is indexed once, after both loops: in
-#   tuples from the covers of a complex or sheaf, and in the engine's
-#   editable sets from the nonzero maps of a compiled document.  Such a
+#   tuples from the covers of a complex or sheaf, and for a compiled
+#   document by parametrization._built, from its nonzero maps, over the
+#   degrees up to the document's top.  Such a
 #   fault is raised only after the document's structure and kind are
 #   checked, as a build_poset call after the reading would raise it.
 
@@ -534,12 +535,9 @@ def _parse_complex_family(data, kind, path="$"):
         return _built_sheaf(base, field, ranks, maps)
     maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
     parametrization.check_d_squared(field, maps, dims)
-    poset = _editable(dims, maps)
-    top = _int(data.get("top", poset.max_dim()), path + ".top",
-               poset.max_dim())
-    param = parametrization._built(field, poset, ranks, maps)
-    param.top = top
-    return param
+    top = max(dims.values(), default=-1)
+    return parametrization._built(
+        field, dims, ranks, maps, _int(data.get("top", top), path + ".top", top))
 
 
 def document_kind(data):

@@ -2,7 +2,9 @@
 
 A sheaf stores stalk ranks and raw restriction maps on covering pairs;
 compiling folds the incidence sign into each map and drops the pairs whose
-signed map is zero, so absence always means the zero map downstream.
+signed map is zero, so absence always means the zero map downstream; the
+signed maps go to parametrization._built, which indexes the compiled poset
+from them.
 """
 
 from .cw import check_face_closed
@@ -11,7 +13,6 @@ from .field import RATIONAL
 from .matrix import Matrix
 from . import parametrization
 from .parametrization import check_blocks, check_d_squared
-from .poset import _editable
 
 
 class CellularSheaf:
@@ -109,5 +110,5 @@ def compile_sheaf(sheaf):
     checked when the sheaf was built, are not checked again.
     """
     maps = check_sheaf(sheaf)
-    poset = _editable(dict(sheaf.base.poset.dims), maps)
-    return parametrization._built(sheaf.field, poset, dict(sheaf.stalk_rank), maps)
+    return parametrization._built(sheaf.field, dict(sheaf.base.poset.dims),
+                                  dict(sheaf.stalk_rank), maps)

@@ -118,14 +118,14 @@ def test_parametrization_refuses_maps_that_do_not_square_to_zero():
     # built, a sweep would pair (v, uv), (w, uw), (vw, f) and leave [1, 0, 0]
     tri = filled_triangle()
     one = Matrix.identity(RATIONAL, 1)
-    args = (RATIONAL, tri.poset.copy(), {c: 1 for c in tri.cells()},
-            {pair: one for pair in tri.incidence})
+    ranks = {c: 1 for c in tri.cells()}
+    maps = {pair: one for pair in tri.incidence}
     want = [(0, "f", "u"), (0, "f", "v"), (0, "f", "w")]
-    assert ref_d_squared_witnesses(
-        scythe.parametrization._built(*args).assemble()) == want
+    assert ref_d_squared_witnesses(scythe.parametrization._built(
+        RATIONAL, dict(tri.poset.dims), ranks, maps).assemble()) == want
     with pytest.raises(InvalidSheafData,
                        match=re.escape("blocks: %r" % (want,)) + "$"):
-        Parametrization(*args)
+        Parametrization(RATIONAL, tri.poset, ranks, maps)
 
 
 def test_elimination_walks_no_d_squared(monkeypatch):

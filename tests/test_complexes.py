@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 
 from scythe.cohomology import betti, sheaf_cohomology
@@ -105,3 +108,22 @@ def test_cover_fixture_cells():
     for a, b, common in (("A", "B", {"v02"}), ("B", "C", {"v04"}),
                          ("A", "C", {"v00"})):
         assert set(pieces3[a]) & set(pieces3[b]) == common
+
+
+def test_shipped_fixtures_are_what_their_builders_write(tmp_path, monkeypatch,
+                                                        capsys):
+    # scripts/generate_data.py writes src/scythe/data from these builders,
+    # and tests/cli_digests.txt hashes CLI runs over its files
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "generate_data", root / "scripts" / "generate_data.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    capsys.readouterr()
+    shipped = root / "src" / "scythe" / "data"
+    names = sorted(p.name for p in shipped.iterdir() if p.suffix == ".json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

@@ -1,4 +1,7 @@
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -550,6 +553,35 @@ def test_solve_needs_zero_right_hand_side_on_rows_never_made():
     ech = EchelonSolver.of_rows(RATIONAL, 2, 1, {0: {0: 2}}, True)
     assert ech.solve([4, 0]) == [2]
     assert ech.solve([4, 1]) is None
+
+
+SOLVE_WITHOUT_TRANSFORM = """
+from scythe.errors import SolveFailed
+from scythe.field import RATIONAL
+from scythe.matrix import EchelonSolver
+ech = EchelonSolver.of_rows(RATIONAL, 2, 2, {0: {0: 2}, 1: {1: 3}}, False)
+try:
+    ech.solve([2, 3])
+except SolveFailed as e:
+    print(e)
+"""
+
+
+def test_solve_refuses_an_echelon_made_without_its_transform():
+    ech = EchelonSolver.of_rows(RATIONAL, 2, 2, {0: {0: 2}, 1: {1: 3}}, False)
+    with pytest.raises(SolveFailed,
+                       match=r"^echelon made without its transform$"):
+        ech.solve([2, 3])
+
+
+def test_solve_refuses_it_under_optimisation_too():
+    # python -O strips assert statements; the check must not be one
+    src = str(pathlib.Path(matrix.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SOLVE_WITHOUT_TRANSFORM],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "echelon made without its transform\n", "")
 
 
 def test_mul_sub_refuses_mismatched_operands():

@@ -91,6 +91,64 @@ def test_module_reads_every_parameter(name):
     assert found == allowed
 
 
+# the private names one module of the package reads from another
+PRIVATE_IMPORTS_ALLOWED = [
+    ("cli.py", "serialize", "_stream"),
+    ("cw.py", "poset", "_graded"),
+    ("morse.py", "matrix", "_built"),
+    ("nerve.py", "morse", "_sweep"),
+    ("nerve.py", "parametrization", "_built"),
+    ("nerve.py", "sheaf", "_built"),
+    ("serialize.py", "cw", "_signed"),
+    ("serialize.py", "matrix", "_built"),
+    ("serialize.py", "parametrization", "_built"),
+    ("serialize.py", "sheaf", "_built"),
+    ("sheaf.py", "parametrization", "_built"),
+]
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source):
+    """(module, name) for each private name _x that source reads from a
+    sibling module, by `from .module import _x` or as module._x of a
+    module bound by `from . import module`, sorted and once each."""
+    tree = ast.parse(source)
+    modules, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None:
+                    modules[a.asname or a.name] = a.name
+                elif _private(a.name):
+                    out.add((node.module, a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.add((modules[node.value.id], node.attr))
+    return sorted(out)
+
+
+def test_private_imports_are_found():
+    source = ("from . import a, b as c\n"
+              "from .d import _e, f, __version__\n"
+              "from os import _exit\n"
+              "a._g(c._h, c.i, a.__name__, x._j)\n")
+    assert private_imports(source) == [
+        ("a", "_g"), ("b", "_h"), ("d", "_e")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_reads_only_allowed_private_names(name):
+    found = private_imports((PACKAGE / name).read_text())
+    allowed = [(module, private) for importer, module, private
+               in PRIVATE_IMPORTS_ALLOWED if importer == name]
+    assert found == allowed
+
+
 ROOT = PACKAGE.parent.parent
 # where a name may be read: the library, its tests, the benchmark, scripts
 READERS = sorted(p for d in ("src", "tests", "perfbench", "scripts")

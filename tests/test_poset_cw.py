@@ -19,9 +19,11 @@ from scythe.errors import (
     UnknownCell,
     ValidationError,
 )
+from scythe.morse import scythe
 from scythe.nerve import Cover, nerve
 from scythe.poset import build_poset
 from scythe.serialize import complex_to_json, dumps, parse
+from scythe.sheaf import compile_sheaf, constant_sheaf
 
 from scythe.complexes import (
     circle,
@@ -72,10 +74,15 @@ def test_build_poset_rejects_bad_input():
 
 
 def test_poset_copy_isolated():
-    p = build_poset([("a", 0), ("e", 1)], [("a", "e")])
-    q = p.copy()
-    q.remove_pair("a", "e") if hasattr(q, "remove_pair") else None
-    assert "a" in p
+    # a snapshot of the poset a sweep edits: equal at first, then untouched
+    param = compile_sheaf(constant_sheaf(torus_grid(3, 3)))
+    q = param.poset.copy()
+    dims, covers = dict(param.poset.dims), param.poset.covers()
+    assert (q.dims, q.covers()) == (dims, covers)
+    assert all(type(s) is tuple for s in (*q.up.values(), *q.down.values()))
+    scythe(param)
+    assert len(param.poset) < len(dims)
+    assert (q.dims, q.covers()) == (dims, covers)
 
 
 def test_build_cw_validates_signs():

@@ -145,8 +145,7 @@ def _unchecked_param(sheaf):
         signed = raw if base.incidence[pair] == 1 else raw.neg()
         if not signed.is_zero():
             maps[pair] = signed
-    poset = build_poset(base.poset.dims.items(), maps)
-    return scythe.parametrization._built(sheaf.field, poset,
+    return scythe.parametrization._built(sheaf.field, dict(base.poset.dims),
                                          dict(sheaf.stalk_rank), maps)
 
 
@@ -280,8 +279,7 @@ def test_d_squared_sums_an_interval_across_its_middle_cells(field):
     for blocks, want in ((maps, []), (one_path, [(0, "t", "s")]),
                          (bumped, [(0, "t", "s")])):
         assert d_squared_witnesses(f, blocks, dims) == want
-        poset = build_poset(dims.items(), blocks)
-        cx = scythe.parametrization._built(f, poset, dict.fromkeys(dims, 2),
+        cx = scythe.parametrization._built(f, dict(dims), dict.fromkeys(dims, 2),
                                            blocks).assemble()
         assert ref_d_squared_witnesses(cx, f.p) == want
 
