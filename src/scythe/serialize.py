@@ -347,9 +347,9 @@ def parse_field(obj):
 #   with its texts; the poset is indexed once, after both loops: in
 #   tuples from the covers of a complex or sheaf, and for a compiled
 #   document by parametrization._built, from its nonzero maps, over the
-#   degrees up to the document's top.  Such a
-#   fault is raised only after the document's structure and kind are
-#   checked, as a build_poset call after the reading would raise it.
+#   degrees up to the document's top.  Such a fault is raised only after
+#   the document's structure and kind are checked, as a build_poset call
+#   after the reading would raise it.
 
 def _parse_matrix(field, entries, grid, rows, cols, path, i):
     if not isinstance(grid, list):
@@ -536,8 +536,8 @@ def _parse_complex_family(data, kind, path="$"):
     maps = {pair: m for pair, m in maps.items() if not m.is_zero()}
     parametrization.check_d_squared(field, maps, dims)
     top = max(dims.values(), default=-1)
-    return parametrization._built(
-        field, dims, ranks, maps, _int(data.get("top", top), path + ".top", top))
+    top = _int(data.get("top", top), path + ".top", top)
+    return parametrization._built(field, dims, ranks, maps, top)
 
 
 def document_kind(data):

@@ -126,4 +126,5 @@ def test_shipped_fixtures_are_what_their_builders_write(tmp_path, monkeypatch,
     names = sorted(p.name for p in shipped.iterdir() if p.suffix == ".json")
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
-        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+        written = (tmp_path / name).read_bytes()
+        assert written == (shipped / name).read_bytes(), name

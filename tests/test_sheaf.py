@@ -279,8 +279,8 @@ def test_d_squared_sums_an_interval_across_its_middle_cells(field):
     for blocks, want in ((maps, []), (one_path, [(0, "t", "s")]),
                          (bumped, [(0, "t", "s")])):
         assert d_squared_witnesses(f, blocks, dims) == want
-        cx = scythe.parametrization._built(f, dict(dims), dict.fromkeys(dims, 2),
-                                           blocks).assemble()
+        cx = scythe.parametrization._built(
+            f, dict(dims), dict.fromkeys(dims, 2), blocks).assemble()
         assert ref_d_squared_witnesses(cx, f.p) == want
 
 
