@@ -11,8 +11,10 @@ checked for d-squared here: every Parametrization squares to zero from
 construction (see parametrization), and assemble is the only maker of one.
 """
 
+from itertools import compress
+
 from .errors import SolveFailed, UnknownCell
-from .matrix import EchelonSolver, Matrix
+from .matrix import EchelonSolver, _built
 from .morse import scythe
 from .parametrization import d_kills, nonzero_blocks
 from .sheaf import compile_sheaf
@@ -61,25 +63,15 @@ def _solver(cx, n):
 
 
 def _coboundary_rows(cx, n):
-    """d^n as {row: {column: entry}} with the blocks' entries.
-
-    A stored zero of the field zero's type is left out, as elimination
-    leaves out the zeros it computes, so a rank-r identity block costs r
-    entries, not r^2; a zero of another type (Fraction(0)) stays.
-    """
+    """d^n as {row: {column: entry}} with the blocks' nonzero entries, so
+    a rank-r identity block costs r entries, not r^2."""
     src, dst = cx.layout(n), cx.layout(n + 1)
     leaving, rows = cx.blocks_from(), {}
-    zero = cx.field.zero
-    zero_type = type(zero)
     for x, c0 in src.offsets.items():
         for y, m in leaving.get(x, ()):
             cols = range(c0, c0 + m.cols)
             for i, entries in enumerate(m.data, dst.offsets[y]):
-                pairs = zip(cols, entries)
-                if zero in entries:
-                    pairs = ((j, v) for j, v in pairs
-                             if v or type(v) is not zero_type)
-                rows.setdefault(i, {}).update(pairs)
+                rows.setdefault(i, {}).update(compress(zip(cols, entries), entries))
     return rows
 
 
@@ -96,7 +88,7 @@ def betti(cx, generators=False):
                        - (_solver(cx, n - 1).rank if n else 0))
         if generators:
             basis = cocycle_basis(cx, n)
-            gens[n] = Matrix(cx.field, cx.rank_c(n), len(basis.flagged),
+            gens[n] = _built(cx.field, cx.rank_c(n), len(basis.flagged),
                              [[row[j] for j in basis.flagged] for row in basis.matrix.data])
     return CohomologyProfile(numbers, gens)
 
@@ -176,4 +168,4 @@ def induced_map(big, small, embedding, n):
         cols.append(class_coordinates(small, restricted, n))
     small_flags = len(cocycle_basis(small, n).flagged)
     data = [[col[i] for col in cols] for i in range(small_flags)]
-    return Matrix(small.field, small_flags, len(cols), data)
+    return _built(small.field, small_flags, len(cols), data)

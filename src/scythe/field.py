@@ -1,18 +1,20 @@
 """Coefficient fields: the rationals and prime fields F_p.
 
-A rational is a plain int whenever it is integral and a
-fractions.Fraction, in lowest terms, only when it has a denominator:
-incidences, constant-sheaf blocks and their inverses are mostly +-1, and
-int arithmetic costs a fraction of Fraction's.  Mixed int/Fraction
-arithmetic is exact, and an integral Fraction it leaves behind equals its
-int and hashes alike.  Prime-field elements are plain ints held in [0, p).
+An element of Q has one type per value: an int when integral, else a
+Rational, a fractions.Fraction whose arithmetic gives an int for an
+integral result.  int with int stays on operator's add, sub and mul, so
+the +-1 incidences and identity blocks of most inputs never pay for
+Fraction, and no entry's type depends on the order of the operations
+that made it.  parse, from_int and the public Matrix constructor make
+values from outside canonical; this module alone builds a Fraction.
+Prime-field elements are plain ints held in [0, p).
 """
 
 import operator
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, ScytheError
+from .errors import ParseError, ScytheError, ValidationError
 
 
 FP_LIMIT = 2 ** 64
@@ -74,7 +76,8 @@ class FieldSpec:
             self.mul = lambda a, b: (a * b) % p
             self.neg = lambda a: (-a) % p
             self.inv = lambda a: pow(a, -1, p)
-            self.from_int = lambda n: n % p
+            self.from_int = lambda n: (n if type(n) is int
+                                       else _integer(n, p)) % p
         else:
             raise ParseError("unknown field kind %r" % (kind,))
         self.kind = kind
@@ -105,11 +108,11 @@ class FieldSpec:
         An integer literal goes through from_int, so F_p canonicalizes it
         into [0, p) and Q keeps the int; F_p accepts nothing else.
         Rationals also accept what fractions.Fraction accepts ("a/b",
-        decimals, exponents) and come back as ints when integral.  An
-        exponent larger in magnitude than sys.get_int_max_str_digits() is
-        rejected (unbounded when that limit is 0): "1e999999999" would
-        otherwise build its power of ten before anything checked it, where
-        a plain literal that long is already refused.
+        decimals, exponents), made canonical.  An exponent larger in
+        magnitude than sys.get_int_max_str_digits() is rejected (unbounded
+        when that limit is 0): "1e999999999" would otherwise build its
+        power of ten before anything checked it, where a plain literal that
+        long is already refused.
         """
         text = str(text).strip()
         try:
@@ -119,7 +122,7 @@ class FieldSpec:
                 raise ParseError("bad F_%d literal %r" % (self.p, text))
         _check_exponent(text)
         try:
-            return _integral(Fraction(text))
+            return _q_from_int(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad rational literal %r" % text)
 
@@ -157,26 +160,72 @@ class FieldSpec:
         raise ParseError("unknown field kind %r" % (kind,))
 
 
-def _q_inv(a):
-    """The inverse of a nonzero rational.
+def _canonical(name):
+    """Fraction's method of that name, its result made canonical: an int
+    when integral, else retyped in place as a Rational, so no result is
+    built or reduced twice.  Other results (a float, NotImplemented) pass."""
+    op = getattr(Fraction, name)
 
-    A unit int is its own inverse and another int n gives Fraction(1, n),
-    so inverting +-1 builds no Fraction.
-    """
+    def method(a, *b):
+        q = op(a, *b)
+        if not isinstance(q, Fraction):
+            return q
+        if q._denominator == 1:
+            return q._numerator
+        q.__class__ = Rational
+        return q
+    return method
+
+
+class Rational(Fraction):
+    """A non-integral rational in lowest terms, whose arithmetic (+ - * /,
+    either operand order, unary minus) gives an int for an integral
+    result.  Its repr is a Fraction's."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "Fraction(%d, %d)" % (self._numerator, self._denominator)
+
+    (__add__, __radd__, __sub__, __rsub__, __mul__, __rmul__, __truediv__,
+     __rtruediv__, __neg__) = map(_canonical, (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__neg__"))
+
+
+def _ratio(n, d):
+    """n/d for coprime n and d != 0: an int when integral, else a Rational
+    built with no gcd."""
+    if d < 0:
+        n, d = -n, -d
+    if d == 1:
+        return n
+    q = object.__new__(Rational)
+    q._numerator, q._denominator = n, d
+    return q
+
+
+def _q_inv(a):
+    """The inverse of a nonzero rational; +-1 stays an int."""
     if not a:
         raise ZeroDivisionError("inverse of zero")
-    if type(a) is int:
-        return a if a == 1 or a == -1 else Fraction(1, a)
-    return _integral(Fraction(a.denominator, a.numerator))
+    return _ratio(a.denominator, a.numerator)
 
 
 def _q_from_int(n):
-    return n if type(n) is int else _integral(Fraction(n))
+    """An int or Fraction as its canonical element of Q."""
+    if type(n) is int or type(n) is Rational:
+        return n
+    if isinstance(n, (int, Fraction)):
+        return _ratio(n.numerator, n.denominator)
+    raise ValidationError("%r is not a rational number" % (n,))
 
 
-def _integral(q):
-    """A Fraction as an int when its denominator is 1, else unchanged."""
-    return q.numerator if q.denominator == 1 else q
+def _integer(n, p):
+    """An int, or an integral Fraction as an int, for F_p."""
+    if isinstance(n, (int, Fraction)) and n.denominator == 1:
+        return n.numerator
+    raise ValidationError("%r is not an element of F_%d" % (n, p))
 
 
 def _check_exponent(text):

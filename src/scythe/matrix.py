@@ -1,5 +1,11 @@
 """Exact matrices over a FieldSpec, the sweep's kernels and a sparse echelon.
 
+Entries are canonical field elements (see field), so a kernel may form
+them in any order and give the same entries and reprs.  A Matrix built
+from outside has its grid checked against its shape and its entries made
+canonical; the kernels here and the JSON reader, which checks each row,
+build with _built, which skips both for a grid they shaped.
+
 Blocks coming off a reduction are small but often mostly zero, so the
 inner loops skip zero entries; asymptotically this is still the naive
 cubic algorithm (reports quote omega = 3).  Most blocks are 1x1 (every
@@ -8,17 +14,10 @@ with one field inverse and no echelon form, and matvec_add answers the
 1x1 shape as scalars.  mul_sub, c - a.b, is the one product kernel with
 small-block forms: the 1x1 shape as scalars, a 2x2 by 2x2 product fully
 unrolled and a product with three columns one row at a time, its three
-entries in locals; other shapes run the generic loop.  Every form makes
-each entry with the loop's field operations in the loop's order: k
-ascending, a product skipped when either factor is zero.  So an entry is
-the same int or Fraction whichever form made it.  mul_sub builds no
+entries in locals; other shapes run the generic loop.  mul_sub builds no
 matrix for a.b itself and reports a zero result as None; a reduction
 step forms each head F_xz.inv with it, as 0 - F_xz.(-inv), and corrects
-each surviving block with it.  mat_mul is the generic loop alone.  A
-Matrix built from outside has its grid checked against its shape; the
-kernels here (zeros, identity, add, sub, neg, transpose, mat_mul,
-mul_sub, try_invert) and the JSON reader, which checks each row, build
-with _built, which skips the re-check of a grid they shaped.
+each surviving block with it, and mat_mul is 0 - a.(-b).
 """
 
 from itertools import compress
@@ -41,7 +40,7 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.data = [list(map(field.from_int, row)) for row in data]
 
     @staticmethod
     def zeros(field, rows, cols):
@@ -58,19 +57,13 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows_of_ints):
-        data = [[field.from_int(v) for v in row] for row in rows_of_ints]
-        r = len(data)
-        c = len(data[0]) if data else 0
-        return cls(field, r, c, data)
+        data = list(rows_of_ints)
+        return cls(field, len(data), len(data[0]) if data else 0, data)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return (isinstance(other, Matrix) and self.field == other.field
+                and (self.rows, self.cols, self.data)
+                == (other.rows, other.cols, other.data))
 
     def __repr__(self):
         body = "; ".join(
@@ -89,22 +82,10 @@ class Matrix:
         return _built(self.field, self.cols, self.rows, data)
 
     def add(self, other):
-        _check_same_shape(self, other)
-        f = self.field
-        data = [
-            [f.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return _built(f, self.rows, self.cols, data)
+        return _entrywise(self.field.add, self, other)
 
     def sub(self, other):
-        _check_same_shape(self, other)
-        f = self.field
-        data = [
-            [f.sub(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return _built(f, self.rows, self.cols, data)
+        return _entrywise(self.field.sub, self, other)
 
     def neg(self):
         f = self.field
@@ -130,31 +111,20 @@ def _built(field, rows, cols, data):
     return m
 
 
-def _check_same_shape(a, b):
+def _entrywise(op, a, b):
+    """op on the entries of a and b, which share a field and a shape."""
     if a.field is not b.field and a.field != b.field:
         raise ValueError("field mismatch")
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError("shape mismatch %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    return _built(a.field, a.rows, a.cols,
+                  [list(map(op, ra, rb)) for ra, rb in zip(a.data, b.data)])
 
 
 def mat_mul(a, b):
-    """Exact matrix product, skipping products with a zero factor."""
-    f = a.field
-    if f is not b.field and f != b.field:
-        raise ValueError("field mismatch")
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions %d vs %d" % (a.cols, b.rows))
-    add, mul, zero = f.add, f.mul, f.zero
-    out = []
-    for arow in a.data:
-        orow = [zero] * b.cols
-        for aik, brow in zip(arow, b.data):
-            if aik:
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        orow[j] = add(orow[j], mul(aik, bkj))
-        out.append(orow)
-    return _built(f, a.rows, b.cols, out)
+    """Exact matrix product, as 0 - a.(-b) by mul_sub."""
+    c = mul_sub(None, a, b.neg())
+    return Matrix.zeros(a.field, a.rows, b.cols) if c is None else c
 
 
 def mul_sub(c, a, b):
@@ -163,8 +133,7 @@ def mul_sub(c, a, b):
     A c of None stands for the zero map of a's rows and b's columns.  The
     product is subtracted entry by entry as it is formed, skipping zero
     entries of either factor, so no matrix holds a.b itself.  The 1x1,
-    2x2 and three-column shapes skip the loop after the checks (see the
-    module docstring).
+    2x2 and three-column shapes skip the loop after the checks.
     """
     f = a.field
     if f is not b.field and f != b.field:
@@ -315,8 +284,8 @@ def try_invert(a):
     ech = EchelonSolver(a)
     if ech.rank != a.rows:
         return None
-    return _built(a.field, a.rows, a.cols, [
-        [row.get(a.cols + j, rz) for j in range(a.rows)] for row, rz in ech._reduced])
+    return _built(f, a.rows, a.cols, [
+        [row.get(a.cols + j, f.zero) for j in range(a.rows)] for row in ech._reduced])
 
 
 def _det2(f, p, q, r, s):
@@ -328,25 +297,24 @@ def _det2(f, p, q, r, s):
 class EchelonSolver:
     """Reduced row echelon form of one matrix, by Gauss-Jordan on sparse rows.
 
-    Rows are {column: entry} dicts with an implicit zero each, made only
+    Rows are {column: entry} dicts holding only nonzero entries, made only
     for rows some entry reaches: an echelon costs its entries, not its
-    shape.  Each entry gets the dense loop's value and type (int or
-    Fraction): the pivot is the first row in the current order at or below
-    r holding a nonzero, rows swap places as in a grid, scaling scales the
-    implicit zero too (0 becomes Fraction(0) under a Fraction inverse), and
-    a computed zero is dropped only where the implicit zero reads the same.
-    An echelon that solves (that of a Matrix, whose E try_invert reads as
-    the inverse, or of_rows when asked) carries E, with E.A reduced, as the
-    columns cols + i, from an identity entry per stored row.
+    shape.  Any row holding a nonzero in a column and not yet a pivot row
+    may pivot there, as the reduced echelon form, the kernel basis and a
+    solution of a consistent system do not depend on the choice; the one
+    with the least row id does.  An echelon that solves (that of a Matrix, whose
+    E try_invert reads as the inverse, or of_rows when asked) carries E,
+    with E.A reduced, as the columns cols + i, from an identity entry per
+    stored row.
     """
 
     def __init__(self, a):
-        rows = {i: dict(enumerate(row)) for i, row in enumerate(a.data)}
+        rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(a.data)}
         self._eliminate(a.field, a.rows, a.cols, rows, True)
 
     @classmethod
     def of_rows(cls, field, nrows, ncols, rows, transform):
-        """The echelon of rows, {row: {column: entry}}, taken over."""
+        """The echelon of rows, {row: {column: nonzero entry}}, taken over."""
         ech = object.__new__(cls)
         ech._eliminate(field, nrows, ncols, rows, transform)
         return ech
@@ -354,49 +322,40 @@ class EchelonSolver:
     def _eliminate(self, f, nrows, ncols, rows, transform):
         self.field, self.rows, self.cols = f, nrows, ncols
         self._solves, self._rows = transform, rows
-        pivots, one, mul, sub = [], f.one, f.mul, f.sub
-        zero = self._zero = dict.fromkeys(rows, f.zero)
+        one, mul, sub, zero = f.one, f.mul, f.sub, f.zero
         holders = {}  # column of A -> rows that have held a nonzero there
         for i, row in rows.items():
-            for j in compress(row, row.values()):
+            for j in row:
                 holders.setdefault(j, set()).add(i)
             if transform:
                 row[ncols + i] = one
-        place = self._place = {i: i for i in rows}  # row -> position
-        at = dict(place)  # position -> row, None where an unmade row sits
+        pivot_of = self._pivot_of = {}  # pivot row -> its column, in order
         for col in sorted(holders):
-            r = len(pivots)
-            held = [i for i in holders.pop(col) if rows[i].get(col)]
-            below = [i for i in held if place[i] >= r]
-            if not below:
+            held = [i for i in holders.pop(col) if col in rows[i]]
+            free = [i for i in held if i not in pivot_of]
+            if not free:
                 continue
-            best = below[0] if len(below) == 1 else min(below, key=place.get)
-            if place[best] != r:
-                moved = at[place[best]] = at.get(r)
-                if moved is not None:
-                    place[moved] = place[best]
-                at[r], place[best] = best, r
+            best = min(free)
+            pivot_of[best] = col
             wr = rows[best]
             if wr[col] != one:
                 pinv = f.inv(wr[col])
                 for j, v in wr.items():
                     wr[j] = mul(pinv, v)
-                zero[best] = mul(pinv, zero[best])
-            live = [(j, v) for j, v in wr.items() if v]
+            held.remove(best)
             for i in held:
-                wi, zi, factor = rows[i], zero[i], rows[i][col]
-                for j, v in live if i != best else ():
-                    new = sub(wi.get(j, zi), mul(factor, v))
+                wi = rows[i]
+                factor = wi[col]
+                for j, v in wr.items():
+                    new = sub(wi.get(j, zero), mul(factor, v))
                     if new:
                         if j < ncols:
                             holders[j].add(i)
-                    elif type(new) is type(zi):
-                        wi.pop(j, None)
-                        continue
-                    wi[j] = new
-            pivots.append(col)
-        self.pivots, self.rank = pivots, len(pivots)
-        self._reduced = [(rows[at[p]], zero[at[p]]) for p in range(self.rank)]
+                        wi[j] = new
+                    else:
+                        del wi[j]
+        self.pivots, self.rank = list(pivot_of.values()), len(pivot_of)
+        self._reduced = [rows[i] for i in pivot_of]
 
     def kernel_basis(self):
         """Columns spanning the kernel as a Matrix, one per free column j
@@ -405,30 +364,30 @@ class EchelonSolver:
         data = [[f.zero] * len(free) for _ in range(self.cols)]
         for k, j in enumerate(free):
             data[j][k] = f.one
-            for pc, (row, rz) in zip(self.pivots, self._reduced):
-                data[pc][k] = f.neg(row.get(j, rz))
-        return Matrix(f, self.cols, len(free), data)
+            for pc, row in zip(self.pivots, self._reduced):
+                data[pc][k] = f.neg(row.get(j, f.zero))
+        return _built(f, self.cols, len(free), data)
 
     def solve(self, b):
         """One solution x of A.x = b (free variables zero), or None if none:
-        E.b must vanish past the rank, and so must b on rows never made.
-        Raises SolveFailed if b has the wrong length or the echelon was made
-        without its transform."""
+        E.b must vanish off the pivot rows, and so must b on rows never
+        made.  Raises SolveFailed if b has the wrong length or the echelon
+        was made without its transform."""
         if len(b) != self.rows:
             raise SolveFailed("rhs length %d, expected %d" % (len(b), self.rows))
         if not self._solves:
             raise SolveFailed("echelon made without its transform")
-        f, n = self.field, self.cols
+        f, n, pivot_of = self.field, self.cols, self._pivot_of
         if any(i not in self._rows for i in compress(range(len(b)), b)):
             return None
         x = [f.zero] * n
         for i, row in self._rows.items():
             acc = f.zero
             for j, t in row.items():
-                if j >= n and t and b[j - n]:
+                if j >= n and b[j - n]:
                     acc = f.add(acc, f.mul(t, b[j - n]))
-            if self._place[i] < self.rank:
-                x[self.pivots[self._place[i]]] = acc
+            if i in pivot_of:
+                x[pivot_of[i]] = acc
             elif acc:
                 return None
         return x

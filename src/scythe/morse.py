@@ -81,11 +81,9 @@ def _reduce_pair(param, x, y, inv):
     surviving maps keep their insertion order.
 
     Each z's head F_xz.inv is formed once.  A 1x1 pair corrects a rank-1
-    w and z with scalars inline, the field operations of mul_sub on 1x1
-    blocks in their order; the scalar head becomes a 1x1 matrix once, for
-    the first w of another rank.  Every other head is mul_sub(None, F_xz,
-    -inv), 0 - F_xz.(-inv): the entries of F_xz.inv, each the same int or
-    Fraction the generic product loop gives.  F_xz is nonzero and inv
+    w and z with scalars inline; the scalar head becomes a 1x1 matrix
+    once, for the first w of another rank.  Every other head is
+    mul_sub(None, F_xz, -inv), 0 - F_xz.(-inv).  F_xz is nonzero and inv
     invertible, so no head is zero.  Every other correction is one
     mul_sub.  Skipping the kernels' checks is safe: check_blocks fixed
     every block's field and shape when the parametrization was built, and

@@ -9,11 +9,13 @@ direct way on unreduced fibers with scythe's induced_map, kept as the
 reference the transported restrictions are compared with; psi_matrix,
 phi_matrix and theta_matrix, which densify an equivalence's sparse rows
 into scythe Matrix objects for the law checks; loop_mat_mul and
-loop_mul_sub, the product kernels' generic loops, which pin the value and
-the type of every entry the kernels' small-block forms give; and
-dense_coboundary and DenseEchelon, the stacked d^n as a scythe Matrix and
-Gauss-Jordan on a dense grid with a dense transform, which pin the value
-and the type of every entry the sparse echelon gives.
+loop_mul_sub, the generic product loop, whose entries the kernels'
+small-block forms must give; and dense_coboundary and DenseEchelon, the
+stacked d^n as a scythe Matrix and Gauss-Jordan on a dense grid with a
+dense transform, whose entries the sparse echelon must give.  These four
+compute with scythe's field operations, so their values are canonical (an
+int when integral), and the tests compare them by repr: a stray integral
+Fraction would differ from its int there.
 """
 
 from fractions import Fraction
@@ -363,12 +365,11 @@ def _dense(field, vecs, width):
 
 
 def loop_mat_mul(a, b):
-    """The grid of a.b, by the generic loop of scythe's mat_mul.
+    """The grid of a.b by the generic loop.
 
     Each entry starts at zero and adds a[i][k] * b[k][j] for k ascending,
     skipping a product when either factor is zero, with the field's own
-    operations: the value and the type (int or Fraction) every entry of
-    the kernel must have.
+    operations: the canonical value every entry of the kernel must have.
     """
     f = a.field
     out = []
@@ -407,10 +408,12 @@ class DenseEchelon:
     """Gauss-Jordan on a dense grid, carrying a dense rows x rows transform.
 
     E.A is the reduced echelon form, with the pivot columns and the rank.
-    Every row is scaled whole by the pivot's inverse and every nonzero of
-    the pivot row is eliminated from every other row, so each entry has
-    the value and the type (int or Fraction) that the sparse EchelonSolver
-    must give it.
+    The pivot is the first candidate row in order, every row is scaled
+    whole by the pivot's inverse and every nonzero of the pivot row is
+    eliminated from every other row.  The reduced form is unique, so the
+    sparse EchelonSolver, which may pivot on another row, must give the
+    same kernel basis, solutions and, for an invertible matrix, the same
+    transform.
     """
 
     def __init__(self, a):

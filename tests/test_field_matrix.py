@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from scythe import matrix
 from scythe.cohomology import _solver, cocycle_basis
-from scythe.errors import NotInvertible, ParseError, SolveFailed
-from scythe.field import RATIONAL, FieldSpec, fp
+from scythe.errors import (
+    NotInvertible, ParseError, SolveFailed, ValidationError,
+)
+from scythe.field import RATIONAL, FieldSpec, Rational, fp
 from scythe.matrix import (
     EchelonSolver, Matrix, mat_mul, matvec, mul_sub, try_invert,
 )
@@ -106,10 +109,34 @@ def test_integral_rationals_are_ints():
                 f.inv(1), f.inv(-1), f.inv(Fraction(1, 2)), f.inv(Fraction(-1))]
     assert all(type(v) is int for v in integral)
     assert integral[-4:] == [1, -1, 2, -1]
-    assert type(f.inv(2)) is Fraction and f.inv(2) == Fraction(1, 2)
-    assert type(f.parse("2/4")) is Fraction
+    # a non-integral value has the one canonical non-int type
+    assert type(f.inv(2)) is Rational and f.inv(2) == Fraction(1, 2)
+    assert type(f.parse("2/4")) is Rational
     assert f.format(Fraction(3)) == f.format(3) == "3"
     assert f.format(Fraction(-6, 4)) == "-3/2"
+
+
+@pytest.mark.parametrize("field, value", [
+    (fp(5), 0.5), (fp(5), Fraction(1, 2)), (fp(5), 2.0), (fp(5), "2"),
+    (RATIONAL, 0.1), (RATIONAL, 1.0), (RATIONAL, "1/2"),
+], ids=["F5-float", "F5-fraction", "F5-integral-float", "F5-str",
+        "Q-float", "Q-integral-float", "Q-str"])
+def test_values_that_are_not_field_elements_are_refused(field, value):
+    # a float would be stored as is, and a Matrix holding one has no repr
+    named = re.escape(repr(value))
+    with pytest.raises(ValidationError, match=named):
+        field.from_int(value)
+    with pytest.raises(ValidationError, match=named):
+        Matrix.from_rows(field, [[value, 2]])
+    with pytest.raises(ValidationError, match=named):
+        Matrix(field, 1, 1, [[value]])
+
+
+def test_integral_values_of_other_types_enter_as_field_elements():
+    assert [fp(5).from_int(v) for v in (Fraction(12, 2), True, -3)] == [
+        1, 1, 2]
+    assert repr(Matrix(RATIONAL, 1, 3, [[Fraction(6, 3), True, 3]]).data) \
+        == "[[2, 1, 3]]"
 
 
 @pytest.mark.parametrize("text", [
@@ -239,7 +266,7 @@ def test_solver_kernel_and_image():
 
 def _assert_echelons_agree(sparse, dense, rhs):
     """The sparse echelon against the dense oracle: rank, pivots and the
-    kernel basis by repr, so an int and an integral Fraction differ, and
+    kernel basis by repr, so a stray integral Fraction would show, and
     solve by value on each right-hand side."""
     assert (sparse.rank, sparse.pivots) == (dense.rank, dense.pivots)
     assert repr(sparse.kernel_basis().data) == repr(dense.kernel_basis().data)
@@ -255,9 +282,9 @@ _ECHELON_FIELDS = {"Q": RATIONAL, "F2": fp(2), "F5": fp(5)}
 @settings(max_examples=150, deadline=None)
 def test_sparse_echelon_matches_dense_oracle(name, r, c, data):
     # over Q the entries mix ints, non-unit Fractions and stored
-    # Fraction(0); try_invert reads the transform from 4x4 up, so its
-    # inverse is pinned too.  Rows given without their int zeros make the
-    # eliminator read its implicit zeros as well
+    # Fraction(0), all made canonical by Matrix; try_invert reads the
+    # transform from 4x4 up, so its inverse is pinned too.  of_rows takes
+    # the same rows without their zeros
     f = _ECHELON_FIELDS[name]
     if f.p is None:
         entries = st.one_of(st.just(0), _mixed_entries, st.just(Fraction(0)))
@@ -269,8 +296,8 @@ def test_sparse_echelon_matches_dense_oracle(name, r, c, data):
     x = data.draw(st.lists(entries, min_size=c, max_size=c))
     b = data.draw(st.lists(entries, min_size=r, max_size=r))
     dense = DenseEchelon(m)
-    rows = {i: {j: v for j, v in enumerate(row) if v or type(v) is not int}
-            for i, row in enumerate(grid)}
+    rows = {i: {j: v for j, v in enumerate(row) if v}
+            for i, row in enumerate(m.data)}
     for sparse in (EchelonSolver(m), EchelonSolver.of_rows(f, r, c, rows, True)):
         _assert_echelons_agree(sparse, dense, [matvec(m, x), b])
     if r == c > 3 and dense.rank == r:

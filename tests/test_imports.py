@@ -94,6 +94,7 @@ def test_module_reads_every_parameter(name):
 # the private names one module of the package reads from another
 PRIVATE_IMPORTS_ALLOWED = [
     ("cli.py", "serialize", "_stream"),
+    ("cohomology.py", "matrix", "_built"),
     ("cw.py", "poset", "_graded"),
     ("morse.py", "matrix", "_built"),
     ("nerve.py", "morse", "_sweep"),
@@ -147,6 +148,35 @@ def test_module_reads_only_allowed_private_names(name):
     allowed = [(module, private) for importer, module, private
                in PRIVATE_IMPORTS_ALLOWED if importer == name]
     assert found == allowed
+
+
+def builds_fractions(source):
+    """Whether source imports fractions or calls a name Fraction."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "fractions" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "fractions":
+                return True
+        elif isinstance(node, ast.Call):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) \
+                    == "Fraction":
+                return True
+    return False
+
+
+def test_fraction_builders_are_found():
+    for source in ("import fractions\n", "from fractions import Fraction as F\n",
+                   "x = Fraction(1, 2)\n", "x = q.Fraction(3)\n"):
+        assert builds_fractions(source)
+    assert not builds_fractions("x = isinstance(v, Fraction)\ny = Rational(1)\n")
+
+
+def test_only_the_field_module_builds_fractions():
+    # field.py owns the canonical type of a rational, so it alone makes one
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if builds_fractions(p.read_text())] == ["field.py"]
 
 
 ROOT = PACKAGE.parent.parent

@@ -664,7 +664,7 @@ def _fold_and_transport(param):
 # sha256 of the repr of _fold_and_transport over _record_inputs, Q then F5;
 # repr tells an int from an integral Fraction, which == does not
 FOLD_TRANSPORT_DIGEST = \
-    "bfad872e539f3f83cd8618291f2ef635946a63cc921b9f2e055253fe6192017a"
+    "59165e6513f3719796acf478fd02cc961094b79658971c8ff0c03284a45a0fe7"
 
 
 def test_fold_and_transport_are_pinned():
